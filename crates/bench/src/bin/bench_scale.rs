@@ -411,6 +411,8 @@ fn main() {
         w.number(Some("hotspot_bytes"), cell.hotspot_bytes());
         w.number(Some("rack_local_transfers"), cell.report.rack_local_transfers as f64);
         w.number(Some("cross_rack_transfers"), cell.report.cross_rack_transfers as f64);
+        w.number(Some("assign_attempts"), cell.report.assign.attempts as f64);
+        w.number(Some("assign_placements"), cell.report.assign.placements as f64);
         w.close();
     }
     w.number(Some("tree_flat_pct"), TREE_FLAT_PCT);

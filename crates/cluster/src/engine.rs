@@ -22,7 +22,7 @@
 
 use crate::config::{ClusterConfig, Experiment, Workload};
 use crate::partition::{Partitioner, SharedPtr, SpinPool};
-use crate::report::{FaultSummary, JobSummary, QuerySummary, RunReport};
+use crate::report::{AssignStats, FaultSummary, JobSummary, QuerySummary, RunReport};
 use ibis_core::intern::{Symbol, SymbolTable};
 use ibis_core::scheduler::{IoScheduler, Policy};
 use ibis_core::slab::{Arena, ArenaKind, ChainKey, CompKey, IoKey, SlabArenas, SlabKey, TaskKey, XferKey};
@@ -615,6 +615,7 @@ pub struct Sim<A: ArenaKind = SlabArenas> {
     /// (both stay zero when `cfg.rack_size == 0`).
     rack_local_transfers: u64,
     cross_rack_transfers: u64,
+    assign: AssignStats,
     pending: Vec<Option<Pending>>,
     submitted: usize,
     /// Job → application flow, dense by `JobId.0`. `None` until the job
@@ -998,6 +999,7 @@ impl<A: ArenaKind> Sim<A> {
             par_members: 0,
             rack_local_transfers: 0,
             cross_rack_transfers: 0,
+            assign: AssignStats::default(),
         }
     }
 
@@ -1808,8 +1810,21 @@ impl<A: ArenaKind> Sim<A> {
         }
     }
 
+    /// Sweeps every node until a sweep places nothing. The fair-share
+    /// candidate set does not depend on the node, so it is built once per
+    /// sweep (and rebuilt by each placement) instead of once per node; a
+    /// sweep whose set is empty stops before visiting any node.
+    ///
+    /// A placement's `advance` can finish a zero-step task, whose
+    /// `finish_task` re-enters `try_assign_all` and rebuilds the set as
+    /// its last step, so the set is still current when this sweep goes on.
     fn assign_pass(&mut self, allow_remote: bool, now: SimTime) {
         loop {
+            self.assign.sweeps += 1;
+            if !self.job_mgr.build_candidates() {
+                self.assign.empty_sweeps += 1;
+                break;
+            }
             let mut progress = false;
             for n in 0..self.nodes.len() {
                 loop {
@@ -1818,13 +1833,15 @@ impl<A: ArenaKind> Sim<A> {
                         break;
                     }
                     let free_mem = node.free_mem;
-                    let Some(assignment) = self.job_mgr.try_assign_constrained(
+                    self.assign.attempts += 1;
+                    let Some(assignment) = self.job_mgr.try_assign_prepared(
                         NodeId(n as u32),
                         free_mem,
                         allow_remote,
                     ) else {
                         break;
                     };
+                    self.assign.placements += 1;
                     let node = &mut self.nodes[n];
                     node.free_cores -= 1;
                     node.free_mem -= assignment.memory;
@@ -3861,6 +3878,7 @@ impl<A: ArenaKind> Sim<A> {
             makespan: self.last_event_time - SimTime::ZERO,
             wall_secs,
             events: self.events,
+            assign: self.assign,
             reference_latencies_ms: self.reference_ms,
             recording,
             metrics,

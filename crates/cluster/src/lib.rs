@@ -50,7 +50,7 @@ pub mod sweep;
 
 pub use autotune::{tune_weight, tune_weight_grid, TuneResult};
 pub use config::{ClusterConfig, DeviceSpec, Experiment, Workload};
-pub use report::{JobSummary, RunReport};
+pub use report::{AssignStats, JobSummary, RunReport};
 pub use sweep::SweepRunner;
 
 /// The types most experiment code needs.

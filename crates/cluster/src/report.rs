@@ -107,6 +107,22 @@ pub struct FaultSummary {
     pub resyncs: u64,
 }
 
+/// Deterministic work counters of the slot-assignment layer. Every task
+/// finish and job arrival runs a node-local pass and then a remote pass,
+/// each made of sweeps over every node until a sweep places nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AssignStats {
+    /// Sweeps started, each with one fair-share candidate build.
+    pub sweeps: u64,
+    /// Sweeps that stopped before visiting any node because no job had
+    /// placeable work.
+    pub empty_sweeps: u64,
+    /// Per-node placement attempts (nodes visited with a free core).
+    pub attempts: u64,
+    /// Attempts that placed a task.
+    pub placements: u64,
+}
+
 /// Everything a bench binary needs to print a paper figure.
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
@@ -148,6 +164,8 @@ pub struct RunReport {
     pub wall_secs: f64,
     /// Events processed (simulator throughput diagnostics).
     pub events: u64,
+    /// Slot-assignment work counters.
+    pub assign: AssignStats,
     /// The SFQ(D2) reference latencies used, if profiling ran
     /// (hdfs-read, hdfs-write, scratch-read, scratch-write) in ms.
     pub reference_latencies_ms: Option<[f64; 4]>,

@@ -7,9 +7,10 @@
 //! slab and `HashMap` side-table backends and across
 //! `IBIS_PARTITIONS ∈ {1, 4}`. The canon extends the
 //! partition-determinism serialization with the per-tenant section, the
-//! broker's per-level traffic counters, and the rack-topology transfer
-//! counters, so any nondeterminism in leaf aggregation order, delta
-//! encoding, round completion, or rack-aware placement shows up as a
+//! broker's per-level traffic counters, the rack-topology transfer
+//! counters, and the slot-assignment work counters, so any
+//! nondeterminism in leaf aggregation order, delta encoding, round
+//! completion, rack-aware placement, or assignment sweeps shows up as a
 //! text diff.
 
 use ibis_cluster::prelude::*;
@@ -103,8 +104,9 @@ fn scale_experiment(seed: u64, chaos: bool, partitions: usize) -> Experiment {
 }
 
 /// The partition-determinism canon plus tenants, per-level broker
-/// counters (inside `BrokerStats`'s `Debug`), and rack transfer
-/// counters. Excluded: `wall_secs`, `par_windows`, `par_members`.
+/// counters (inside `BrokerStats`'s `Debug`), rack transfer counters,
+/// and assignment counters. Excluded: `wall_secs`, `par_windows`,
+/// `par_members`.
 fn canonical_full(r: &RunReport) -> String {
     let mut s = String::new();
     for j in &r.jobs {
@@ -162,6 +164,7 @@ fn canonical_full(r: &RunReport) -> String {
     )
     .unwrap();
     writeln!(s, "faults {:?}", r.faults).unwrap();
+    writeln!(s, "assign {:?}", r.assign).unwrap();
 
     let rec = r.recording.as_ref().expect("recording enabled");
     writeln!(s, "rec seen={} retained={}", rec.seen(), rec.len()).unwrap();
@@ -206,6 +209,12 @@ fn tree_broker_chaos_run_is_byte_identical_across_partitions_and_backends() {
     assert!(serial.broker.resyncs > 0, "tree stats saw no resyncs");
     assert!(serial.broker.dup_ignored > 0, "no duplicate was ever ignored");
     assert!(serial.rack_local_transfers > 0, "rack topology saw no local transfers");
+    // Assignment ran through per-sweep candidate sets: some sweeps found
+    // nothing placeable and stopped before visiting a node, and placements
+    // cover every task at least once (crash-aborted tasks run again).
+    let a = serial.assign;
+    assert!(a.empty_sweeps > 0 && a.empty_sweeps < a.sweeps, "{a:?}");
+    assert!(a.placements > 0 && a.placements <= a.attempts, "{a:?}");
     let canon = canonical_full(&serial);
 
     let windowed = scale_experiment(9, true, 4).run();

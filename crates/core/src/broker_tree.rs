@@ -564,8 +564,11 @@ impl BrokerTree {
         stats.resync_bytes += HEADER_BYTES + ENTRY_BYTES * link.sent_cum.len() as u64;
         for &(app, cum) in &link.sent_cum {
             let old = cum_get(&link.contrib, app);
-            debug_assert!(cum >= old, "snapshot below applied contribution");
-            let delta = cum - old;
+            // Checked in release too: a wrapped delta would be folded
+            // into the rack and root totals.
+            let delta = cum
+                .checked_sub(old)
+                .expect("snapshot below applied contribution");
             // Fold even zero deltas: the app lands in `touched`, so this
             // round refreshes its leaf-cache total and the resync reply
             // covers the node's full working set.
@@ -581,7 +584,13 @@ impl BrokerTree {
             rack.awaiting = rack.awaiting.saturating_sub(1);
         }
         link.epoch = link.recv_epoch;
-        link.recv_next = seq + 1;
+        // The snapshot covers every message the sender has numbered, not
+        // just up to `seq`: a late held message can trigger this resync
+        // while a newer one is itself held on the wire, and that newer
+        // one's delta is already inside `sent_cum`. Acking through the
+        // sender's latest seq makes it stale when it lands, instead of
+        // folding it a second time.
+        link.recv_next = link.next_seq;
         let start = sub_apps.len() as u32;
         sub_apps.extend(link.sent_cum.iter().map(|&(a, _)| a));
         subs.push((node, start, link.sent_cum.len() as u32));
@@ -807,11 +816,16 @@ impl BrokerTree {
             }
         }
         // Protocol links must forget the app too, or a reused AppId would
-        // resync against the retired generation's cumulative totals.
+        // resync against the retired generation's cumulative totals. That
+        // includes a report held on the wire: landing in order later, it
+        // would fold the retired generation's bytes into the new one.
         if let Some(p) = &mut self.proto {
             for link in &mut p.nodes {
                 cum_remove(&mut link.sent_cum, app);
                 cum_remove(&mut link.contrib, app);
+                if let Some(held) = &mut link.held {
+                    held.entries.retain(|&(a, _)| a != app);
+                }
             }
             for rl in &mut p.racks {
                 cum_remove(&mut rl.rack_cum, app);

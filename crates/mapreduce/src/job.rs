@@ -229,6 +229,12 @@ pub struct JobManager {
     /// `FairScheduler::pick` is order-insensitive, but identical order
     /// makes the equivalence unconditional.
     work_index: BTreeSet<JobId>,
+    /// The fair-share candidate set of the current assignment pass
+    /// ([`JobManager::build_candidates`]). Node-independent, so one build
+    /// serves every node of a sweep; rebuilt after every placement.
+    candidates: Vec<ShareEntry>,
+    /// Per-node working copy of `candidates` that the pick loop shrinks.
+    attempt: Vec<ShareEntry>,
     next_id: u32,
     /// Map-output registry for the shuffle phase.
     pub shuffle: ShuffleTracker,
@@ -248,6 +254,8 @@ impl JobManager {
         JobManager {
             jobs: BTreeMap::new(),
             work_index: BTreeSet::new(),
+            candidates: Vec::new(),
+            attempt: Vec::new(),
             next_id: 1,
             shuffle: ShuffleTracker::new(),
             workflows: Vec::new(),
@@ -423,28 +431,32 @@ impl JobManager {
     /// a local-only pass across all nodes before allowing remote maps —
     /// a stand-in for Hadoop's delay scheduling, which achieves near-total
     /// data locality on the paper's testbed.
+    ///
+    /// One call is [`JobManager::build_candidates`] followed by
+    /// [`JobManager::try_assign_prepared`].
     pub fn try_assign_constrained(
         &mut self,
         node: NodeId,
         free_mem: u64,
         allow_remote: bool,
     ) -> Option<TaskAssignment> {
-        // Jobs with any eligible pending work, by fairness. Memory fit is
-        // deliberately NOT a filter here: if the most underserved job's
-        // task does not fit the node's free memory, the node is *reserved*
-        // for it (no other job may grab the slot) — YARN's reserved-
-        // container mechanism, without which an 8 GB reduce never finds a
-        // hole between a competitor's stream of 2 GB maps.
-        let mut candidates: Vec<ShareEntry> = self
-            .work_index
+        self.build_candidates();
+        self.try_assign_prepared(node, free_mem, allow_remote)
+    }
+
+    /// Jobs with any eligible pending work, by fairness. Memory fit is
+    /// deliberately NOT a filter here: if the most underserved job's task
+    /// does not fit the node's free memory, the node is *reserved* for it
+    /// (no other job may grab the slot) — YARN's reserved-container
+    /// mechanism, without which an 8 GB reduce never finds a hole between
+    /// a competitor's stream of 2 GB maps. Nothing here depends on the
+    /// node, which is what lets one set serve a whole sweep.
+    fn eligible(&self) -> impl Iterator<Item = ShareEntry> + '_ {
+        self.work_index
             .iter()
             .filter_map(|id| self.jobs.get(id))
             .filter(|j| !j.is_done())
-            .filter(|j| {
-                j.spec
-                    .max_slots
-                    .is_none_or(|cap| j.running() < cap)
-            })
+            .filter(|j| j.spec.max_slots.is_none_or(|cap| j.running() < cap))
             .filter(|j| {
                 let has_map = j.has_pending_map();
                 let has_reduce = j.reduces_eligible() && !j.pending_reduces.is_empty();
@@ -455,13 +467,46 @@ impl JobManager {
                 cpu_weight: j.spec.cpu_weight,
                 running: j.running(),
             })
-            .collect();
+    }
 
-        while let Some(job_id) = FairScheduler::pick(&candidates) {
-            if let Some(assignment) =
-                self.try_assign_from(job_id, node, free_mem, allow_remote)
-            {
+    /// Rebuilds the fair-share candidate set for an assignment pass and
+    /// returns whether it is non-empty. An empty set means no node can be
+    /// given anything, so a sweep can stop before visiting any node.
+    ///
+    /// The set stays valid until the manager next changes state; a
+    /// placement through [`JobManager::try_assign_prepared`] rebuilds it
+    /// itself, and any other change (a finished or aborted task, a new
+    /// job) needs a fresh call before the next attempt.
+    pub fn build_candidates(&mut self) -> bool {
+        let mut set = std::mem::take(&mut self.candidates);
+        set.clear();
+        set.extend(self.eligible());
+        self.candidates = set;
+        !self.candidates.is_empty()
+    }
+
+    /// Tries to place one task on `node` from the set the last
+    /// [`JobManager::build_candidates`] produced: the same fair pick,
+    /// memory reservation and locality fallback as
+    /// [`JobManager::try_assign_constrained`], without rebuilding the set
+    /// for every node. On success the set is rebuilt from scratch, never
+    /// patched, so the next attempt sees the placement.
+    pub fn try_assign_prepared(
+        &mut self,
+        node: NodeId,
+        free_mem: u64,
+        allow_remote: bool,
+    ) -> Option<TaskAssignment> {
+        debug_assert!(
+            self.eligible().eq(self.candidates.iter().copied()),
+            "candidate set is stale: rebuild it after changing the manager"
+        );
+        self.attempt.clear();
+        self.attempt.extend_from_slice(&self.candidates);
+        while let Some(job_id) = FairScheduler::pick(&self.attempt) {
+            if let Some(assignment) = self.try_assign_from(job_id, node, free_mem, allow_remote) {
                 self.reindex(job_id);
+                self.build_candidates();
                 return Some(assignment);
             }
             // The fairest job could not be placed. If it was memory that
@@ -471,7 +516,7 @@ impl JobManager {
             if self.blocked_on_memory(job_id, free_mem, allow_remote) {
                 return None;
             }
-            candidates.retain(|e| e.job != job_id);
+            self.attempt.retain(|e| e.job != job_id);
         }
         None
     }
