@@ -42,6 +42,12 @@
 //! CI smoke job can run the 64→256 prefix cheaply while the committed
 //! record keeps the full 64→1024 span.
 //!
+//! Each cell also records the engine's deterministic work counters: slot
+//! assignment attempts and placements, and event-queue pushes per lane
+//! with the heap's high-water mark. With `IBIS_TRACE=1` every cell runs
+//! traced and prints its engine self-profile, handler time split by
+//! event kind, to stderr (the JSON's timings then include tracing).
+//!
 //! Usage: `bench_scale [--check <baseline.json>] [output-path]`
 //! (default `BENCH_scale.json`).
 
@@ -382,6 +388,9 @@ fn main() {
                 cell.bytes_per_report(),
                 cell.hotspot_bytes(),
             );
+            if let Some(p) = &cell.report.engine_profile {
+                eprintln!("[bench_scale]   {p}\n{}", p.kind_table());
+            }
             cells.push(cell);
         }
     }
@@ -413,6 +422,11 @@ fn main() {
         w.number(Some("cross_rack_transfers"), cell.report.cross_rack_transfers as f64);
         w.number(Some("assign_attempts"), cell.report.assign.attempts as f64);
         w.number(Some("assign_placements"), cell.report.assign.placements as f64);
+        let q = cell.report.queue;
+        w.number(Some("queue_same_instant_pushes"), q.same_instant_pushes as f64);
+        w.number(Some("queue_fifo_pushes"), q.fifo_pushes as f64);
+        w.number(Some("queue_heap_pushes"), q.heap_pushes as f64);
+        w.number(Some("queue_peak_heap_len"), q.peak_heap_len as f64);
         w.close();
     }
     w.number(Some("tree_flat_pct"), TREE_FLAT_PCT);

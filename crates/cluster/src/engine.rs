@@ -113,6 +113,53 @@ enum Event {
     RackRetry { rack: u32, attempt: u32 },
 }
 
+impl Event {
+    /// Event kind names, indexed by [`Event::kind`]: the rows of the
+    /// engine self-profile's per-kind handler split.
+    const KINDS: [&'static str; 17] = [
+        "JobArrival",
+        "DeviceDone",
+        "LinkTimer",
+        "SchedTick",
+        "BrokerSync",
+        "ComputeDone",
+        "MetricsSample",
+        "NodeCrash",
+        "NodeRestart",
+        "BrokerRetry",
+        "DeliverReplies",
+        "FaultMark",
+        "AggCrash",
+        "AggRestart",
+        "RackPartStart",
+        "RackPartEnd",
+        "RackRetry",
+    ];
+
+    /// This event's index into [`Event::KINDS`].
+    fn kind(&self) -> usize {
+        match self {
+            Event::JobArrival(_) => 0,
+            Event::DeviceDone { .. } => 1,
+            Event::LinkTimer { .. } => 2,
+            Event::SchedTick { .. } => 3,
+            Event::BrokerSync => 4,
+            Event::ComputeDone { .. } => 5,
+            Event::MetricsSample => 6,
+            Event::NodeCrash { .. } => 7,
+            Event::NodeRestart { .. } => 8,
+            Event::BrokerRetry { .. } => 9,
+            Event::DeliverReplies { .. } => 10,
+            Event::FaultMark { .. } => 11,
+            Event::AggCrash { .. } => 12,
+            Event::AggRestart { .. } => 13,
+            Event::RackPartStart { .. } => 14,
+            Event::RackPartEnd { .. } => 15,
+            Event::RackRetry { .. } => 16,
+        }
+    }
+}
+
 /// Bucket upper bounds (ms) for the per-device completion-latency
 /// histograms recorded when metrics are enabled.
 const IO_LATENCY_BOUNDS_MS: [f64; 10] =
@@ -429,12 +476,32 @@ struct TenantState {
     name: String,
     /// The shared flow id (first tenant job's app).
     app: AppId,
-    /// The flow's IBIS I/O weight (first tenant job's weight).
-    weight: f64,
     submitted: u64,
     finished: u64,
     /// Arrival→completion latency, nanoseconds.
     latency: Histogram,
+}
+
+/// Engine-side record of one application flow, dense by `AppId.0`.
+#[derive(Clone, Copy)]
+struct FlowRecord {
+    /// Live jobs on the flow. Broker flow state is retired only when the
+    /// count returns to zero, so a tenant's pooled service totals survive
+    /// across its jobs.
+    live: u32,
+    /// The flow's IBIS I/O weight, fixed when its first job registers (a
+    /// tenant's first-arrival weight, or a tenant-less job's own). Every
+    /// reader — scheduler registration, node restarts, network sharing
+    /// and the recording — takes it from here, so a tenant whose jobs
+    /// carry different weights still has one weight everywhere.
+    weight: f64,
+}
+
+impl Default for FlowRecord {
+    /// An unregistered flow runs at the schedulers' default weight.
+    fn default() -> Self {
+        FlowRecord { live: 0, weight: 1.0 }
+    }
 }
 
 /// An I/O swept off a crashed node that cannot fail over (shuffle pulls
@@ -622,10 +689,9 @@ pub struct Sim<A: ArenaKind = SlabArenas> {
     /// is registered at arrival; tenant jobs all map to the tenant's
     /// shared flow, tenant-less jobs to their own `JobId`-derived app.
     job_app: Vec<Option<AppId>>,
-    /// Live-job refcount per application flow, dense by `AppId.0`. Broker
-    /// flow state is retired only when the count returns to zero, so a
-    /// tenant's pooled service totals survive across its jobs.
-    app_live: Vec<u32>,
+    /// Live-job refcount and weight per application flow, dense by
+    /// `AppId.0`.
+    app_flows: Vec<FlowRecord>,
     /// Tenants in first-arrival order (deterministic: arrivals are
     /// totally ordered by the event queue).
     tenants: Vec<TenantState>,
@@ -822,19 +888,20 @@ impl<A: ArenaKind> Sim<A> {
             queue.push(SimTime::ZERO + arrival, Event::JobArrival(i));
         }
 
-        // Periodic events.
+        // Periodic events. Each re-arms one period after it fires, so
+        // they take the queue's per-period FIFO lanes, not the heap.
         if cfg.coordination && cfg.policy.coordinates() {
-            queue.push(SimTime::ZERO + cfg.sync_period, Event::BrokerSync);
+            queue.push_periodic(cfg.sync_period, Event::BrokerSync);
         }
         if let Some(tick) = cfg.policy.build().tick_period() {
             for n in 0..cfg.nodes {
                 for dev in 0..2 {
-                    queue.push(SimTime::ZERO + tick, Event::SchedTick { node: n, dev });
+                    queue.push_periodic(tick, Event::SchedTick { node: n, dev });
                 }
             }
         }
         let metrics = cfg.metrics.enabled.then(|| {
-            queue.push(SimTime::ZERO + cfg.metrics.sample_period, Event::MetricsSample);
+            queue.push_periodic(cfg.metrics.sample_period, Event::MetricsSample);
             MetricsState {
                 registry: MetricsRegistry::new(),
                 sampler: Sampler::new(cfg.metrics.sample_period),
@@ -929,7 +996,10 @@ impl<A: ArenaKind> Sim<A> {
             }
         });
 
-        let profile = cfg.trace.enabled.then(ibis_trace::EngineProfile::default);
+        let profile = cfg
+            .trace
+            .enabled
+            .then(|| ibis_trace::EngineProfile::with_kinds(&Event::KINDS));
         let mut coord = match cfg.broker_tree {
             Some(tc) => [
                 CoordPlane::Tree(BrokerTree::new(tc)),
@@ -965,7 +1035,7 @@ impl<A: ArenaKind> Sim<A> {
             pending,
             submitted: 0,
             job_app: Vec::new(),
-            app_live: Vec::new(),
+            app_flows: Vec::new(),
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             job_tenant: Vec::new(),
@@ -1210,13 +1280,17 @@ impl<A: ArenaKind> Sim<A> {
             return;
         }
         // Profiled twin: identical event handling, plus a stopwatch per
-        // handler. Split from the plain loop so tracing-off runs never
-        // pay the timer calls.
+        // handler banked by event kind. Split from the plain loop so
+        // tracing-off runs never pay the timer calls.
         while let Some((now, ev)) = self.queue.pop() {
             self.account_event(matches!(ev, Event::MetricsSample), now);
-            let t0 = self.prof_start();
+            let kind = ev.kind();
+            let t0 = Instant::now();
             self.handle(ev, now);
-            self.prof_add(t0, |p| &mut p.handler_secs);
+            let secs = t0.elapsed().as_secs_f64();
+            if let Some(p) = self.profile.as_mut() {
+                p.add_handler(kind, secs);
+            }
             if self.check_finished() {
                 break;
             }
@@ -1637,14 +1711,15 @@ impl<A: ArenaKind> Sim<A> {
                 }
                 if !self.finished {
                     if let Some(p) = self.nodes[node as usize].devs[dev].sched.tick_period() {
-                        self.queue.push(now + p, Event::SchedTick { node, dev });
+                        self.queue.push_periodic(p, Event::SchedTick { node, dev });
                     }
                 }
             }
             Event::BrokerSync => {
                 self.broker_sync(now);
                 if !self.finished {
-                    self.queue.push(now + self.cfg.sync_period, Event::BrokerSync);
+                    self.queue
+                        .push_periodic(self.cfg.sync_period, Event::BrokerSync);
                 }
             }
             Event::ComputeDone { slot } => self.advance(slot, now),
@@ -1652,7 +1727,7 @@ impl<A: ArenaKind> Sim<A> {
                 self.metrics_sample(now);
                 if !self.finished {
                     self.queue
-                        .push(now + self.cfg.metrics.sample_period, Event::MetricsSample);
+                        .push_periodic(self.cfg.metrics.sample_period, Event::MetricsSample);
                 }
             }
             Event::NodeCrash { node } => self.node_crash(node, now),
@@ -1720,9 +1795,10 @@ impl<A: ArenaKind> Sim<A> {
     /// weight, as before. Jobs carrying [`ibis_mapreduce::JobSpec::tenant`]
     /// share the tenant's flow, created on first arrival from the first
     /// job's app and weight: one DSFQ weight and one broker service total
-    /// per tenant, with per-tenant arrival accounting. Called for every
-    /// submission path — direct jobs, workflow heads, and later workflow
-    /// stages.
+    /// per tenant, with per-tenant arrival accounting. Later tenant jobs
+    /// keep the flow's weight whatever their own spec says. Called for
+    /// every submission path — direct jobs, workflow heads, and later
+    /// workflow stages.
     fn register_job(&mut self, id: JobId, now: SimTime) {
         let (tenant, weight) = {
             let rt = self.job_mgr.job(id).expect("registering unknown job");
@@ -1734,7 +1810,8 @@ impl<A: ArenaKind> Sim<A> {
                 Some(&ti) => {
                     let t = &mut self.tenants[ti];
                     t.submitted += 1;
-                    (t.app, t.weight, Some(ti as u32))
+                    let app = t.app;
+                    (app, self.weight_of(app), Some(ti as u32))
                 }
                 None => {
                     let app = id.app();
@@ -1743,7 +1820,6 @@ impl<A: ArenaKind> Sim<A> {
                     self.tenants.push(TenantState {
                         name,
                         app,
-                        weight,
                         submitted: 1,
                         finished: 0,
                         latency: Histogram::new(),
@@ -1759,11 +1835,13 @@ impl<A: ArenaKind> Sim<A> {
         }
         self.job_app[slot] = Some(app);
         self.job_tenant[slot] = tenant_idx;
-        let live = app.0 as usize;
-        if self.app_live.len() <= live {
-            self.app_live.resize(live + 1, 0);
+        let ai = app.0 as usize;
+        if self.app_flows.len() <= ai {
+            self.app_flows.resize(ai + 1, FlowRecord::default());
         }
-        self.app_live[live] += 1;
+        let flow = &mut self.app_flows[ai];
+        flow.live += 1;
+        flow.weight = weight;
         self.set_app_weight(app, weight);
         if let Some(rec) = self.recorder.as_mut() {
             rec.record(ObsEvent {
@@ -2058,8 +2136,8 @@ impl<A: ArenaKind> Sim<A> {
     fn job_finished(&mut self, job: JobId, now: SimTime) {
         let app = self.app_of(job);
         let runtime = self.job_mgr.job(job).and_then(|j| j.runtime());
-        match self.app_live.get_mut(app.0 as usize) {
-            Some(live) if *live > 0 => {
+        match self.app_flows.get_mut(app.0 as usize) {
+            Some(FlowRecord { live, .. }) if *live > 0 => {
                 *live -= 1;
                 if *live == 0 {
                     for c in &mut self.coord {
@@ -2594,12 +2672,13 @@ impl<A: ArenaKind> Sim<A> {
         }
     }
 
-    /// I/O-service weight of an application (its job's `io_weight`).
+    /// I/O-service weight of an application flow, as registered.
     fn weight_of(&self, app: AppId) -> f64 {
-        self.job_mgr
-            .job(ibis_mapreduce::JobId(app.0))
-            .map(|j| j.spec.io_weight)
-            .unwrap_or(1.0)
+        self.app_flows
+            .get(app.0 as usize)
+            .copied()
+            .unwrap_or_default()
+            .weight
     }
 
     fn start_transfer(&mut self, to_node: u32, bytes: u64, cont: Cont, now: SimTime) {
@@ -3539,14 +3618,17 @@ impl<A: ArenaKind> Sim<A> {
                 dq.sched.set_recording(true);
             }
         }
-        // Live applications' weights must survive the restart. Tenant
-        // jobs re-apply their shared flow's weight (repeats are
+        // Live applications' weights must survive the restart: each live
+        // job re-applies its flow's registered weight (tenant repeats are
         // idempotent: same app, same weight).
         let weights: Vec<(AppId, f64)> = self
             .job_mgr
             .jobs()
             .filter(|j| j.finished_at.is_none())
-            .map(|j| (self.app_of(j.id), j.spec.io_weight))
+            .map(|j| {
+                let app = self.app_of(j.id);
+                (app, self.weight_of(app))
+            })
             .collect();
         for (app, w) in weights {
             for dq in &mut self.nodes[node as usize].devs {
@@ -3780,7 +3862,10 @@ impl<A: ArenaKind> Sim<A> {
         let flow_weights: std::collections::BTreeMap<u32, f64> = self
             .job_mgr
             .jobs()
-            .map(|rt| (self.app_of(rt.id).0, rt.spec.io_weight))
+            .map(|rt| {
+                let app = self.app_of(rt.id);
+                (app.0, self.weight_of(app))
+            })
             .collect();
         let recording = self.recorder.take().map(|rec| {
             rec.finish(RecordingMeta {
@@ -3806,13 +3891,12 @@ impl<A: ArenaKind> Sim<A> {
             p
         });
 
-        let tenants = self
-            .tenants
-            .drain(..)
+        let tenants = std::mem::take(&mut self.tenants)
+            .into_iter()
             .map(|t| crate::report::TenantSummary {
+                weight: self.weight_of(t.app),
                 name: t.name,
                 app: t.app,
-                weight: t.weight,
                 submitted: t.submitted,
                 finished: t.finished,
                 latency: t.latency,
@@ -3879,6 +3963,7 @@ impl<A: ArenaKind> Sim<A> {
             wall_secs,
             events: self.events,
             assign: self.assign,
+            queue: self.queue.stats(),
             reference_latencies_ms: self.reference_ms,
             recording,
             metrics,
@@ -4176,7 +4261,15 @@ mod tests {
         for a in &trace.per_app {
             assert_eq!(a.swept_ns, a.components_sum_ns(), "exact sum per app");
         }
-        assert!(on.engine_profile.expect("profile").total_secs > 0.0);
+        let profile = on.engine_profile.expect("profile");
+        assert!(profile.total_secs > 0.0);
+        if profile.windows == 0 {
+            // Serial loop: every handled event lands in its kind's row.
+            let handled: u64 = profile.by_kind.iter().map(|k| k.count).sum();
+            assert_eq!(handled, on.events);
+            let done = profile.by_kind.iter().find(|k| k.kind == "DeviceDone");
+            assert!(done.expect("DeviceDone row").count > 0);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use ibis_core::broker::BrokerStats;
 use ibis_core::AppId;
 use ibis_simcore::metrics::{GaugeTrace, Histogram, TimeSeries};
-use ibis_simcore::{SimDuration, SimTime};
+use ibis_simcore::{QueueStats, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// One finished job.
@@ -166,6 +166,9 @@ pub struct RunReport {
     pub events: u64,
     /// Slot-assignment work counters.
     pub assign: AssignStats,
+    /// Event-queue work counters: pushes per lane (same-instant, periodic
+    /// FIFO, heap) and the heap's high-water mark.
+    pub queue: QueueStats,
     /// The SFQ(D2) reference latencies used, if profiling ran
     /// (hdfs-read, hdfs-write, scratch-read, scratch-write) in ms.
     pub reference_latencies_ms: Option<[f64; 4]>,

@@ -8,10 +8,10 @@
 //! `IBIS_PARTITIONS ∈ {1, 4}`. The canon extends the
 //! partition-determinism serialization with the per-tenant section, the
 //! broker's per-level traffic counters, the rack-topology transfer
-//! counters, and the slot-assignment work counters, so any
-//! nondeterminism in leaf aggregation order, delta encoding, round
-//! completion, rack-aware placement, or assignment sweeps shows up as a
-//! text diff.
+//! counters, the slot-assignment work counters, and the event-queue lane
+//! counters, so any nondeterminism in leaf aggregation order, delta
+//! encoding, round completion, rack-aware placement, assignment sweeps,
+//! or event-queue lane routing shows up as a text diff.
 
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
@@ -105,8 +105,8 @@ fn scale_experiment(seed: u64, chaos: bool, partitions: usize) -> Experiment {
 
 /// The partition-determinism canon plus tenants, per-level broker
 /// counters (inside `BrokerStats`'s `Debug`), rack transfer counters,
-/// and assignment counters. Excluded: `wall_secs`, `par_windows`,
-/// `par_members`.
+/// assignment counters, and event-queue counters. Excluded: `wall_secs`,
+/// `par_windows`, `par_members`.
 fn canonical_full(r: &RunReport) -> String {
     let mut s = String::new();
     for j in &r.jobs {
@@ -165,6 +165,7 @@ fn canonical_full(r: &RunReport) -> String {
     .unwrap();
     writeln!(s, "faults {:?}", r.faults).unwrap();
     writeln!(s, "assign {:?}", r.assign).unwrap();
+    writeln!(s, "queue {:?}", r.queue).unwrap();
 
     let rec = r.recording.as_ref().expect("recording enabled");
     writeln!(s, "rec seen={} retained={}", rec.seen(), rec.len()).unwrap();
@@ -215,6 +216,11 @@ fn tree_broker_chaos_run_is_byte_identical_across_partitions_and_backends() {
     let a = serial.assign;
     assert!(a.empty_sweeps > 0 && a.empty_sweeps < a.sweeps, "{a:?}");
     assert!(a.placements > 0 && a.placements <= a.attempts, "{a:?}");
+    // Every scheduler tick (one per device queue per second) re-armed
+    // through a FIFO lane; device completions went through the heap.
+    let q = serial.queue;
+    let ticks = serial.makespan.as_nanos() / 1_000_000_000 * u64::from(NODES) * 2;
+    assert!(q.fifo_pushes >= ticks && q.heap_pushes > 0, "{q:?}");
     let canon = canonical_full(&serial);
 
     let windowed = scale_experiment(9, true, 4).run();

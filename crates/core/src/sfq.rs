@@ -52,7 +52,7 @@ impl Default for SfqConfig {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct FlowState {
     weight: f64,
     /// Finish tag of the flow's most recent arrival.
@@ -66,17 +66,31 @@ struct FlowState {
     foreign_total: u64,
     /// Portion of `foreign_total` already folded into start tags.
     foreign_consumed: u64,
-    /// Requests queued for this flow (for introspection only).
-    backlog: usize,
     /// Bytes queued for this flow (for introspection only).
     backlog_bytes: u64,
+    /// Requests queued for this flow (for introspection only).
+    backlog: u32,
+    /// The flow's app; shares its word with `backlog`, so the table needs
+    /// no parallel id vector.
+    app: AppId,
 }
 
+// Every registered app has a `FlowState` on every device queue in the
+// cluster, so its size is multiplied by apps × nodes × 2.
+const _: () = assert!(std::mem::size_of::<FlowState>() == 64);
+
 impl FlowState {
-    fn new(weight: f64) -> Self {
+    fn new(app: AppId) -> Self {
         FlowState {
-            weight,
-            ..FlowState::default()
+            weight: 1.0,
+            finish_tag: 0.0,
+            local_service: 0,
+            unreported: 0,
+            foreign_total: 0,
+            foreign_consumed: 0,
+            backlog_bytes: 0,
+            backlog: 0,
+            app,
         }
     }
 }
@@ -84,46 +98,87 @@ impl FlowState {
 /// Flow state interned to dense indices: `AppId`s map to slots in a
 /// contiguous `Vec`, so the per-request hot path (tag computation on
 /// submit, backlog bookkeeping on dispatch) indexes an array instead of
-/// hashing. A device queue serves at most a handful of flows, so the
-/// intern lookup is a short linear scan over a `Vec<AppId>` that lives in
-/// one cache line. `AppId(u32::MAX)` (the cgroup daemon flow) precludes
-/// value-indexing, hence the intern table.
+/// hashing.
+///
+/// The table holds every app ever registered on this scheduler — the
+/// engine registers each arriving app's weight on every device queue in
+/// the cluster — so neither a lookup nor a service report may walk it:
+///
+/// * `slot` maps an app id straight to its dense index. App ids are
+///   small dense integers, so it is a plain vector keyed by
+///   `app.0.wrapping_add(1)`, which puts the cgroup daemon flow
+///   `AppId(u32::MAX)` at key 0. Each entry is the dense index plus one
+///   (0 = never seen) in two bytes, so the map stays compact across
+///   thousands of schedulers.
+/// * `dirty` lists the flows whose `unreported` service went from zero
+///   to positive since the last drain, so a service report visits the
+///   apps served since the previous sync, not every registered app.
 #[derive(Debug, Default)]
 struct FlowTable {
-    ids: Vec<AppId>,
+    slot: Vec<u16>,
     flows: Vec<FlowState>,
+    dirty: Vec<u16>,
 }
 
 impl FlowTable {
+    fn key(app: AppId) -> usize {
+        app.0.wrapping_add(1) as usize
+    }
+
     /// The dense index of `app`, if it was ever seen.
     fn index_of(&self, app: AppId) -> Option<usize> {
-        self.ids.iter().position(|&a| a == app)
+        match self.slot.get(Self::key(app)) {
+            Some(&s) if s != 0 => Some(s as usize - 1),
+            _ => None,
+        }
     }
 
     /// The dense index of `app`, creating weight-1.0 state on first sight.
     fn intern(&mut self, app: AppId) -> usize {
-        match self.index_of(app) {
-            Some(i) => i,
-            None => {
-                self.ids.push(app);
-                self.flows.push(FlowState::new(1.0));
-                self.ids.len() - 1
-            }
+        if let Some(i) = self.index_of(app) {
+            return i;
         }
+        let i = self.flows.len();
+        let tag = u16::try_from(i + 1).expect("SFQ(D) flow table holds at most 65535 flows");
+        let k = Self::key(app);
+        if self.slot.len() <= k {
+            self.slot.resize(k + 1, 0);
+        }
+        self.slot[k] = tag;
+        self.flows.push(FlowState::new(app));
+        i
     }
 
     fn get(&self, app: AppId) -> Option<&FlowState> {
         self.index_of(app).map(|i| &self.flows[i])
     }
 
-    /// Iterates `(app, flow)` pairs in intern order.
-    fn iter_mut(&mut self) -> impl Iterator<Item = (AppId, &mut FlowState)> {
-        self.ids.iter().copied().zip(self.flows.iter_mut())
+    /// Credits `bytes` of completed local service to flow `i`, listing it
+    /// for the next drain when it had nothing unreported.
+    fn credit(&mut self, i: usize, bytes: u64) {
+        let flow = &mut self.flows[i];
+        if flow.unreported == 0 && bytes > 0 {
+            self.dirty.push(i as u16);
+        }
+        flow.local_service += bytes;
+        flow.unreported += bytes;
     }
 
-    /// Iterates `(app, flow)` pairs in intern order, read-only.
-    fn iter(&self) -> impl Iterator<Item = (AppId, &FlowState)> {
-        self.ids.iter().copied().zip(self.flows.iter())
+    /// Moves every flow's unreported service into `out` (cleared first),
+    /// sorted by app, and zeroes it.
+    fn drain_unreported(&mut self, out: &mut Vec<(AppId, u64)>) {
+        out.clear();
+        for i in self.dirty.drain(..) {
+            let f = &mut self.flows[i as usize];
+            out.push((f.app, f.unreported));
+            f.unreported = 0;
+        }
+        out.sort_unstable_by_key(|&(app, _)| app);
+    }
+
+    /// Iterates flows in intern order.
+    fn iter(&self) -> impl Iterator<Item = &FlowState> {
+        self.flows.iter()
     }
 }
 
@@ -221,7 +276,7 @@ impl SfqD {
 
     /// Number of queued requests belonging to `app`.
     pub fn backlog(&self, app: AppId) -> usize {
-        self.flows.get(app).map_or(0, |f| f.backlog)
+        self.flows.get(app).map_or(0, |f| f.backlog as usize)
     }
 
     /// The current virtual time (for tests and invariant checks).
@@ -353,9 +408,8 @@ impl IoScheduler for SfqD {
         self.stats.completed += 1;
         self.stats.decisions += 1;
         self.stats.service.add(app, bytes);
-        let flow = self.flow_mut(app);
-        flow.local_service += bytes;
-        flow.unreported += bytes;
+        let i = self.flows.intern(app);
+        self.flows.credit(i, bytes);
     }
 
     fn on_tick(&mut self, _now: SimTime) {}
@@ -373,17 +427,10 @@ impl IoScheduler for SfqD {
     }
 
     fn drain_service_report(&mut self, out: &mut Vec<(AppId, u64)>) {
-        // Linear scan over the dense table — no hash iteration, and the
-        // caller's pooled buffer means no allocation either.
-        out.clear();
-        for (app, f) in self.flows.iter_mut() {
-            if f.unreported > 0 {
-                out.push((app, f.unreported));
-                f.unreported = 0;
-            }
-        }
-        // Deterministic order for the broker's byte accounting.
-        out.sort_by_key(|&(app, _)| app);
+        // Visits only the flows served since the last drain, sorted by app
+        // for the broker's byte accounting; the caller's pooled buffer
+        // means no allocation either.
+        self.flows.drain_unreported(out);
     }
 
     fn apply_global_service(&mut self, totals: &[(AppId, u64)], now: SimTime) {
@@ -470,8 +517,8 @@ impl IoScheduler for SfqD {
                 self.degraded_entries as f64,
             ));
         }
-        for (app, flow) in self.flows.iter() {
-            let a = app.0;
+        for flow in self.flows.iter() {
+            let a = flow.app.0;
             out.push(Sample::per_flow("sfq_flow_backlog_reqs", a, flow.backlog as f64));
             out.push(Sample::per_flow(
                 "sfq_flow_backlog_bytes",

@@ -203,3 +203,146 @@ proptest! {
         prop_assert!(pos(&delayed) >= pos(&base));
     }
 }
+
+/// Flow-table model check: apps with sparse ids, plus the cgroup daemon
+/// flow `AppId(u32::MAX)`, under a random mix of every scheduler call
+/// that touches per-flow state.
+mod flow_table {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// One scheduler call; `app` indexes the case's app universe.
+    #[derive(Debug, Clone)]
+    pub enum Call {
+        SetWeight { app: u16, weight: u8 },
+        Submit { app: u16, bytes: u32 },
+        Dispatch,
+        /// Completes outstanding request `pick % outstanding`.
+        Complete { pick: u16 },
+        Drain,
+        /// Global totals for apps `first..first + len` (clamped).
+        Apply { first: u16, len: u8, total: u32 },
+    }
+
+    pub fn call() -> impl Strategy<Value = Call> {
+        prop_oneof![
+            2 => (0u16..512, 1u8..8).prop_map(|(app, weight)| Call::SetWeight { app, weight }),
+            6 => (0u16..512, 0u32..4_000_000).prop_map(|(app, bytes)| Call::Submit { app, bytes }),
+            5 => Just(Call::Dispatch),
+            5 => (0u16..512).prop_map(|pick| Call::Complete { pick }),
+            2 => Just(Call::Drain),
+            1 => (0u16..512, 1u8..6, 0u32..50_000_000)
+                .prop_map(|(first, len, total)| Call::Apply { first, len, total }),
+        ]
+    }
+
+    /// `n` distinct sparse app ids (strides of 1–96 from a random base)
+    /// with the daemon flow appended.
+    pub fn universe(n: usize, base: u32, stride_seed: u64) -> Vec<AppId> {
+        let mut apps = Vec::with_capacity(n + 1);
+        let mut id = base;
+        let mut x = stride_seed | 1;
+        for _ in 0..n {
+            apps.push(AppId(id));
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            id += 1 + (x % 96) as u32;
+        }
+        apps.push(AppId(u32::MAX));
+        apps
+    }
+
+    /// Drives the scheduler and the model; every drain must report
+    /// exactly the apps served since the previous drain, sorted, and
+    /// the per-flow metrics must list flows in first-registration order.
+    pub fn check(apps: &[AppId], depth: u32, calls: &[Call]) {
+        let mut s = SfqD::new(SfqConfig { depth, delay_cap: None });
+        let mut registered: Vec<AppId> = Vec::new();
+        let mut unreported: BTreeMap<AppId, u64> = BTreeMap::new();
+        let mut backlog: BTreeMap<AppId, usize> = BTreeMap::new();
+        let mut outstanding: Vec<Request> = Vec::new();
+        let mut report = Vec::new();
+        let mut next_id = 0u64;
+        let see = |registered: &mut Vec<AppId>, app: AppId| {
+            if !registered.contains(&app) {
+                registered.push(app);
+            }
+        };
+        let app_at = |i: u16| apps[i as usize % apps.len()];
+        for call in calls {
+            match *call {
+                Call::SetWeight { app, weight } => {
+                    let app = app_at(app);
+                    see(&mut registered, app);
+                    s.set_weight(app, weight as f64);
+                }
+                Call::Submit { app, bytes } => {
+                    let app = app_at(app);
+                    see(&mut registered, app);
+                    s.submit(Request::new(next_id, app, IoKind::Read, bytes as u64), SimTime::ZERO);
+                    next_id += 1;
+                    *backlog.entry(app).or_default() += 1;
+                }
+                Call::Dispatch => {
+                    while let Some(r) = s.pop_dispatch(SimTime::ZERO) {
+                        *backlog.get_mut(&r.app).expect("dispatched a queued app") -= 1;
+                        outstanding.push(r);
+                    }
+                }
+                Call::Complete { pick } => {
+                    if !outstanding.is_empty() {
+                        let r = outstanding.swap_remove(pick as usize % outstanding.len());
+                        s.on_complete(r.app, r.kind, r.bytes, SimDuration::ZERO, SimTime::ZERO);
+                        *unreported.entry(r.app).or_default() += r.bytes;
+                    }
+                }
+                Call::Drain => {
+                    s.drain_service_report(&mut report);
+                    let want: Vec<(AppId, u64)> =
+                        unreported.iter().filter(|&(_, &b)| b > 0).map(|(&a, &b)| (a, b)).collect();
+                    assert_eq!(report, want, "drain reported the wrong apps");
+                    unreported.clear();
+                }
+                Call::Apply { first, len, total } => {
+                    let mut totals: Vec<(AppId, u64)> = (0..len as u16)
+                        .map(|k| app_at(first.wrapping_add(k)))
+                        .map(|a| (a, total as u64))
+                        .collect();
+                    totals.sort_unstable();
+                    totals.dedup();
+                    for &(a, _) in &totals {
+                        see(&mut registered, a);
+                    }
+                    s.apply_global_service(&totals, SimTime::ZERO);
+                }
+            }
+            for (&app, &n) in &backlog {
+                assert_eq!(s.backlog(app), n, "backlog of {app:?}");
+            }
+        }
+        let mut samples = Vec::new();
+        s.sample_metrics(SimTime::ZERO, &mut samples);
+        let listed: Vec<u32> = samples
+            .iter()
+            .filter(|smp| smp.name == "sfq_flow_backlog_reqs")
+            .map(|smp| smp.app.expect("per-flow sample"))
+            .collect();
+        let want: Vec<u32> = registered.iter().map(|a| a.0).collect();
+        assert_eq!(listed, want, "flows not in first-registration order");
+    }
+}
+
+proptest! {
+    #[test]
+    fn flow_table_drains_and_orders_like_the_model(
+        n in 1usize..300,
+        base in 0u32..5_000,
+        stride_seed in 0u64..u64::MAX,
+        depth in 1u32..8,
+        calls in prop::collection::vec(flow_table::call(), 1..400),
+    ) {
+        let apps = flow_table::universe(n, base, stride_seed);
+        flow_table::check(&apps, depth, &calls);
+    }
+}

@@ -58,7 +58,9 @@ impl Default for NamenodeConfig {
     }
 }
 
-/// The namenode. All metadata operations are O(1) or O(replication).
+/// The namenode. Metadata lookups are O(1); placing a block is
+/// O(replication) while every datanode is up and O(nodes) while one is
+/// down (the live candidate pools are filtered then).
 #[derive(Debug, Clone)]
 pub struct Namenode {
     cfg: NamenodeConfig,
@@ -154,52 +156,60 @@ impl Namenode {
         node.0.checked_div(self.cfg.rack_size).unwrap_or(0)
     }
 
-    /// Picks `extra` distinct nodes different from `primary`. While any
-    /// datanode is marked down it is excluded from the pool (so new blocks
-    /// never land on a dead node); with every node up the pool — and the
-    /// RNG consumption — is exactly the fault-free one.
+    /// Appends `extra` distinct nodes different from `primary` to `out`.
+    /// While any datanode is marked down it is excluded from the pool (so
+    /// new blocks never land on a dead node); with every node up the pool
+    /// — and the RNG consumption — is exactly the fault-free one.
     ///
     /// With racks configured, placement follows the HDFS rack policy:
     /// exactly one secondary goes off the primary's rack (durability
     /// against rack failure), the rest stay on-rack — pipeline transfers
     /// and most reads then never cross a rack boundary. Same-rack picks
     /// come first in the replica list, so rack-preferring readers find
-    /// them without scanning.
-    fn pick_secondaries(&mut self, primary: NodeId, extra: usize) -> Vec<NodeId> {
-        if self.cfg.rack_size == 0 {
-            let pool: Vec<u32> = if self.down_count == 0 {
-                (0..self.cfg.nodes).filter(|&n| n != primary.0).collect()
-            } else {
-                (0..self.cfg.nodes)
-                    .filter(|&n| n != primary.0 && !self.down[n as usize])
-                    .collect()
-            };
-            let idx = self.rng.sample_indices(pool.len(), extra.min(pool.len()));
-            return idx.into_iter().map(|i| NodeId(pool[i])).collect();
-        }
-        let rack = self.rack_of(primary);
-        let live = |n: u32, down: &[bool], down_count: u32| {
-            n != primary.0 && (down_count == 0 || !down[n as usize])
+    /// them without scanning. Without racks the whole cluster is one
+    /// rack, which draws exactly what a single pool of every other node
+    /// would.
+    ///
+    /// Both pools are ascending node ids: the same-rack pool is the
+    /// primary's contiguous rack range minus the primary, the off-rack
+    /// pool everything outside that range. With every node up a sampled
+    /// pool index maps to its node id arithmetically, so a placement
+    /// costs O(replication); only while a node is down are the live
+    /// pools filtered out, in O(nodes).
+    fn pick_secondaries(&mut self, primary: NodeId, extra: usize, out: &mut Vec<NodeId>) {
+        let nodes = self.cfg.nodes;
+        let p = primary.0;
+        let (lo, hi) = match self.cfg.rack_size {
+            0 => (0, nodes),
+            rs => {
+                let lo = p / rs * rs;
+                (lo, lo.saturating_add(rs).min(nodes))
+            }
         };
-        let same: Vec<u32> = (0..self.cfg.nodes)
-            .filter(|&n| live(n, &self.down, self.down_count) && self.rack_of(NodeId(n)) == rack)
-            .collect();
-        let off: Vec<u32> = (0..self.cfg.nodes)
-            .filter(|&n| live(n, &self.down, self.down_count) && self.rack_of(NodeId(n)) != rack)
-            .collect();
-        let extra = extra.min(same.len() + off.len());
-        // One off-rack replica when one fits; more only if the rack is too
-        // small to hold the rest.
-        let off_take = if off.is_empty() { 0 } else { 1.min(extra) }
-            .max(extra.saturating_sub(same.len()))
-            .min(off.len());
-        let same_take = extra - off_take;
-        let mut out = Vec::with_capacity(extra);
-        let idx = self.rng.sample_indices(same.len(), same_take);
-        out.extend(idx.into_iter().map(|i| NodeId(same[i])));
-        let idx = self.rng.sample_indices(off.len(), off_take);
-        out.extend(idx.into_iter().map(|i| NodeId(off[i])));
-        out
+        if self.down_count == 0 {
+            let rack = hi - lo;
+            let (same_take, off_take) =
+                split_secondaries(extra, rack as usize - 1, (nodes - rack) as usize);
+            let same = self.rng.sample_indices(rack as usize - 1, same_take);
+            let off = self.rng.sample_indices((nodes - rack) as usize, off_take);
+            out.extend(same.into_iter().map(|i| {
+                let n = lo + i as u32;
+                NodeId(if n >= p { n + 1 } else { n })
+            }));
+            out.extend(off.into_iter().map(|i| {
+                let n = i as u32;
+                NodeId(if n >= lo { n + rack } else { n })
+            }));
+            return;
+        }
+        let live = |n: &u32| *n != p && !self.down[*n as usize];
+        let same: Vec<u32> = (lo..hi).filter(live).collect();
+        let off: Vec<u32> = (0..lo).chain(hi..nodes).filter(live).collect();
+        let (same_take, off_take) = split_secondaries(extra, same.len(), off.len());
+        let same_idx = self.rng.sample_indices(same.len(), same_take);
+        let off_idx = self.rng.sample_indices(off.len(), off_take);
+        out.extend(same_idx.into_iter().map(|i| NodeId(same[i])));
+        out.extend(off_idx.into_iter().map(|i| NodeId(off[i])));
     }
 
     /// Marks a datanode dead: it stops receiving new replicas until
@@ -232,8 +242,9 @@ impl Namenode {
         let id = BlockId(self.next_block);
         self.next_block += 1;
         let extra = self.effective_replication() - 1;
-        let mut replicas = vec![primary];
-        replicas.extend(self.pick_secondaries(primary, extra));
+        let mut replicas = Vec::with_capacity(extra + 1);
+        replicas.push(primary);
+        self.pick_secondaries(primary, extra, &mut replicas);
         if self.obs_enabled {
             self.obs.push(EventKind::BlockPlaced {
                 block: id.0,
@@ -300,6 +311,18 @@ impl Namenode {
         }
         counts
     }
+}
+
+/// How many of `extra` secondaries come from a same-rack pool of `same`
+/// nodes and how many from an off-rack pool of `off`: one off-rack
+/// replica when one fits, more only if the rack is too small to hold the
+/// rest, never more than the two pools hold together.
+fn split_secondaries(extra: usize, same: usize, off: usize) -> (usize, usize) {
+    let extra = extra.min(same + off);
+    let off_take = if off == 0 { 0 } else { 1.min(extra) }
+        .max(extra.saturating_sub(same))
+        .min(off);
+    (extra - off_take, off_take)
 }
 
 #[cfg(test)]

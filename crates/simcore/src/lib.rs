@@ -25,5 +25,5 @@ pub mod rng;
 pub mod time;
 pub mod units;
 
-pub use queue::EventQueue;
+pub use queue::{EventQueue, QueueStats};
 pub use time::{Lookahead, SimDuration, SimTime};

@@ -5,21 +5,37 @@
 //! the pop order a pure function of the push order, which is what makes
 //! whole-simulation determinism possible.
 //!
-//! The store is tuned for the engine's dominant pop-handle-push cycle:
+//! The store is tuned for the engine's dominant pop-handle-push cycle.
+//! Every pushed event lands in exactly one lane, each lane is sorted by
+//! `(at, seq)`, and `pop` takes the smallest of the lanes' fronts, so the
+//! global order is exactly that of a single priority queue. There are
+//! three kinds of lane:
 //!
-//! * A manual `Vec`-backed binary min-heap keyed on `(at, seq)` — no
-//!   inverted-`Ord` wrapper, and `pop` fuses the peek and the sift-down
-//!   into one pass (the root is replaced by the last element and sifted,
-//!   instead of a generic remove-then-rebalance).
-//! * **Same-instant batching**: handlers frequently schedule follow-up
-//!   events at exactly the current instant (zero-cost compute steps,
-//!   cascading dispatch pumps). Those events can never be preceded by
-//!   anything still in the heap at a *later* key, so they go to a plain
-//!   FIFO `VecDeque` side lane and skip the heap entirely — O(1) push and
-//!   pop, no sifting. The lane drains before the clock advances, so the
-//!   global `(at, seq)` order is preserved exactly.
+//! * **Same-instant lane**: handlers frequently schedule follow-up events
+//!   at exactly the current instant (zero-cost compute steps, cascading
+//!   dispatch pumps). Seq is globally increasing, so appending them to a
+//!   `VecDeque` keeps the lane sorted: O(1) push and pop, no sifting.
+//! * **FIFO lanes** for [`EventQueue::push_periodic`], one per distinct
+//!   period: a recurring timer (a scheduler tick per device queue, the
+//!   broker sync, the metrics sampler) re-arms one period after the
+//!   instant it fires, and the clock never runs backwards, so the pushes
+//!   of one period arrive in nondecreasing time and appending keeps the
+//!   lane sorted by construction. A cluster keeps one tick per device
+//!   queue pending at all times; in a lane they cost O(1) per push and
+//!   pop instead of O(log n) sifts through a heap they would otherwise
+//!   dominate. Timers with different periods interleave out of time
+//!   order, which is why each period gets its own lane; a run has a
+//!   handful of periods at most.
+//! * A manual `Vec`-backed **binary min-heap** keyed on `(at, seq)` for
+//!   everything else — no inverted-`Ord` wrapper, and `pop` fuses the
+//!   peek and the sift-down into one pass (the root is replaced by the
+//!   last element and sifted, instead of a generic remove-then-rebalance).
+//!
+//! Which lane a push takes depends only on the push method, its time and
+//! the clock, never on the payload; [`QueueStats`] counts the pushes per
+//! lane and the heap's high-water mark.
 
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// A scheduled event: payload `E` due at `at`.
@@ -36,32 +52,62 @@ impl<E> Scheduled<E> {
     }
 }
 
+/// The lane holding an event.
+#[derive(Clone, Copy)]
+enum Lane {
+    SameInstant,
+    /// Index into `EventQueue::periodic`.
+    Periodic(usize),
+    Heap,
+}
+
+/// Deterministic work counters of an [`EventQueue`]: pushes per lane and
+/// the largest heap length reached. Pure functions of the push/pop
+/// sequence, so they are stable across runs and hosts.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Pushes served by the same-instant lane.
+    pub same_instant_pushes: u64,
+    /// Periodic pushes, served by the per-period FIFO lanes.
+    pub fifo_pushes: u64,
+    /// Pushes that went to the binary heap.
+    pub heap_pushes: u64,
+    /// Largest number of events the heap held at once.
+    pub peak_heap_len: u64,
+}
+
 /// Priority queue of timestamped events with deterministic tie-breaking.
 ///
 /// ```
-/// use ibis_simcore::{EventQueue, SimTime};
+/// use ibis_simcore::{EventQueue, SimDuration, SimTime};
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_secs(2), "late");
 /// q.push(SimTime::from_secs(1), "early");
 /// q.push(SimTime::from_secs(1), "early-second");
+/// q.push_periodic(SimDuration::from_secs(3), "tick");
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "early")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "early-second")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "late")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(3), "tick")));
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
     /// Min-heap on `(at, seq)` for future events.
     heap: Vec<Scheduled<E>>,
-    /// FIFO lane for events scheduled at exactly the current instant.
+    /// Lane for events scheduled at exactly the current instant.
     /// Invariant: every entry has `at == last_popped`, and entries appear
     /// in increasing `seq` (they were pushed, in order, since the clock
-    /// reached `last_popped`). The heap may still hold same-instant events
-    /// with *smaller* seq (pushed before the clock arrived), so `pop`
-    /// compares the two fronts.
+    /// reached `last_popped`). The other lanes may still hold
+    /// same-instant events with *smaller* seq (pushed before the clock
+    /// arrived), so `pop` compares the fronts.
     batch: VecDeque<Scheduled<E>>,
+    /// One lane per period passed to `push_periodic`, in first-use
+    /// order. Each is sorted by `(at, seq)` because both grow along it.
+    periodic: Vec<(SimDuration, VecDeque<Scheduled<E>>)>,
     next_seq: u64,
     last_popped: SimTime,
+    stats: QueueStats,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -76,8 +122,10 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: Vec::new(),
             batch: VecDeque::new(),
+            periodic: Vec::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
+            stats: QueueStats::default(),
         }
     }
 
@@ -88,47 +136,50 @@ impl<E> EventQueue<E> {
     /// the current time in release builds so a report run degrades instead
     /// of deadlocking.
     pub fn push(&mut self, at: SimTime, event: E) {
-        debug_assert!(
-            at >= self.last_popped,
-            "event scheduled in the past: {at} < {}",
-            self.last_popped
-        );
-        let at = at.max(self.last_popped);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let s = Scheduled { at, seq, event };
-        if at == self.last_popped {
+        let s = self.stamp(at, event);
+        if s.at == self.last_popped {
             // Same-instant fast path: seq is globally increasing, so
             // push_back keeps the lane sorted. No heap traffic.
+            self.stats.same_instant_pushes += 1;
             self.batch.push_back(s);
         } else {
-            self.heap.push(s);
-            self.sift_up(self.heap.len() - 1);
+            self.push_heap(s);
         }
+    }
+
+    /// Schedules the next firing of a recurring timer, `period` after
+    /// the current instant. Same ordering contract as
+    /// [`push`](Self::push) at `now() + period`; only the lane differs:
+    /// the event is appended to the FIFO lane of its period.
+    pub fn push_periodic(&mut self, period: SimDuration, event: E) {
+        let s = self.stamp(self.last_popped + period, event);
+        self.stats.fifo_pushes += 1;
+        let lane = match self.periodic.iter().position(|(p, _)| *p == period) {
+            Some(i) => i,
+            None => {
+                self.periodic.push((period, VecDeque::new()));
+                self.periodic.len() - 1
+            }
+        };
+        self.periodic[lane].1.push_back(s);
     }
 
     /// Removes and returns the earliest event, advancing the queue clock.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = match (self.batch.front(), self.heap.first()) {
-            (Some(b), Some(h)) if b.key() < h.key() => {
-                self.batch.pop_front().expect("front exists")
-            }
-            (Some(_), None) => self.batch.pop_front().expect("front exists"),
-            (None, None) => return None,
-            _ => self.pop_heap().expect("heap non-empty"),
-        };
+        let (lane, _) = self.head()?;
+        let s = match lane {
+            Lane::SameInstant => self.batch.pop_front(),
+            Lane::Periodic(i) => self.periodic[i].1.pop_front(),
+            Lane::Heap => self.pop_heap(),
+        }
+        .expect("head lane is non-empty");
         self.last_popped = s.at;
         Some((s.at, s.event))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match (self.batch.front(), self.heap.first()) {
-            (Some(b), Some(h)) => Some(if b.key() < h.key() { b.at } else { h.at }),
-            (Some(b), None) => Some(b.at),
-            (None, Some(h)) => Some(h.at),
-            (None, None) => None,
-        }
+        self.head().map(|(_, (at, _))| at)
     }
 
     /// The full `(time, sequence)` ordering key of the next event without
@@ -136,12 +187,7 @@ impl<E> EventQueue<E> {
     /// decide whether the head may join the current execution window
     /// before committing to a pop.
     pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        match (self.batch.front(), self.heap.first()) {
-            (Some(b), Some(h)) => Some(b.key().min(h.key())),
-            (Some(b), None) => Some(b.key()),
-            (None, Some(h)) => Some(h.key()),
-            (None, None) => None,
-        }
+        self.head().map(|(_, key)| key)
     }
 
     /// Pops the earliest event only if it is due **strictly before**
@@ -171,13 +217,14 @@ impl<E> EventQueue<E> {
         horizon: SimTime,
         admit: impl FnOnce(&E) -> bool,
     ) -> Option<(SimTime, E)> {
-        let front = match (self.batch.front(), self.heap.first()) {
-            (Some(b), Some(h)) => Some(if b.key() < h.key() { b } else { h }),
-            (Some(b), None) => Some(b),
-            (None, Some(h)) => Some(h),
-            (None, None) => None,
-        }?;
-        if front.at >= horizon || !admit(&front.event) {
+        let (lane, (at, _)) = self.head()?;
+        let front = match lane {
+            Lane::SameInstant => self.batch.front(),
+            Lane::Periodic(i) => self.periodic[i].1.front(),
+            Lane::Heap => self.heap.first(),
+        }
+        .expect("head lane is non-empty");
+        if at >= horizon || !admit(&front.event) {
             return None;
         }
         self.pop()
@@ -185,18 +232,64 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.batch.len()
+        let periodic: usize = self.periodic.iter().map(|(_, q)| q.len()).sum();
+        self.heap.len() + self.batch.len() + periodic
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.batch.is_empty()
+        self.len() == 0
     }
 
     /// The time of the most recently popped event (the queue's notion of
     /// "now").
     pub fn now(&self) -> SimTime {
         self.last_popped
+    }
+
+    /// Pushes per lane and the heap's high-water mark so far.
+    pub fn stats(&self) -> QueueStats {
+        self.stats
+    }
+
+    /// Clamps `at` to the clock and draws the next sequence number.
+    fn stamp(&mut self, at: SimTime, event: E) -> Scheduled<E> {
+        debug_assert!(
+            at >= self.last_popped,
+            "event scheduled in the past: {at} < {}",
+            self.last_popped
+        );
+        let at = at.max(self.last_popped);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Scheduled { at, seq, event }
+    }
+
+    /// The lane holding the earliest event, with that event's key. Keys
+    /// are unique (seq is), so the minimum is unambiguous.
+    #[inline]
+    fn head(&self) -> Option<(Lane, (SimTime, u64))> {
+        let mut best = self.heap.first().map(|h| (Lane::Heap, h.key()));
+        let lanes = self
+            .periodic
+            .iter()
+            .enumerate()
+            .map(|(i, (_, q))| (Lane::Periodic(i), q));
+        for (lane, q) in std::iter::once((Lane::SameInstant, &self.batch)).chain(lanes) {
+            if let Some(s) = q.front() {
+                if best.is_none_or(|(_, key)| s.key() < key) {
+                    best = Some((lane, s.key()));
+                }
+            }
+        }
+        best
+    }
+
+    fn push_heap(&mut self, s: Scheduled<E>) {
+        self.stats.heap_pushes += 1;
+        self.heap.push(s);
+        self.stats.peak_heap_len = self.stats.peak_heap_len.max(self.heap.len() as u64);
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Fused peek-then-pop: replace the root with the last element and

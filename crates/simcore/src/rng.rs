@@ -144,15 +144,36 @@ impl SimRng {
 
     /// Samples `k` distinct indices from `[0, n)` (partial Fisher–Yates).
     /// Panics if `k > n`.
+    ///
+    /// The shuffle is sparse: instead of materialising the `n`-element
+    /// pool it records only the positions its swaps displaced (position
+    /// `p` holds `p` until a swap moves something else there). Step `i`
+    /// draws `index(n - i)` exactly as the dense shuffle does and returns
+    /// the same indices in the same order, but memory and time depend on
+    /// `k` alone — one scan over at most `k` displaced positions per step —
+    /// never on `n`.
     pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         assert!(k <= n, "cannot sample {k} distinct values from {n}");
-        let mut pool: Vec<usize> = (0..n).collect();
+        // (position, value) for every position a swap has moved a value to.
+        let mut moved: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let value_at = |moved: &[(usize, usize)], p: usize| {
+            moved.iter().find(|&&(q, _)| q == p).map_or(p, |&(_, v)| v)
+        };
+        let mut out = Vec::with_capacity(k);
         for i in 0..k {
             let j = i + self.index(n - i);
-            pool.swap(i, j);
+            out.push(value_at(&moved, j));
+            // Swap positions i and j. Later steps read only positions
+            // above i, so only j's new value needs recording.
+            if j != i {
+                let vi = value_at(&moved, i);
+                match moved.iter_mut().find(|(q, _)| *q == j) {
+                    Some(entry) => entry.1 = vi,
+                    None => moved.push((j, vi)),
+                }
+            }
         }
-        pool.truncate(k);
-        pool
+        out
     }
 
     /// Weighted index draw; weights must be non-negative with a positive

@@ -29,7 +29,7 @@ pub mod span;
 
 pub use attribution::{attribute, check, AppAttribution, AttributionCheck, COMPONENTS};
 pub use critical_path::{critical_path, CpNode, CriticalPath};
-pub use profile::EngineProfile;
+pub use profile::{EngineProfile, KindProfile};
 pub use span::{build_forest, check_well_formed, JobTree, RequestSpan, SpanForest, TaskSpan};
 
 use ibis_obs::Recording;
