@@ -21,7 +21,7 @@
 //! swings with scenario length. The scale-invariant quantity is the
 //! sampling cost per captured point — `(on − off) / total_points` —
 //! so `--check` exits non-zero when that exceeds the budget
-//! (`IBIS_METRICS_NS_PER_POINT`, default 2000 ns; measured ~300 ns).
+//! (`IBIS_METRICS_NS_PER_POINT`, default 2000 ns; measured ~110–190 ns).
 //! The raw off/on wall clocks and percentage are recorded for
 //! cross-commit trend tooling; the off path's *correctness* guarantee
 //! (identical events/makespan/runtimes) is asserted by

@@ -791,11 +791,13 @@ impl<A: ArenaKind> Sim<A> {
         // Tracing assembles spans from the same event stream, so it runs
         // the recorder too (internally when obs is off: the recording is
         // then consumed by assembly and never published, keeping reports
-        // byte-identical with tracing on or off).
-        let mut recorder = if cfg.obs.enabled || cfg.trace.enabled {
-            Some(FlightRecorder::new(cfg.nodes, cfg.obs.capacity))
-        } else {
-            None
+        // byte-identical with tracing on or off). The internal recorder
+        // never evicts — a truncated stream would silently assemble a
+        // partial forest — and costs O(events) like the forest itself.
+        let mut recorder = match (cfg.obs.enabled, cfg.trace.enabled) {
+            (true, _) => Some(FlightRecorder::new(cfg.nodes, cfg.obs.capacity)),
+            (false, true) => Some(FlightRecorder::new(cfg.nodes, usize::MAX)),
+            (false, false) => None,
         };
 
         let mut nodes: Vec<Node> = (0..cfg.nodes)
@@ -1640,9 +1642,12 @@ impl<A: ArenaKind> Sim<A> {
             .remove(m.io)
             .expect("window member ctx present at apply");
         if let Some(mst) = self.metrics.as_mut() {
-            mst.registry
-                .histogram("io_latency_ms", Labels::on(node, dev as u8), &IO_LATENCY_BOUNDS_MS)
-                .observe(m.latency.as_nanos() as f64 / 1e6);
+            mst.registry.observe(
+                "io_latency_ms",
+                Labels::on(node, dev as u8),
+                &IO_LATENCY_BOUNDS_MS,
+                m.latency.as_nanos() as f64 / 1e6,
+            );
         }
         if self.recorder.is_some() {
             self.record_completion(node, dev, m.io.encode(), m.app, m.kind, m.bytes, m.latency, now);
@@ -2524,9 +2529,12 @@ impl<A: ArenaKind> Sim<A> {
         let dq = &mut self.nodes[node as usize].devs[dev];
         dq.sched.on_complete(app, kind, bytes, latency, now);
         if let Some(m) = self.metrics.as_mut() {
-            m.registry
-                .histogram("io_latency_ms", Labels::on(node, dev as u8), &IO_LATENCY_BOUNDS_MS)
-                .observe(latency.as_nanos() as f64 / 1e6);
+            m.registry.observe(
+                "io_latency_ms",
+                Labels::on(node, dev as u8),
+                &IO_LATENCY_BOUNDS_MS,
+                latency.as_nanos() as f64 / 1e6,
+            );
         }
         // The engine emits Completed itself: it has the full request
         // context here and covers every policy, including Native.
@@ -3705,62 +3713,67 @@ impl<A: ArenaKind> Sim<A> {
                 dq.sched.sample_metrics(now, &mut m.scratch);
                 let base = Labels::on(n as u32, d as u8);
                 for s in &m.scratch {
-                    m.registry.gauge(s.name, base.with_app(s.app)).set(s.value);
+                    m.registry.set_gauge(s.name, base.with_app(s.app), s.value);
                 }
             }
         }
         for (d, broker) in self.coord.iter().enumerate() {
             let labels = Labels::dev(d as u8);
             m.registry
-                .gauge("broker_live_apps", labels)
-                .set(broker.live_apps() as f64);
+                .set_gauge("broker_live_apps", labels, broker.live_apps() as f64);
             m.registry
-                .gauge("broker_state_bytes", labels)
-                .set(broker.state_bytes() as f64);
+                .set_gauge("broker_state_bytes", labels, broker.state_bytes() as f64);
             match broker.staleness(now, staleness_bound) {
                 Staleness::Fresh(age) | Staleness::Stale(age) => {
                     m.registry
-                        .gauge("broker_sync_age_s", labels)
-                        .set(age.as_secs_f64());
+                        .set_gauge("broker_sync_age_s", labels, age.as_secs_f64());
                 }
                 Staleness::Dark => {}
             }
             for (app, bytes) in broker.totals_sorted() {
-                m.registry
-                    .gauge("broker_total_bytes", labels.with_app(Some(app.0)))
-                    .set(bytes as f64);
+                m.registry.set_gauge(
+                    "broker_total_bytes",
+                    labels.with_app(Some(app.0)),
+                    bytes as f64,
+                );
             }
         }
         if let Some(fs) = &self.faults {
             let down = fs.node_up.iter().filter(|&&up| !up).count();
             m.registry
-                .gauge("faults_nodes_down", Labels::NONE)
-                .set(down as f64);
-            m.registry
-                .gauge("faults_retries_total", Labels::NONE)
-                .set(fs.summary.retries as f64);
-            m.registry
-                .gauge("faults_report_drops_total", Labels::NONE)
-                .set(fs.summary.report_drops as f64);
-            m.registry
-                .gauge("faults_broker_outages_total", Labels::NONE)
-                .set(fs.summary.broker_outages as f64);
-            m.registry
-                .gauge("faults_aborted_tasks_total", Labels::NONE)
-                .set(fs.summary.aborted_tasks as f64);
+                .set_gauge("faults_nodes_down", Labels::NONE, down as f64);
+            m.registry.set_gauge(
+                "faults_retries_total",
+                Labels::NONE,
+                fs.summary.retries as f64,
+            );
+            m.registry.set_gauge(
+                "faults_report_drops_total",
+                Labels::NONE,
+                fs.summary.report_drops as f64,
+            );
+            m.registry.set_gauge(
+                "faults_broker_outages_total",
+                Labels::NONE,
+                fs.summary.broker_outages as f64,
+            );
+            m.registry.set_gauge(
+                "faults_aborted_tasks_total",
+                Labels::NONE,
+                fs.summary.aborted_tasks as f64,
+            );
             // Reply-age distribution over the run: fault-free samples
             // cluster under the sync period; outages grow the tail.
             for (d, broker) in self.coord.iter().enumerate() {
                 if let Staleness::Fresh(age) | Staleness::Stale(age) =
                     broker.staleness(now, staleness_bound)
                 {
-                    m.registry
-                        .histogram(
-                            "broker_staleness_s",
-                            Labels::dev(d as u8),
-                            &STALENESS_BOUNDS_S,
-                        )
-                        .observe(age.as_secs_f64());
+                    m.registry.observe(
+                        "broker_staleness_s",
+                        Labels::dev(d as u8),
+                        &STALENESS_BOUNDS_S,
+                        age.as_secs_f64(),
+                    );
                 }
             }
             // Per-rack failure-domain gauges (tree runs only): the node
@@ -3786,11 +3799,9 @@ impl<A: ArenaKind> Sim<A> {
                 }
                 let labels = Labels::on(rack, 0);
                 m.registry
-                    .gauge("coord_rack_dark", labels)
-                    .set(if dark { 1.0 } else { 0.0 });
+                    .set_gauge("coord_rack_dark", labels, if dark { 1.0 } else { 0.0 });
                 m.registry
-                    .gauge("coord_rack_degraded", labels)
-                    .set(degraded as f64);
+                    .set_gauge("coord_rack_degraded", labels, degraded as f64);
             }
         }
         // Per-tenant open-system telemetry; no-op in closed-system runs
@@ -3798,23 +3809,21 @@ impl<A: ArenaKind> Sim<A> {
         for t in &self.tenants {
             let labels = Labels::NONE.with_app(Some(t.app.0));
             m.registry
-                .gauge("tenant_jobs_submitted", labels)
-                .set(t.submitted as f64);
+                .set_gauge("tenant_jobs_submitted", labels, t.submitted as f64);
             m.registry
-                .gauge("tenant_jobs_finished", labels)
-                .set(t.finished as f64);
+                .set_gauge("tenant_jobs_finished", labels, t.finished as f64);
             if let Some(p99) = t.latency.quantile(0.99) {
                 m.registry
-                    .gauge("tenant_latency_p99_ms", labels)
-                    .set(p99 as f64 / 1e6);
+                    .set_gauge("tenant_latency_p99_ms", labels, p99 as f64 / 1e6);
             }
         }
+        m.registry.set_gauge(
+            "engine_tasks_running",
+            Labels::NONE,
+            self.tasks.len() as f64,
+        );
         m.registry
-            .gauge("engine_tasks_running", Labels::NONE)
-            .set(self.tasks.len() as f64);
-        m.registry
-            .gauge("engine_events_total", Labels::NONE)
-            .set(self.events as f64);
+            .set_gauge("engine_events_total", Labels::NONE, self.events as f64);
         m.sampler.sample(now, &m.registry);
     }
 

@@ -187,3 +187,102 @@ fn chaos_run_actually_injected_faults() {
     assert!(f.degraded_entries > 0, "no scheduler ever degraded: {f:?}");
     assert!(r.jobs.len() == 3, "all jobs should still finish: {:?}", r.jobs);
 }
+
+/// A rack-chaos recording: a 4-node-rack broker tree under a node crash,
+/// a leaf-aggregator crash and a rack partition, so schedulers degrade
+/// and re-converge while the rack-scoped checks are armed.
+fn rack_chaos_recording() -> ibis_obs::Recording {
+    let cfg = ClusterConfig {
+        nodes: 8,
+        cores_per_node: 4,
+        seed: 3,
+        hdfs_device: DeviceSpec::Ideal {
+            bandwidth: 40e6,
+            latency: SimDuration::from_millis(2),
+        },
+        scratch_device: DeviceSpec::Ideal {
+            bandwidth: 40e6,
+            latency: SimDuration::from_millis(2),
+        },
+        auto_reference: false,
+        obs: ObsConfig::enabled(1 << 18),
+        faults: FaultsConfig {
+            enabled: true,
+            schedule: FaultSchedule::new(0xFA17)
+                .aggregator_crash(0, SimTime::from_secs(3), SimDuration::from_secs(4))
+                .node_crash(5, SimTime::from_secs(6), Some(SimDuration::from_secs(3)))
+                .rack_partition(1, SimTime::from_secs(9), SimDuration::from_secs(4)),
+            staleness_bound: SimDuration::from_secs(1),
+            retry_backoff: SimDuration::from_millis(100),
+            retry_limit: 3,
+        },
+        ..ClusterConfig::default()
+    }
+    .with_policy(Policy::SfqD2(SfqD2Config::default()))
+    .with_broker_tree(4, SimDuration::from_micros(50));
+    let mut exp = Experiment::new(cfg);
+    exp.add_job(teragen(2 * GIB).max_slots(16).io_weight(4.0));
+    exp.add_job(teragen(2 * GIB).max_slots(16));
+    exp.add_job(wordcount(GIB).arriving_at(SimDuration::from_secs(2)));
+    exp.run().recording.expect("recording enabled")
+}
+
+/// The auditor's whole report on the rack-chaos recording, pinned field
+/// by field. The auditor rebuilds state per `(node, dev)` stream; a pin
+/// moves if that state leaks between streams or is lost between events.
+#[test]
+fn audit_report_on_rack_chaos_recording_is_pinned() {
+    let rec = rack_chaos_recording();
+    assert_eq!(rec.dropped_total(), 0);
+    let cfg = ibis_obs::AuditConfig {
+        window: SimDuration::from_secs(1),
+        min_window_bytes: 4 << 20,
+        max_violations: 1000,
+        ..ibis_obs::AuditConfig::default()
+    };
+    let mut a = ibis_obs::audit(&rec, &cfg);
+    let counts = (
+        a.events,
+        a.dispatches,
+        a.windows_checked,
+        a.delay_checks,
+        a.degraded_marks,
+        a.rack_checks,
+    );
+    let violations = (
+        a.violation_count,
+        a.start_tag_violations,
+        a.share_violations,
+        a.delay_violations,
+        a.degraded_violations,
+        a.rack_violations,
+    );
+    let errors = (
+        a.share_errors.len(),
+        a.share_errors.mean().to_bits(),
+        a.share_errors.quantile(0.5).map(f64::to_bits),
+        a.share_errors.quantile(1.0).map(f64::to_bits),
+    );
+    let detail = a
+        .violations
+        .iter()
+        .flat_map(|v| v.to_string().into_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+    // Every check ran: share windows, delay charges, degraded spans and
+    // the rack-scoped checks.
+    assert_eq!(counts, (15653, 3652, 46, 224, 32, 290));
+    assert_eq!(violations, (55, 1, 53, 1, 0, 0));
+    assert_eq!(
+        errors,
+        (
+            92,
+            4598323599011260316,
+            Some(4596373779694328216),
+            Some(4605380978949069210)
+        )
+    );
+    assert!(a.truncated_nodes.is_empty());
+    assert_eq!(detail, 0x1fdf_f3d4_a302_5704, "violation details moved");
+}

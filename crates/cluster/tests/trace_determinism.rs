@@ -226,3 +226,29 @@ fn traced_chaos_run_spans_stay_well_formed() {
     assert!(chk.checked > 0);
     assert_eq!(chk.violations, 0, "attribution sums violated (worst {})", chk.worst_rel_err);
 }
+
+/// Tracing with observability off assembles from the whole event stream:
+/// the internal recorder must not inherit `obs.capacity`, or a ring sized
+/// for observability would silently truncate the forest and zero the
+/// attribution. A 16-event ring setting must give the same trace as an
+/// observed run whose ring never evicts; a bounded observed ring shows
+/// its loss in `dropped_events`.
+#[test]
+fn trace_only_run_ignores_the_obs_ring_capacity() {
+    let trace = |obs: ObsConfig| {
+        let mut exp = experiment(42, false, false, true, 1);
+        exp.cluster.obs = obs;
+        exp.run().trace.expect("trace assembled")
+    };
+    let trace_only = trace(ObsConfig {
+        enabled: false,
+        capacity: 16,
+    });
+    let unbounded = trace(ObsConfig::enabled(usize::MAX));
+    assert_eq!(unbounded.forest.jobs.len(), 3);
+    assert_eq!(trace_only.forest, unbounded.forest);
+    assert_eq!(trace_only.per_app, unbounded.per_app);
+    assert_eq!(trace_only.dropped_events, 0);
+    assert_eq!(unbounded.dropped_events, 0);
+    assert!(trace(ObsConfig::enabled(16)).dropped_events > 0);
+}

@@ -4,8 +4,9 @@
 //! timeline must assemble into a **well-formed span forest** and every
 //! application's latency-attribution components must **sum exactly to
 //! the swept total** — and to the measured latency when the recording
-//! is complete. Each case is a full engine run, so the case count is
-//! deliberately small; the mixes still cover hundreds of jobs per case.
+//! is complete. Every request's task must be the one a scan over its
+//! job's tasks picks. Each case is a full engine run, so the case count
+//! is deliberately small; the mixes still cover hundreds of jobs per case.
 
 use ibis_cluster::prelude::*;
 use ibis_faults::{FaultSchedule, FaultsConfig};
@@ -98,6 +99,36 @@ fn assert_trace_invariants(r: &RunReport, chaos: bool) {
     let trace = r.trace.as_ref().expect("trace assembled");
     for a in &trace.per_app {
         assert_eq!(a.swept_ns, a.components_sum_ns(), "app {} sum not exact", a.app);
+    }
+
+    // Task attribution equals the rule applied request by request: the
+    // unique task of the job running on the request's node at its queue
+    // instant, none when zero or several match.
+    for job in &trace.forest.jobs {
+        for req in &job.requests {
+            assert_eq!(
+                req.task,
+                scan_task(job, req),
+                "job {} request {} on node {} (chaos={chaos})",
+                job.job,
+                req.io,
+                req.node
+            );
+        }
+    }
+    assert!(trace.forest.unattached.iter().all(|r| r.task.is_none()));
+}
+
+/// The task-attribution rule as a scan over every task of the job.
+fn scan_task(job: &ibis_trace::JobTree, r: &ibis_trace::RequestSpan) -> Option<u32> {
+    let mut hits = job
+        .tasks
+        .iter()
+        .filter(|t| t.node == r.node && t.start_ns <= r.queued_ns && r.queued_ns < t.end_ns)
+        .map(|t| t.task);
+    match (hits.next(), hits.next()) {
+        (Some(t), None) => Some(t),
+        _ => None,
     }
 }
 

@@ -10,6 +10,8 @@
 //! parallel sweep engine gives each run its own registry, so the atomics are
 //! only for shared-ownership ergonomics, not cross-thread contention.
 
+use ibis_simcore::hash::FxHashMap;
+use std::collections::hash_map::Entry as Slot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -171,25 +173,31 @@ struct Entry {
 }
 
 /// The instrument registry. Registration is get-or-create keyed on
-/// `(name, labels)`; lookups scan a dense vector, which is plenty for the
-/// few hundred instruments a run creates and keeps iteration order —
-/// and therefore sampling and export order — deterministic.
+/// `(name, labels)`. A hash index finds an instrument in O(1) however
+/// many a run registers (a SWIM run with tracing creates ~2,200), while
+/// the dense `entries` vector keeps registration order — which is also
+/// sampling, series and export order — deterministic.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
     entries: Vec<Entry>,
+    /// `(name, labels)` → position in `entries`.
+    index: FxHashMap<(&'static str, Labels), usize>,
 }
 
 impl MetricsRegistry {
     /// An enabled registry.
     pub fn new() -> Self {
-        MetricsRegistry { enabled: true, entries: Vec::new() }
+        MetricsRegistry {
+            enabled: true,
+            ..MetricsRegistry::default()
+        }
     }
 
     /// A disabled registry: every handle it returns is an inert no-op and
     /// nothing is ever allocated or retained.
     pub fn disabled() -> Self {
-        MetricsRegistry { enabled: false, entries: Vec::new() }
+        MetricsRegistry::default()
     }
 
     /// Whether this registry records anything.
@@ -207,8 +215,23 @@ impl MetricsRegistry {
         self.entries.is_empty()
     }
 
-    fn position(&self, name: &str, labels: Labels) -> Option<usize> {
-        self.entries.iter().position(|e| e.name == name && e.labels == labels)
+    /// The cell registered under `(name, labels)`, created by `make` on
+    /// first use. Callers check the kind.
+    fn cell(&mut self, name: &'static str, labels: Labels, make: impl FnOnce() -> Cell) -> &Cell {
+        let i = match self.index.entry((name, labels)) {
+            Slot::Occupied(e) => *e.get(),
+            Slot::Vacant(e) => {
+                let i = self.entries.len();
+                e.insert(i);
+                self.entries.push(Entry {
+                    name,
+                    labels,
+                    cell: make(),
+                });
+                i
+            }
+        };
+        &self.entries[i].cell
     }
 
     /// Get or create a counter.
@@ -216,15 +239,10 @@ impl MetricsRegistry {
         if !self.enabled {
             return Counter(None);
         }
-        if let Some(i) = self.position(name, labels) {
-            match &self.entries[i].cell {
-                Cell::Counter(c) => return Counter(Some(c.clone())),
-                _ => panic!("metric {name:?} already registered with a different kind"),
-            }
+        match self.cell(name, labels, || Cell::Counter(Arc::new(AtomicU64::new(0)))) {
+            Cell::Counter(c) => Counter(Some(c.clone())),
+            _ => kind_mismatch(name),
         }
-        let cell = Arc::new(AtomicU64::new(0));
-        self.entries.push(Entry { name, labels, cell: Cell::Counter(cell.clone()) });
-        Counter(Some(cell))
     }
 
     /// Get or create a gauge.
@@ -232,15 +250,22 @@ impl MetricsRegistry {
         if !self.enabled {
             return Gauge(None);
         }
-        if let Some(i) = self.position(name, labels) {
-            match &self.entries[i].cell {
-                Cell::Gauge(c) => return Gauge(Some(c.clone())),
-                _ => panic!("metric {name:?} already registered with a different kind"),
-            }
+        match self.cell(name, labels, new_gauge) {
+            Cell::Gauge(c) => Gauge(Some(c.clone())),
+            _ => kind_mismatch(name),
         }
-        let cell = Arc::new(AtomicU64::new(0f64.to_bits()));
-        self.entries.push(Entry { name, labels, cell: Cell::Gauge(cell.clone()) });
-        Gauge(Some(cell))
+    }
+
+    /// Get or create a gauge and set it to `v` — [`MetricsRegistry::gauge`]
+    /// followed by [`Gauge::set`], without taking a handle.
+    pub fn set_gauge(&mut self, name: &'static str, labels: Labels, v: f64) {
+        if !self.enabled {
+            return;
+        }
+        match self.cell(name, labels, new_gauge) {
+            Cell::Gauge(c) => c.store(v.to_bits(), Ordering::Relaxed),
+            _ => kind_mismatch(name),
+        }
     }
 
     /// Get or create a histogram with the given strictly-increasing bucket
@@ -249,15 +274,27 @@ impl MetricsRegistry {
         if !self.enabled {
             return Histogram(None);
         }
-        if let Some(i) = self.position(name, labels) {
-            match &self.entries[i].cell {
-                Cell::Histogram(c) => return Histogram(Some(c.clone())),
-                _ => panic!("metric {name:?} already registered with a different kind"),
-            }
+        match self.cell(name, labels, || {
+            Cell::Histogram(Arc::new(HistoCell::new(bounds)))
+        }) {
+            Cell::Histogram(c) => Histogram(Some(c.clone())),
+            _ => kind_mismatch(name),
         }
-        let cell = Arc::new(HistoCell::new(bounds));
-        self.entries.push(Entry { name, labels, cell: Cell::Histogram(cell.clone()) });
-        Histogram(Some(cell))
+    }
+
+    /// Get or create a histogram and record `v` in it —
+    /// [`MetricsRegistry::histogram`] followed by [`Histogram::observe`],
+    /// without taking a handle.
+    pub fn observe(&mut self, name: &'static str, labels: Labels, bounds: &[f64], v: f64) {
+        if !self.enabled {
+            return;
+        }
+        match self.cell(name, labels, || {
+            Cell::Histogram(Arc::new(HistoCell::new(bounds)))
+        }) {
+            Cell::Histogram(c) => c.observe(v),
+            _ => kind_mismatch(name),
+        }
     }
 
     /// Visit `(index, name, labels, sampled value)` for every scalar
@@ -295,6 +332,14 @@ impl MetricsRegistry {
                 .collect(),
         }
     }
+}
+
+fn new_gauge() -> Cell {
+    Cell::Gauge(Arc::new(AtomicU64::new(0f64.to_bits())))
+}
+
+fn kind_mismatch(name: &str) -> ! {
+    panic!("metric {name:?} already registered with a different kind")
 }
 
 /// Point-in-time snapshot of every registered instrument.

@@ -45,7 +45,7 @@
 //! false-positive on an incomplete prefix.
 
 use crate::event::{EventKind, ObsEvent};
-use crate::recorder::Recording;
+use crate::recorder::{Recording, RecordingMeta};
 use ibis_simcore::metrics::Cdf;
 use ibis_simcore::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -258,13 +258,15 @@ struct DevAcc {
 }
 
 impl DevAcc {
-    fn flow(&mut self, app: u32, weight: f64) -> &mut FlowAcc {
+    /// The flow state of `app`, created on first use with the app's
+    /// configured weight from `meta`.
+    fn flow(&mut self, app: u32, meta: &RecordingMeta) -> &mut FlowAcc {
         if let Some(i) = self.flows.iter().position(|f| f.app == app) {
             return &mut self.flows[i];
         }
         self.flows.push(FlowAcc {
             app,
-            weight,
+            weight: meta.weight_of(app),
             queued: 0,
             min_queued: 0,
             win_bytes: 0,
@@ -527,6 +529,19 @@ impl Auditor<'_> {
     }
 }
 
+/// The state of the `(node, dev)` stream, created on first use.
+fn stream(streams: &mut Vec<Vec<DevAcc>>, node: u32, dev: u8) -> &mut DevAcc {
+    let (node, dev) = (node as usize, usize::from(dev));
+    if streams.len() <= node {
+        streams.resize_with(node + 1, Vec::new);
+    }
+    let devs = &mut streams[node];
+    if devs.len() <= dev {
+        devs.resize_with(dev + 1, DevAcc::default);
+    }
+    &mut devs[dev]
+}
+
 /// Replays `rec` and checks every invariant. See the module docs.
 pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
     let window_ns = cfg.window.as_nanos().max(1);
@@ -547,11 +562,13 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
         }
     }
 
-    let mut streams: BTreeMap<(u32, u8), DevAcc> = BTreeMap::new();
+    // Per-(node, dev) state, indexed `[node][dev]` and updated in place.
+    let mut streams: Vec<Vec<DevAcc>> = Vec::new();
+    let meta = &rec.meta;
     for ev in rec.events() {
         let ObsEvent { at, node, dev, kind } = *ev;
         let truncated = rec.truncated(node);
-        let mut acc = streams.remove(&(node, dev)).unwrap_or_default();
+        let acc = stream(&mut streams, node, dev);
 
         // Cross a window boundary: flush state-dependent checks first.
         // Windows between events carry zero completed bytes, so one flush
@@ -561,15 +578,14 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
         if widx > acc.window {
             if !truncated {
                 let end = SimTime::from_nanos((acc.window + 1) * window_ns);
-                aud.flush_window(&mut acc, node, dev, end);
+                aud.flush_window(acc, node, dev, end);
             }
             acc.window = widx;
         }
 
         match kind {
             EventKind::RequestTagged { app, .. } => {
-                let w = rec.meta.weight_of(app);
-                let f = acc.flow(app, w);
+                let f = acc.flow(app, meta);
                 f.queued += 1;
             }
             EventKind::Dispatched { app, start_tag, .. } => {
@@ -585,8 +601,7 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
                     );
                 }
                 acc.last_start = start_tag;
-                let w = rec.meta.weight_of(app);
-                let f = acc.flow(app, w);
+                let f = acc.flow(app, meta);
                 f.queued -= 1;
                 f.min_queued = f.min_queued.min(f.queued);
             }
@@ -594,10 +609,9 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
                 if acc.degraded && !acc.reconv_flagged {
                     // Rack check (b): a completion is proof the stream is
                     // alive, so a missed re-convergence deadline is real.
-                    acc.reconv_flagged = aud.check_reconvergence_overdue(&acc, node, dev, at);
+                    acc.reconv_flagged = aud.check_reconvergence_overdue(acc, node, dev, at);
                 }
-                let w = rec.meta.weight_of(app);
-                let f = acc.flow(app, w);
+                let f = acc.flow(app, meta);
                 f.win_bytes += bytes;
                 f.completed += bytes;
             }
@@ -615,8 +629,7 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
                     );
                 }
                 if !truncated {
-                    let w = rec.meta.weight_of(app);
-                    let f = acc.flow(app, w);
+                    let f = acc.flow(app, meta);
                     f.delays += delay;
                     aud.report.delay_checks += 1;
                     if f.delays > f.foreign_known {
@@ -635,8 +648,7 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
                 }
             }
             EventKind::BrokerSync { app, total } => {
-                let w = rec.meta.weight_of(app);
-                let f = acc.flow(app, w);
+                let f = acc.flow(app, meta);
                 f.foreign_known = f.foreign_known.max(total.saturating_sub(f.completed));
                 // Rack check (c): across a rack failover the clamped
                 // snapshot resync may lag, but can never regress totals.
@@ -661,7 +673,7 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
                         );
                     }
                 }
-                let f = acc.flow(app, w);
+                let f = acc.flow(app, meta);
                 f.last_sync_total = f.last_sync_total.max(total);
             }
             EventKind::DegradedEnter { .. } => {
@@ -675,10 +687,10 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
                 aud.report.degraded_marks += 1;
                 if acc.degraded && !acc.reconv_flagged {
                     // A late exit is itself proof of a missed deadline…
-                    aud.check_reconvergence_overdue(&acc, node, dev, at);
+                    aud.check_reconvergence_overdue(acc, node, dev, at);
                 }
                 // …and a timely one is an evaluated, passed check.
-                aud.check_reconvergence_met(&acc, node, at);
+                aud.check_reconvergence_met(acc, node, at);
                 acc.degraded = false;
                 acc.reconv_flagged = false;
             }
@@ -696,7 +708,6 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
             | EventKind::TaskFinished { .. }
             | EventKind::ReportRetry { .. } => {}
         }
-        streams.insert((node, dev), acc);
     }
 
     // Final partial windows are *not* flushed: a cut-off window biases the

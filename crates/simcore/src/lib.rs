@@ -8,6 +8,8 @@
 //!   drift across platforms).
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events
 //!   with FIFO tie-breaking for equal timestamps.
+//! * [`hash::FxHashMap`] — hash tables with a fast, seedless hasher for
+//!   the analysis passes' short integer and string keys.
 //! * [`rng::SimRng`] — a small, self-contained, seedable PRNG
 //!   (xoshiro256**) with the distributions the workload models need.
 //! * [`metrics`] — time series, histograms, CDFs and counters used to
@@ -19,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod hash;
 pub mod metrics;
 pub mod queue;
 pub mod rng;

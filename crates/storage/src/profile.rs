@@ -19,7 +19,6 @@
 use crate::device::{Device, DeviceModel};
 use crate::request::{DeviceRequest, IoKind, Started};
 use ibis_simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// One measured point of the concurrency sweep.
 #[derive(Debug, Clone, Copy)]
@@ -57,18 +56,19 @@ fn run_fixed_depth(
     count: u64,
 ) -> (SimDuration, f64) {
     let mut dev = device.clone();
-    let mut outstanding: HashMap<u64, SimTime> = HashMap::new();
+    // Submission instant by request id; ids run 0..count.
+    let mut submitted_at: Vec<SimTime> = Vec::with_capacity(count as usize);
     let mut events: Vec<Started> = Vec::new();
     let mut out = Vec::new();
     let mut next_id: u64 = 0;
     let submit = |dev: &mut DeviceModel,
-                      now: SimTime,
-                      next_id: &mut u64,
-                      outstanding: &mut HashMap<u64, SimTime>,
-                      out: &mut Vec<Started>| {
+                  now: SimTime,
+                  next_id: &mut u64,
+                  submitted_at: &mut Vec<SimTime>,
+                  out: &mut Vec<Started>| {
         let id = *next_id;
         *next_id += 1;
-        outstanding.insert(id, now);
+        submitted_at.push(now);
         dev.submit(
             DeviceRequest {
                 id,
@@ -82,7 +82,13 @@ fn run_fixed_depth(
     };
 
     for _ in 0..depth.min(count as u32) {
-        submit(&mut dev, SimTime::ZERO, &mut next_id, &mut outstanding, &mut out);
+        submit(
+            &mut dev,
+            SimTime::ZERO,
+            &mut next_id,
+            &mut submitted_at,
+            &mut out,
+        );
     }
     events.append(&mut out);
 
@@ -103,7 +109,7 @@ fn run_fixed_depth(
             .map(|(i, _)| i)
             .expect("closed loop starved");
         let s = events.swap_remove(idx);
-        let submitted = outstanding.remove(&s.id).expect("unknown completion");
+        let submitted = *submitted_at.get(s.id as usize).expect("unknown completion");
         dev.on_complete(s.id, s.complete_at, &mut out);
         done += 1;
         last = s.complete_at;
@@ -115,7 +121,13 @@ fn run_fixed_depth(
             measured_count += 1;
         }
         if next_id < count {
-            submit(&mut dev, s.complete_at, &mut next_id, &mut outstanding, &mut out);
+            submit(
+                &mut dev,
+                s.complete_at,
+                &mut next_id,
+                &mut submitted_at,
+                &mut out,
+            );
         }
         events.append(&mut out);
     }
@@ -269,6 +281,133 @@ mod tests {
     #[test]
     fn knee_latency_empty_curve_fallback() {
         assert_eq!(knee_latency(&[]), SimDuration::from_millis(10));
+    }
+
+    /// The closed loop with submission instants in a `HashMap` keyed by
+    /// request id, as `run_fixed_depth` kept them before indexing a
+    /// vector by id.
+    fn run_fixed_depth_hashed(
+        device: &DeviceModel,
+        kind: IoKind,
+        depth: u32,
+        streams: u64,
+        chunk: u64,
+        count: u64,
+    ) -> (SimDuration, f64) {
+        use std::collections::HashMap;
+        let mut dev = device.clone();
+        let mut outstanding: HashMap<u64, SimTime> = HashMap::new();
+        let mut events: Vec<Started> = Vec::new();
+        let mut out = Vec::new();
+        let mut next_id: u64 = 0;
+        let submit = |dev: &mut DeviceModel,
+                      now: SimTime,
+                      next_id: &mut u64,
+                      outstanding: &mut HashMap<u64, SimTime>,
+                      out: &mut Vec<Started>| {
+            let id = *next_id;
+            *next_id += 1;
+            outstanding.insert(id, now);
+            let req = DeviceRequest {
+                id,
+                kind,
+                stream: id % streams,
+                bytes: chunk,
+            };
+            dev.submit(req, now, out);
+        };
+        for _ in 0..depth.min(count as u32) {
+            submit(
+                &mut dev,
+                SimTime::ZERO,
+                &mut next_id,
+                &mut outstanding,
+                &mut out,
+            );
+        }
+        events.append(&mut out);
+        let warmup = count / 2;
+        let mut done: u64 = 0;
+        let mut measured_bytes: u64 = 0;
+        let mut measured_latency = SimDuration::ZERO;
+        let mut measured_count: u64 = 0;
+        let mut measure_start = SimTime::ZERO;
+        let mut last = SimTime::ZERO;
+        while done < count {
+            let idx = events
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.complete_at)
+                .map(|(i, _)| i)
+                .expect("closed loop starved");
+            let s = events.swap_remove(idx);
+            let submitted = outstanding.remove(&s.id).expect("unknown completion");
+            dev.on_complete(s.id, s.complete_at, &mut out);
+            done += 1;
+            last = s.complete_at;
+            if done == warmup {
+                measure_start = s.complete_at;
+            } else if done > warmup {
+                measured_bytes += chunk;
+                measured_latency += s.complete_at - submitted;
+                measured_count += 1;
+            }
+            if next_id < count {
+                submit(
+                    &mut dev,
+                    s.complete_at,
+                    &mut next_id,
+                    &mut outstanding,
+                    &mut out,
+                );
+            }
+            events.append(&mut out);
+        }
+        let span = (last - measure_start).as_secs_f64();
+        let throughput = if span > 0.0 {
+            measured_bytes as f64 / span
+        } else {
+            0.0
+        };
+        let latency = if measured_count > 0 {
+            measured_latency / measured_count
+        } else {
+            SimDuration::ZERO
+        };
+        (latency, throughput)
+    }
+
+    #[test]
+    fn profile_curves_match_the_hashed_loop() {
+        let hdd = |seed: u64| {
+            DeviceModel::Hdd(Hdd::new(HddConfig {
+                seed,
+                ..HddConfig::default()
+            }))
+        };
+        let mut devices: Vec<DeviceModel> = [1, 7, 0xfb2009].into_iter().map(hdd).collect();
+        devices.push(quiet_hdd());
+        devices.push(DeviceModel::Ssd(Ssd::new(SsdConfig::default())));
+        devices.push(DeviceModel::Ideal(Ideal::new(
+            200e6,
+            SimDuration::from_micros(100),
+        )));
+        for dev in &devices {
+            let refs = profile_device(dev, 4, 4 * MIB);
+            let curves = [
+                (IoKind::Read, &refs.read_curve),
+                (IoKind::Write, &refs.write_curve),
+            ];
+            for (kind, curve) in curves {
+                for p in curve {
+                    let (latency, throughput) =
+                        run_fixed_depth_hashed(dev, kind, p.depth, 4, 4 * MIB, 600);
+                    let what = format!("{kind:?} depth {}", p.depth);
+                    assert_eq!(p.latency, latency, "{what}");
+                    assert_eq!(p.throughput.to_bits(), throughput.to_bits(), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

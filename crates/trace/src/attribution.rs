@@ -15,7 +15,7 @@
 //! complete (no ring truncation).
 
 use ibis_obs::{EventKind, Recording};
-use std::collections::{HashMap, HashSet};
+use ibis_simcore::hash::{FxHashMap, FxHashSet};
 
 /// Component names, in classification-priority order: a device-service
 /// interval wins over a delay charge, which wins over a degraded episode,
@@ -93,44 +93,79 @@ impl AppAttribution {
 
 /// One sweep edge. Edges are applied in recording order within an
 /// instant, which keeps the (rare) same-instant interactions between
-/// queue and degraded-episode bookkeeping deterministic.
+/// queue and degraded-episode bookkeeping deterministic. `app` is a dense
+/// app index and `dd` a dense (node, device) index, both assigned in
+/// first-seen order while the edges are collected.
 enum Edge {
     OpenJobs {
         app: u32,
-        delta: i64,
+        delta: i32,
     },
     Service {
         app: u32,
-        delta: i64,
+        delta: i32,
     },
+    /// A request entered the queue of `dd`.
     Queued {
         app: u32,
-        node: u32,
-        dev: u8,
-        delta: i64,
+        dd: u32,
+        delayed: bool,
+    },
+    /// A request left the queue of `dd` (as queued by `q_app`) and
+    /// entered service (as completed by `app`): the queue and service
+    /// edges of one dispatch instant, applied in that order.
+    Dispatched {
+        q_app: u32,
+        app: u32,
+        dd: u32,
         delayed: bool,
     },
     Degraded {
-        node: u32,
-        dev: u8,
+        dd: u32,
         on: bool,
     },
     NodeDown {
-        delta: i64,
+        delta: i32,
     },
 }
 
 #[derive(Default)]
 struct AppState {
+    id: u32,
     open_jobs: i64,
     in_service: i64,
     queued: i64,
     delayed_queued: i64,
     queued_on_degraded: i64,
-    per_dd: HashMap<(u32, u8), i64>,
     acc: [u64; 6],
     measured_ns: u64,
     jobs: u64,
+}
+
+/// The dense index of `key`, assigned in first-seen order.
+fn dense<K: std::hash::Hash + Eq>(index: &mut FxHashMap<K, u32>, key: K) -> u32 {
+    let next = index.len() as u32;
+    *index.entry(key).or_insert(next)
+}
+
+/// Per-app sweep state, densely indexed.
+#[derive(Default)]
+struct Apps {
+    index: FxHashMap<u32, u32>,
+    state: Vec<AppState>,
+}
+
+impl Apps {
+    fn of(&mut self, app: u32) -> u32 {
+        let i = dense(&mut self.index, app);
+        if i as usize == self.state.len() {
+            self.state.push(AppState {
+                id: app,
+                ..AppState::default()
+            });
+        }
+        i
+    }
 }
 
 /// Runs the attribution sweep over `rec`. Returns one entry per
@@ -139,27 +174,39 @@ struct AppState {
 /// dropped and negative counts clamp to zero, so the decomposition stays
 /// a partition of whatever latency the surviving events describe.
 pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
-    // Pass 1: match request lifecycles and collect edges.
-    let mut delayed_at: HashSet<(u32, u8, u32, u64)> = HashSet::new();
+    // Pass 1: match request lifecycles, collect edges and the measured
+    // totals, which come straight from the completion events.
+    let mut delayed_at: FxHashSet<(u32, u8, u32, u64)> = FxHashSet::default();
     for ev in rec.events() {
         if let EventKind::DelayApplied { app, .. } = ev.kind {
             delayed_at.insert((ev.node, ev.dev, app, ev.at.as_nanos()));
         }
     }
 
-    let mut edges: Vec<(u64, Edge)> = Vec::new();
-    let mut pending: HashMap<(u32, u8, u64), (u64, u32)> = HashMap::new();
+    let mut apps = Apps::default();
+    // (node, dev) → dense index.
+    let mut dds: FxHashMap<(u32, u8), u32> = FxHashMap::default();
+    let mut edges: Vec<(u64, Edge)> = Vec::with_capacity(rec.len());
+    // (node, dev, io) → (queue instant, dense app).
+    let mut pending: FxHashMap<(u32, u8, u64), (u64, u32)> = FxHashMap::default();
     for ev in rec.events() {
         let (node, dev, t) = (ev.node, ev.dev, ev.at.as_nanos());
         match ev.kind {
             EventKind::JobArrived { app, .. } => {
+                let app = apps.of(app);
                 edges.push((t, Edge::OpenJobs { app, delta: 1 }));
             }
-            EventKind::JobCompleted { app, .. } => {
+            EventKind::JobCompleted {
+                app, latency_ns, ..
+            } => {
+                let app = apps.of(app);
+                let s = &mut apps.state[app as usize];
+                s.measured_ns += latency_ns;
+                s.jobs += 1;
                 edges.push((t, Edge::OpenJobs { app, delta: -1 }));
             }
             EventKind::IoQueued { io, app, .. } => {
-                pending.insert((node, dev, io), (t, app));
+                pending.insert((node, dev, io), (t, apps.of(app)));
             }
             EventKind::Completed {
                 io,
@@ -168,30 +215,29 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
                 ..
             } => {
                 let dispatch = t.saturating_sub(latency_ns);
+                let app = apps.of(app);
                 if let Some((t_q, q_app)) = pending.remove(&(node, dev, io)) {
                     let dispatch = dispatch.max(t_q);
-                    let delayed = delayed_at.contains(&(node, dev, q_app, t_q));
+                    let q_id = apps.state[q_app as usize].id;
+                    let delayed = delayed_at.contains(&(node, dev, q_id, t_q));
+                    let dd = dense(&mut dds, (node, dev));
                     edges.push((
                         t_q,
                         Edge::Queued {
                             app: q_app,
-                            node,
-                            dev,
-                            delta: 1,
+                            dd,
                             delayed,
                         },
                     ));
                     edges.push((
                         dispatch,
-                        Edge::Queued {
-                            app: q_app,
-                            node,
-                            dev,
-                            delta: -1,
+                        Edge::Dispatched {
+                            q_app,
+                            app,
+                            dd,
                             delayed,
                         },
                     ));
-                    edges.push((dispatch, Edge::Service { app, delta: 1 }));
                 } else {
                     // Truncated open: count the service interval alone.
                     edges.push((dispatch, Edge::Service { app, delta: 1 }));
@@ -199,10 +245,12 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
                 edges.push((t, Edge::Service { app, delta: -1 }));
             }
             EventKind::DegradedEnter { .. } => {
-                edges.push((t, Edge::Degraded { node, dev, on: true }));
+                let dd = dense(&mut dds, (node, dev));
+                edges.push((t, Edge::Degraded { dd, on: true }));
             }
             EventKind::DegradedExit { .. } => {
-                edges.push((t, Edge::Degraded { node, dev, on: false }));
+                let dd = dense(&mut dds, (node, dev));
+                edges.push((t, Edge::Degraded { dd, on: false }));
             }
             EventKind::FaultInjected { kind, .. } => match kind {
                 3 => edges.push((t, Edge::NodeDown { delta: 1 })),
@@ -215,26 +263,14 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
     // Stable by instant: same-instant edges keep recording order.
     edges.sort_by_key(|&(t, _)| t);
 
-    // Measured totals come straight from the completion events.
-    let mut apps: HashMap<u32, AppState> = HashMap::new();
-    for ev in rec.events() {
-        match ev.kind {
-            EventKind::JobArrived { app, .. } => {
-                apps.entry(app).or_default();
-            }
-            EventKind::JobCompleted { app, latency_ns, .. } => {
-                let s = apps.entry(app).or_default();
-                s.measured_ns += latency_ns;
-                s.jobs += 1;
-            }
-            _ => {}
-        }
-    }
-
     // Pass 2: the sweep. Accumulate the elapsed elementary interval for
     // every app with open jobs, then apply the edges at the new instant.
-    let mut degraded: HashSet<(u32, u8)> = HashSet::new();
-    let mut dd_apps: HashMap<(u32, u8), HashMap<u32, i64>> = HashMap::new();
+    let apps = &mut apps.state;
+    let ndd = dds.len();
+    let mut degraded = vec![false; ndd];
+    // Per (node, dev): `(dense app, queued count)` for each app with a
+    // positive count there (a missing app counts zero).
+    let mut dd_apps: Vec<Vec<(u32, i64)>> = vec![Vec::new(); ndd];
     let mut down_nodes: i64 = 0;
     let mut prev: Option<u64> = None;
     let mut i = 0;
@@ -243,7 +279,7 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
         if let Some(p) = prev {
             let len = t - p;
             if len > 0 {
-                for s in apps.values_mut() {
+                for s in apps.iter_mut() {
                     if s.open_jobs <= 0 {
                         continue;
                     }
@@ -266,61 +302,44 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
         }
         prev = Some(t);
         while i < edges.len() && edges[i].0 == t {
-            match &edges[i].1 {
+            match edges[i].1 {
                 Edge::OpenJobs { app, delta } => {
-                    let s = apps.entry(*app).or_default();
-                    s.open_jobs = (s.open_jobs + delta).max(0);
+                    let s = &mut apps[app as usize];
+                    s.open_jobs = (s.open_jobs + i64::from(delta)).max(0);
                 }
                 Edge::Service { app, delta } => {
-                    let s = apps.entry(*app).or_default();
-                    s.in_service = (s.in_service + delta).max(0);
+                    let s = &mut apps[app as usize];
+                    s.in_service = (s.in_service + i64::from(delta)).max(0);
                 }
-                Edge::Queued {
+                Edge::Queued { app, dd, delayed } => {
+                    queue(apps, &mut dd_apps, &degraded, app, dd, delayed, 1);
+                }
+                Edge::Dispatched {
+                    q_app,
                     app,
-                    node,
-                    dev,
-                    delta,
+                    dd,
                     delayed,
                 } => {
-                    let dd = (*node, *dev);
-                    let s = apps.entry(*app).or_default();
-                    s.queued = (s.queued + delta).max(0);
-                    if *delayed {
-                        s.delayed_queued = (s.delayed_queued + delta).max(0);
-                    }
-                    let c = s.per_dd.entry(dd).or_insert(0);
-                    *c = (*c + delta).max(0);
-                    if degraded.contains(&dd) {
-                        s.queued_on_degraded = (s.queued_on_degraded + delta).max(0);
-                    }
-                    let e = dd_apps.entry(dd).or_default().entry(*app).or_insert(0);
-                    *e = (*e + delta).max(0);
+                    queue(apps, &mut dd_apps, &degraded, q_app, dd, delayed, -1);
+                    let s = &mut apps[app as usize];
+                    s.in_service += 1;
                 }
-                Edge::Degraded { node, dev, on } => {
-                    let dd = (*node, *dev);
-                    let was = degraded.contains(&dd);
-                    if *on && !was {
-                        degraded.insert(dd);
-                        if let Some(per_app) = dd_apps.get(&dd) {
-                            for (&app, &n) in per_app {
-                                if let Some(s) = apps.get_mut(&app) {
-                                    s.queued_on_degraded += n;
-                                }
-                            }
-                        }
-                    } else if !*on && was {
-                        degraded.remove(&dd);
-                        if let Some(per_app) = dd_apps.get(&dd) {
-                            for (&app, &n) in per_app {
-                                if let Some(s) = apps.get_mut(&app) {
-                                    s.queued_on_degraded = (s.queued_on_degraded - n).max(0);
-                                }
-                            }
+                Edge::Degraded { dd, on } => {
+                    let was = degraded[dd as usize];
+                    if on != was {
+                        degraded[dd as usize] = on;
+                        for &(app, n) in &dd_apps[dd as usize] {
+                            let s = &mut apps[app as usize];
+                            s.queued_on_degraded = if on {
+                                s.queued_on_degraded + n
+                            } else {
+                                (s.queued_on_degraded - n).max(0)
+                            };
                         }
                     }
                 }
                 Edge::NodeDown { delta } => {
-                    down_nodes = (down_nodes + delta).max(0);
+                    down_nodes = (down_nodes + i64::from(delta)).max(0);
                 }
             }
             i += 1;
@@ -328,10 +347,10 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
     }
 
     let mut out: Vec<AppAttribution> = apps
-        .into_iter()
-        .filter(|(_, s)| s.jobs > 0 || s.acc.iter().any(|&v| v > 0))
-        .map(|(app, s)| AppAttribution {
-            app,
+        .iter()
+        .filter(|s| s.jobs > 0 || s.acc.iter().any(|&v| v > 0))
+        .map(|s| AppAttribution {
+            app: s.id,
             jobs: s.jobs,
             measured_ns: s.measured_ns,
             swept_ns: s.acc.iter().sum(),
@@ -340,6 +359,39 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
         .collect();
     out.sort_by_key(|a| a.app);
     out
+}
+
+/// Applies a queue-length change of `delta` for dense app `app` on dense
+/// device `dd`. Counts clamp at zero, so a truncated recording's
+/// unmatched close cannot drive them negative.
+fn queue(
+    apps: &mut [AppState],
+    dd_apps: &mut [Vec<(u32, i64)>],
+    degraded: &[bool],
+    app: u32,
+    dd: u32,
+    delayed: bool,
+    delta: i64,
+) {
+    let s = &mut apps[app as usize];
+    s.queued = (s.queued + delta).max(0);
+    if delayed {
+        s.delayed_queued = (s.delayed_queued + delta).max(0);
+    }
+    if degraded[dd as usize] {
+        s.queued_on_degraded = (s.queued_on_degraded + delta).max(0);
+    }
+    let per_app = &mut dd_apps[dd as usize];
+    match per_app.iter().position(|&(a, _)| a == app) {
+        Some(k) => {
+            per_app[k].1 += delta;
+            if per_app[k].1 <= 0 {
+                per_app.swap_remove(k);
+            }
+        }
+        None if delta > 0 => per_app.push((app, delta)),
+        None => {}
+    }
 }
 
 /// The machine-checkable attribution invariant: for every application,

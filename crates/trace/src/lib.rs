@@ -73,6 +73,10 @@ pub struct TraceReport {
     pub per_app: Vec<AppAttribution>,
     /// Per-job span trees.
     pub forest: SpanForest,
+    /// Events the recording lost to ring eviction. Non-zero only when a
+    /// bounded observability ring fed assembly; the forest and the
+    /// decomposition then describe the surviving suffix only.
+    pub dropped_events: u64,
 }
 
 impl TraceReport {
@@ -81,6 +85,7 @@ impl TraceReport {
         TraceReport {
             per_app: attribution::attribute(rec),
             forest: span::build_forest(rec),
+            dropped_events: rec.dropped_total(),
         }
     }
 

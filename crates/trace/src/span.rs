@@ -10,6 +10,7 @@
 //! Unmatched opens (ring truncation, in-flight at the cut) are dropped.
 
 use ibis_obs::{EventKind, Recording};
+use ibis_simcore::hash::{FxHashMap, FxHashSet};
 use std::collections::{BTreeMap, HashMap};
 
 /// One request lifecycle: queue wait `[queued, dispatched)` then device
@@ -102,8 +103,7 @@ pub struct SpanForest {
 /// Assembles the span forest from `rec`.
 pub fn build_forest(rec: &Recording) -> SpanForest {
     // Delay charges, for the per-request `delayed` flag.
-    let mut delayed_at: std::collections::HashSet<(u32, u8, u32, u64)> =
-        std::collections::HashSet::new();
+    let mut delayed_at: FxHashSet<(u32, u8, u32, u64)> = FxHashSet::default();
     for ev in rec.events() {
         if let EventKind::DelayApplied { app, .. } = ev.kind {
             delayed_at.insert((ev.node, ev.dev, app, ev.at.as_nanos()));
@@ -111,9 +111,9 @@ pub fn build_forest(rec: &Recording) -> SpanForest {
     }
 
     // Closed lifecycles.
-    let mut req_open: HashMap<(u32, u8, u64), (u64, u32)> = HashMap::new();
-    let mut task_open: HashMap<(u32, u32), (u64, u32)> = HashMap::new();
-    let mut job_open: HashMap<u32, (u64, u32)> = HashMap::new();
+    let mut req_open: FxHashMap<(u32, u8, u64), (u64, u32)> = FxHashMap::default();
+    let mut task_open: FxHashMap<(u32, u32), (u64, u32)> = FxHashMap::default();
+    let mut job_open: FxHashMap<u32, (u64, u32)> = FxHashMap::default();
     let mut requests: Vec<RequestSpan> = Vec::new();
     let mut tasks: Vec<(u32, TaskSpan)> = Vec::new(); // (job, span)
     let mut jobs: Vec<JobTree> = Vec::new();
@@ -184,7 +184,7 @@ pub fn build_forest(rec: &Recording) -> SpanForest {
     jobs.sort_by_key(|j| (j.arrived_ns, j.job));
 
     // Attach tasks by job id.
-    let by_job: HashMap<u32, usize> = jobs.iter().enumerate().map(|(i, j)| (j.job, i)).collect();
+    let by_job: FxHashMap<u32, usize> = jobs.iter().enumerate().map(|(i, j)| (j.job, i)).collect();
     for (job, span) in tasks {
         if let Some(&i) = by_job.get(&job) {
             jobs[i].tasks.push(span);
@@ -221,7 +221,7 @@ pub fn build_forest(rec: &Recording) -> SpanForest {
             },
         )
     });
-    let mut open: HashMap<u32, BTreeMap<(u64, u32), usize>> = HashMap::new();
+    let mut open: FxHashMap<u32, BTreeMap<(u64, u32), usize>> = FxHashMap::default();
     let mut owner: Vec<Option<usize>> = vec![None; requests.len()];
     for (_, _, mark) in marks {
         match mark {
@@ -243,31 +243,74 @@ pub fn build_forest(rec: &Recording) -> SpanForest {
         }
     }
     let mut unattached = Vec::new();
-    for (i, mut r) in requests.into_iter().enumerate() {
+    for (i, r) in requests.into_iter().enumerate() {
         match owner[i] {
-            Some(j) => {
-                // Task attribution: unique running task on this node.
-                let mut hits = jobs[j]
-                    .tasks
-                    .iter()
-                    .filter(|t| {
-                        t.node == r.node && t.start_ns <= r.queued_ns && r.queued_ns < t.end_ns
-                    })
-                    .map(|t| t.task);
-                let first = hits.next();
-                r.task = match (first, hits.next()) {
-                    (Some(t), None) => Some(t),
-                    _ => None,
-                };
-                jobs[j].requests.push(r);
-            }
+            Some(j) => jobs[j].requests.push(r),
             None => unattached.push(r),
         }
     }
+    let mut sweep = TaskSweep::default();
     for j in &mut jobs {
         j.requests.sort_by_key(|r| (r.queued_ns, r.node, r.dev, r.io));
+        sweep.attach(j);
     }
     SpanForest { jobs, unattached }
+}
+
+/// Task attribution for one job: a request belongs to the unique task of
+/// its job that ran on its node at its queue instant
+/// (`start_ns <= queued_ns < end_ns`); with two or more such tasks it
+/// belongs to none.
+///
+/// One sweep per job applies the rule without scanning every task per
+/// request: requests in queue order, tasks in start order, and per node
+/// the small set of tasks started at or before the current request that
+/// have not yet ended. A node's set holds exactly the tasks containing
+/// the queue instant — a task enters when its start is passed and leaves
+/// once its end is, and queue instants only grow — so its size decides
+/// the rule. Scratch buffers are reused across jobs.
+#[derive(Default)]
+struct TaskSweep {
+    /// Per node: `(end_ns, task id)` of its running tasks.
+    running: Vec<Vec<(u64, u32)>>,
+    /// Nodes whose set this job touched (cleared before the next job).
+    touched: Vec<u32>,
+}
+
+impl TaskSweep {
+    fn attach(&mut self, job: &mut JobTree) {
+        // `tasks` is in start order, `requests` in queue order.
+        let mut next = 0; // first task the sweep has not started
+        for r in &mut job.requests {
+            while let Some(t) = job.tasks.get(next).filter(|t| t.start_ns <= r.queued_ns) {
+                self.start(t);
+                next += 1;
+            }
+            r.task = self.running.get_mut(r.node as usize).and_then(|running| {
+                running.retain(|&(end, _)| end > r.queued_ns);
+                match running[..] {
+                    [(_, task)] => Some(task),
+                    _ => None,
+                }
+            });
+        }
+        for &n in &self.touched {
+            self.running[n as usize].clear();
+        }
+        self.touched.clear();
+    }
+
+    /// Adds `t` to its node's running set.
+    fn start(&mut self, t: &TaskSpan) {
+        let n = t.node as usize;
+        if self.running.len() <= n {
+            self.running.resize_with(n + 1, Vec::new);
+        }
+        if self.running[n].is_empty() {
+            self.touched.push(t.node);
+        }
+        self.running[n].push((t.end_ns, t.task));
+    }
 }
 
 /// Structural well-formedness over a recording: every opened span is
@@ -421,6 +464,155 @@ mod tests {
         rec.record(ev(5, 0, 0, EventKind::TaskStarted { job: 9, task: 3, app: 1 }));
         let r = rec.finish(RecordingMeta::default());
         assert!(check_well_formed(&r).is_err());
+    }
+
+    /// The task rule as a per-request scan over every task of the job.
+    fn scan_task(job: &JobTree, r: &RequestSpan) -> Option<u32> {
+        let mut hits = job
+            .tasks
+            .iter()
+            .filter(|t| t.node == r.node && t.start_ns <= r.queued_ns && r.queued_ns < t.end_ns)
+            .map(|t| t.task);
+        match (hits.next(), hits.next()) {
+            (Some(t), None) => Some(t),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn task_sweep_matches_the_per_request_scan() {
+        let mut rec = FlightRecorder::new(3, 256);
+        let mut io = 0;
+        let mut req = |rec: &mut FlightRecorder, node: u32, app: u32, q: u64| {
+            io += 1;
+            rec.record(ev(
+                q,
+                node,
+                0,
+                EventKind::IoQueued {
+                    io,
+                    app,
+                    bytes: 1,
+                    write: false,
+                },
+            ));
+            rec.record(ev(
+                q + 1,
+                node,
+                0,
+                EventKind::Completed {
+                    io,
+                    app,
+                    bytes: 1,
+                    write: false,
+                    latency_ns: 1,
+                },
+            ));
+        };
+        let start = |rec: &mut FlightRecorder, node: u32, task: u32, at: u64| {
+            rec.record(ev(
+                at,
+                node,
+                0,
+                EventKind::TaskStarted {
+                    job: 1,
+                    task,
+                    app: 1,
+                },
+            ));
+        };
+        let finish = |rec: &mut FlightRecorder, node: u32, task: u32, at: u64| {
+            rec.record(ev(at, node, 0, EventKind::TaskFinished { job: 1, task }));
+        };
+        rec.record(ev(0, 0, 0, EventKind::JobArrived { job: 1, app: 1 }));
+        // Node 0: tasks 0 [10, 100) and 1 [50, 150) overlap on [50, 100).
+        start(&mut rec, 0, 0, 10);
+        start(&mut rec, 0, 1, 50);
+        finish(&mut rec, 0, 0, 100);
+        finish(&mut rec, 0, 1, 150);
+        // Node 1: task 2 [10, 60).
+        start(&mut rec, 1, 2, 10);
+        finish(&mut rec, 1, 2, 60);
+        // Node 2: task 3 aborted by a crash at 40 and re-run on [70, 90).
+        start(&mut rec, 2, 3, 20);
+        rec.record(ev(
+            40,
+            2,
+            0,
+            EventKind::FaultInjected { kind: 3, detail: 0 },
+        ));
+        finish(&mut rec, 2, 3, 40);
+        start(&mut rec, 2, 3, 70);
+        finish(&mut rec, 2, 3, 90);
+        // Queue instants before, at and inside every start and end.
+        for q in [5, 10, 49, 50, 99, 100, 149, 150] {
+            req(&mut rec, 0, 1, q);
+        }
+        for q in [10, 59, 60] {
+            req(&mut rec, 1, 1, q);
+        }
+        for q in [20, 39, 40, 70, 89, 90] {
+            req(&mut rec, 2, 1, q);
+        }
+        // App 9 has no job: unattached.
+        req(&mut rec, 0, 9, 60);
+        rec.record(ev(
+            200,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 1,
+                app: 1,
+                latency_ns: 200,
+            },
+        ));
+        let forest = build_forest(&rec.finish(RecordingMeta::default()));
+
+        let job = &forest.jobs[0];
+        let got: Vec<(u32, u64, Option<u32>)> = job
+            .requests
+            .iter()
+            .map(|r| (r.node, r.queued_ns, r.task))
+            .collect();
+        let expect = [
+            (0, 5, None),
+            (0, 10, Some(0)),
+            (0, 49, Some(0)),
+            (0, 50, None),
+            (0, 99, None),
+            (0, 100, Some(1)),
+            (0, 149, Some(1)),
+            (0, 150, None),
+            (1, 10, Some(2)),
+            (1, 59, Some(2)),
+            (1, 60, None),
+            (2, 20, Some(3)),
+            (2, 39, Some(3)),
+            (2, 40, None),
+            (2, 70, Some(3)),
+            (2, 89, Some(3)),
+            (2, 90, None),
+        ];
+        let mut sorted = got.clone();
+        sorted.sort_by_key(|&(n, q, _)| (q, n));
+        assert_eq!(sorted, got, "requests stay in queue order");
+        let mut by_node = got;
+        by_node.sort_by_key(|&(n, q, _)| (n, q));
+        assert_eq!(by_node, expect);
+        for r in &job.requests {
+            assert_eq!(
+                r.task,
+                scan_task(job, r),
+                "request at {} on node {}",
+                r.queued_ns,
+                r.node
+            );
+        }
+        assert_eq!(forest.unattached.len(), 1);
+        assert_eq!(
+            (forest.unattached[0].app, forest.unattached[0].task),
+            (9, None)
+        );
     }
 
     #[test]
