@@ -33,8 +33,8 @@
 //!   counters may move (per-round heartbeats are the armed protocol's
 //!   honest cost, and are recorded, not hidden).
 //!
-//! Wall-clock ns/event is recorded for trend tooling but, as in
-//! `bench_par`, only gated loosely and only on release builds — the
+//! Wall-clock ns/event is recorded for trend tooling but only gated
+//! loosely and only on release builds — the
 //! armed-idle tree additionally must stay within 50 % of the plain
 //! tree's fresh ns/event at the largest size.
 //!
@@ -145,9 +145,9 @@ fn experiment(nodes: u32, mode: Mode) -> Experiment {
             latency: SimDuration::from_millis(2),
         },
         auto_reference: false,
-        // Deterministic run: keep env-read subsystems pinned off, as in
-        // bench_par, so IBIS_OBS / IBIS_METRICS / IBIS_FAULTS cannot
-        // skew the traffic counters.
+        // Deterministic run: keep env-read subsystems pinned off so
+        // IBIS_OBS / IBIS_METRICS / IBIS_FAULTS cannot skew the traffic
+        // counters.
         obs: ibis_obs::ObsConfig::default(),
         metrics: ibis_metrics::MetricsConfig::default(),
         faults,
@@ -423,7 +423,6 @@ fn main() {
         w.number(Some("assign_attempts"), cell.report.assign.attempts as f64);
         w.number(Some("assign_placements"), cell.report.assign.placements as f64);
         let q = cell.report.queue;
-        w.number(Some("queue_same_instant_pushes"), q.same_instant_pushes as f64);
         w.number(Some("queue_fifo_pushes"), q.fifo_pushes as f64);
         w.number(Some("queue_heap_pushes"), q.heap_pushes as f64);
         w.number(Some("queue_peak_heap_len"), q.peak_heap_len as f64);

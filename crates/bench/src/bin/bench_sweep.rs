@@ -3,9 +3,10 @@
 //!
 //! 1. **Suite wall-clock**: the full quick-scale figure suite timed once
 //!    serially (`IBIS_JOBS=1`) and once at the parallel width
-//!    (`IBIS_BENCH_JOBS`, default 4). On a multi-core machine the
-//!    parallel pass is the `all_experiments` speedup; on a single core
-//!    the two times coincide (recorded as-is, with the core count).
+//!    (`IBIS_BENCH_JOBS`, default the host's cores). On a multi-core
+//!    machine the parallel pass is the `all_experiments` speedup; on a
+//!    single core the two times coincide (recorded as-is, with the core
+//!    count).
 //! 2. **Scheduler micro**: the SFQ(D) request lifecycle (submit →
 //!    dispatch → complete) on the dense flow table vs a faithful
 //!    `HashMap`-keyed reference of the pre-dense implementation.
@@ -13,16 +14,13 @@
 //!    bookkeeping, generational slabs vs the pre-slab `HashMap` tables
 //!    (the shared harness in `ibis_bench::tables`).
 //!
-//! The wall-clock record states whether the speedup is meaningful: when
-//! the host has no more cores than the pass's worker count, the
-//! "parallel" pass just time-slices one core and the ratio measures
-//! scheduler overhead, not the sweep engine — `speedup_meaningful` is
-//! `false` and the number must not be gated on. The worker count is the
-//! *effective* one: with intra-run partitioning active
-//! (`IBIS_PARTITIONS`, DESIGN.md §14) each run consumes several pool
-//! workers, so `IBIS_JOBS` alone under-counts the live threads — the
-//! record reports the [`ibis_core::WorkerBudget`] split
-//! (`sweep_jobs × per_run_workers`).
+//! The wall-clock record states whether the speedup is meaningful: each
+//! run is one serial event loop and the sweep's calling thread only
+//! waits on its workers, so the pass keeps exactly `width` threads busy.
+//! When the width exceeds the host's cores, the "parallel" pass
+//! time-slices them and the ratio measures scheduler overhead, not the
+//! sweep engine — `speedup_meaningful` is `false` and the number must
+//! not be gated on.
 //!
 //! Usage: `bench_sweep [output-path]` (default `BENCH_sweep.json`).
 
@@ -179,17 +177,8 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let par_jobs: usize = std::env::var("IBIS_BENCH_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The parallel pass's real thread count: `IBIS_JOBS` is a *budget*,
-    // shared with any intra-run partition workers. With
-    // `IBIS_PARTITIONS=4`, `IBIS_JOBS=8` runs 2 experiments × 4 workers —
-    // still 8 live threads, but a core-budget report that read only
-    // `par_jobs` would call an 8-core host saturated by a 2-job sweep.
-    let budget = ibis_core::env::WorkerBudget::new(par_jobs, ibis_core::env::partitions_from_env());
+    let cores = ibis_core::env::available_cores();
+    let par_jobs = ibis_core::env::count_from_env("IBIS_BENCH_JOBS").unwrap_or(cores);
 
     eprintln!("[bench_sweep] timing suite at IBIS_JOBS=1 ...");
     let serial_secs = time_suite(1);
@@ -207,11 +196,11 @@ fn main() {
     let table_hash_ns = time_lifecycle(|| hash_tables.step());
     let table_improvement_pct = (1.0 - slab_ns / table_hash_ns) * 100.0;
 
-    // A "speedup" measured with fewer cores than effective workers is
-    // host saturation, not the sweep engine: record it, but mark it so no
+    // A "speedup" measured with fewer cores than workers is host
+    // saturation, not the sweep engine: record it, but mark it so no
     // gate treats a time-sliced ratio as a regression.
     let speedup = serial_secs / parallel_secs;
-    let speedup_meaningful = cores > budget.effective_workers();
+    let speedup_meaningful = par_jobs <= cores;
 
     let mut w = json::bench_writer("sweep");
     w.string(Some("scale"), ScaleProfile::from_env().label());
@@ -219,9 +208,7 @@ fn main() {
     w.open_object(Some("suite_wall_clock"));
     w.number(Some("experiments"), suite().len() as f64);
     w.number(Some("requested_jobs"), par_jobs as f64);
-    w.number(Some("sweep_jobs"), budget.sweep_jobs() as f64);
-    w.number(Some("per_run_workers"), budget.per_run as f64);
-    w.number(Some("effective_workers"), budget.effective_workers().min(cores) as f64);
+    w.number(Some("effective_workers"), par_jobs.min(cores) as f64);
     w.number(Some("jobs_1_secs"), serial_secs);
     w.number(Some(&format!("jobs_{par_jobs}_secs")), parallel_secs);
     w.number(Some("speedup"), speedup);
@@ -231,7 +218,7 @@ fn main() {
         if speedup_meaningful {
             "parallel speedup over dedicated cores"
         } else {
-            "not_meaningful: host has no spare cores for the sweep width"
+            "not_meaningful: host has fewer cores than the sweep width"
         },
     );
     w.close();

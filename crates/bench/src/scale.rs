@@ -49,7 +49,7 @@ impl ScaleProfile {
 }
 
 /// Reads `IBIS_BENCH_NODES` for topology-parameterized benches
-/// (`bench_par`, `bench_scale`), falling back to `default`. Unparsable
+/// (`bench_scale`), falling back to `default`. Unparsable
 /// or zero values fall back too — a bench should never panic over an
 /// environment typo, it should run the documented default.
 pub fn bench_nodes(default: u32) -> u32 {

@@ -22,10 +22,10 @@
 //! * [`sweep`] — the parallel experiment sweep engine: fans independent
 //!   [`config::Experiment`]s across a scoped thread pool (`IBIS_JOBS`)
 //!   with byte-identical-to-serial results.
-//! * [`partition`] — intra-run parallelism substrate (`IBIS_PARTITIONS`):
-//!   contiguous node partitioning plus the spin-waiting worker pool the
-//!   engine uses to execute conservative device-plane windows with
-//!   byte-identical-to-serial results (DESIGN.md §14).
+//!
+//! A run is one serial event loop; parallelism is across runs only
+//! ([`SweepRunner`]), never inside one (DESIGN.md §14 has the measured
+//! reasons).
 //!
 //! ```
 //! use ibis_cluster::prelude::*;
@@ -38,13 +38,13 @@
 //! assert!(report.jobs[0].runtime.as_secs_f64() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::redundant_clone)]
 
 pub mod autotune;
 pub mod config;
 pub mod engine;
-pub mod partition;
 pub mod report;
 pub mod sweep;
 

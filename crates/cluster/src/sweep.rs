@@ -20,16 +20,12 @@
 //! serial fallback — the batch runs inline on the calling thread with no
 //! pool, no locks, and no cross-thread moves.
 //!
-//! When intra-run parallelism is also active (`IBIS_PARTITIONS`,
-//! DESIGN.md §14), the two levels share one core budget: the
-//! environment-selected sweep width divides by the per-run worker count
-//! via [`ibis_core::WorkerBudget`], so `IBIS_JOBS=8 IBIS_PARTITIONS=4`
-//! runs 2 experiments at a time with 4 workers each instead of
-//! oversubscribing 32 threads onto 8 cores.
+//! This is the only parallelism in the simulator: each run is one serial
+//! event loop (DESIGN.md §14), so a sweep of `IBIS_JOBS` runs keeps
+//! exactly that many cores busy.
 
 use crate::config::Experiment;
 use crate::report::RunReport;
-use ibis_core::WorkerBudget;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -47,12 +43,10 @@ impl Default for SweepRunner {
 
 impl SweepRunner {
     /// A runner with the environment-selected width: `IBIS_JOBS` when
-    /// set, otherwise the machine's available parallelism — divided by
-    /// the per-run worker count (`IBIS_PARTITIONS`) so nested
-    /// parallelism shares the same core budget instead of multiplying
-    /// it.
+    /// set (clamped to ≥ 1), otherwise the machine's available
+    /// parallelism.
     pub fn from_env() -> Self {
-        Self::with_jobs(WorkerBudget::from_env().sweep_jobs())
+        Self::with_jobs(ibis_core::env::jobs_from_env())
     }
 
     /// A runner with an explicit width (clamped to ≥ 1).
@@ -179,15 +173,6 @@ impl Progress {
             eprintln!("[sweep {}/{} done (run #{idx})]", s.done, s.total);
         }
     }
-}
-
-/// The environment-selected sweep width: `IBIS_JOBS` when set and
-/// parseable (clamped to ≥ 1), else [`std::thread::available_parallelism`]
-/// (1 if even that is unavailable). Delegates to [`ibis_core::env`], the
-/// single home of the worker-knob parsing; note this is the *raw* width —
-/// [`SweepRunner::from_env`] additionally divides by `IBIS_PARTITIONS`.
-pub fn jobs_from_env() -> usize {
-    ibis_core::env::jobs_from_env()
 }
 
 #[cfg(test)]

@@ -53,7 +53,6 @@ fn run(second_weight: u32) -> RunReport {
             retry_backoff: SimDuration::from_millis(100),
             retry_limit: 3,
         },
-        partitions: 1,
         ..ClusterConfig::default()
     }
     .with_policy(Policy::SfqD2(SfqD2Config::default()))

@@ -4,12 +4,11 @@
 //! aggregators per rack, delta-encoded reports up, delta-encoded replies
 //! down — running a `MixConfig::flood` open-system mix under the full
 //! chaos schedule must produce **byte-identical** reports across the
-//! slab and `HashMap` side-table backends and across
-//! `IBIS_PARTITIONS ∈ {1, 4}`. The canon extends the
-//! partition-determinism serialization with the per-tenant section, the
-//! broker's per-level traffic counters, the rack-topology transfer
-//! counters, the slot-assignment work counters, and the event-queue lane
-//! counters, so any nondeterminism in leaf aggregation order, delta
+//! slab and `HashMap` side-table backends. The canon serializes jobs,
+//! per-app service and latency, the recording and the metrics series,
+//! plus the per-tenant section, the broker's per-level traffic counters,
+//! the rack-topology transfer counters, the slot-assignment work
+//! counters, and the event-queue lane counters, so any nondeterminism in leaf aggregation order, delta
 //! encoding, round completion, rack-aware placement, assignment sweeps,
 //! or event-queue lane routing shows up as a text diff.
 
@@ -97,16 +96,16 @@ fn flood(seed: u64) -> MixConfig {
     MixConfig::flood(seed, TENANTS, 2, SimDuration::from_secs(12))
 }
 
-fn scale_experiment(seed: u64, chaos: bool, partitions: usize) -> Experiment {
-    let mut exp = Experiment::new(scale_cluster(seed, chaos).with_partitions(partitions));
+fn scale_experiment(seed: u64, chaos: bool) -> Experiment {
+    let mut exp = Experiment::new(scale_cluster(seed, chaos));
     exp.add_mix(&flood(seed ^ 0x5eed));
     exp
 }
 
-/// The partition-determinism canon plus tenants, per-level broker
-/// counters (inside `BrokerStats`'s `Debug`), rack transfer counters,
-/// assignment counters, and event-queue counters. Excluded: `wall_secs`,
-/// `par_windows`, `par_members`.
+/// Jobs, per-app service and latency, the recording and the metrics
+/// series, plus tenants, per-level broker counters (inside
+/// `BrokerStats`'s `Debug`), rack transfer counters, assignment
+/// counters, and event-queue counters. Excluded: `wall_secs`.
 fn canonical_full(r: &RunReport) -> String {
     let mut s = String::new();
     for j in &r.jobs {
@@ -188,8 +187,8 @@ fn canonical_full(r: &RunReport) -> String {
 }
 
 #[test]
-fn tree_broker_chaos_run_is_byte_identical_across_partitions_and_backends() {
-    let serial = scale_experiment(9, true, 1).run();
+fn tree_broker_chaos_run_is_byte_identical_across_backends() {
+    let serial = scale_experiment(9, true).run();
     // The run really coordinated through the tree: scheduler reports
     // reached rack leaves, aggregator traffic flowed on level 1, the
     // rack topology steered transfers, and the chaos schedule fired.
@@ -221,21 +220,9 @@ fn tree_broker_chaos_run_is_byte_identical_across_partitions_and_backends() {
     let q = serial.queue;
     let ticks = serial.makespan.as_nanos() / 1_000_000_000 * u64::from(NODES) * 2;
     assert!(q.fifo_pushes >= ticks && q.heap_pushes > 0, "{q:?}");
-    let canon = canonical_full(&serial);
-
-    let windowed = scale_experiment(9, true, 4).run();
-    assert!(
-        windowed.par_windows > 0,
-        "IBIS_PARTITIONS=4 never formed a multi-partition window"
-    );
     assert_eq!(
-        canon,
-        canonical_full(&windowed),
-        "tree-broker chaos run diverged between IBIS_PARTITIONS=1 and =4"
-    );
-    assert_eq!(
-        canon,
-        canonical_full(&scale_experiment(9, true, 4).run_hashmap_reference()),
+        canonical_full(&serial),
+        canonical_full(&scale_experiment(9, true).run_hashmap_reference()),
         "tree-broker chaos run diverged between slab and HashMap backends"
     );
 }

@@ -2,11 +2,10 @@
 //! *observer*. For the same experiment, `IBIS_TRACE` on vs off must
 //! produce **byte-identical** reports — with observability on (the
 //! recording now carries the extra lifecycle events, so the canon
-//! compares only trace-independent fields) and off (full canon), across
-//! the slab and `HashMap` side-table backends and across
-//! `IBIS_PARTITIONS ∈ {1, 4}`, clean and under the chaos schedule.
-//! The assembled trace itself must also be identical across backends
-//! and partition counts: it is a pure function of the event timeline.
+//! compares only trace-independent fields) and off (full canon), and
+//! across the slab and `HashMap` side-table backends, clean and under
+//! the chaos schedule. The assembled trace itself must also be identical
+//! across backends: it is a pure function of the event timeline.
 
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
@@ -62,10 +61,10 @@ fn observed_cluster(seed: u64, obs: bool, chaos: bool) -> ClusterConfig {
     .with_coordination(true)
 }
 
-/// The partition-determinism canon, with the observer outputs optional
+/// Jobs, per-app service and latency, broker and fault counters, the
+/// recording and the metrics series, with the observer outputs optional
 /// (the obs-off arm has no recording) and the trace-owned fields —
-/// `trace`, `engine_profile` — excluded alongside `wall_secs`,
-/// `par_windows`, `par_members`.
+/// `trace`, `engine_profile` — excluded alongside `wall_secs`.
 fn canonical(r: &RunReport, with_recording: bool) -> String {
     let mut s = String::new();
     for j in &r.jobs {
@@ -160,8 +159,8 @@ fn canonical_trace(r: &RunReport) -> String {
     s
 }
 
-fn experiment(seed: u64, obs: bool, chaos: bool, trace: bool, partitions: usize) -> Experiment {
-    let mut cfg = observed_cluster(seed, obs, chaos).with_partitions(partitions);
+fn experiment(seed: u64, obs: bool, chaos: bool, trace: bool) -> Experiment {
+    let mut cfg = observed_cluster(seed, obs, chaos);
     if trace {
         cfg = cfg.with_trace();
     }
@@ -175,33 +174,21 @@ fn experiment(seed: u64, obs: bool, chaos: bool, trace: bool, partitions: usize)
 #[test]
 fn tracing_on_and_off_byte_identical() {
     for (obs, chaos) in [(false, false), (true, false), (true, true)] {
-        let off = canonical(&experiment(42, obs, chaos, false, 1).run(), obs);
-        let on = canonical(&experiment(42, obs, chaos, true, 1).run(), obs);
+        let off = canonical(&experiment(42, obs, chaos, false).run(), obs);
+        let on = canonical(&experiment(42, obs, chaos, true).run(), obs);
         assert_eq!(off, on, "tracing perturbed the report (obs={obs} chaos={chaos})");
     }
 }
 
 #[test]
-fn traced_runs_byte_identical_across_partitions_and_backends() {
+fn traced_runs_byte_identical_across_backends() {
     for chaos in [false, true] {
-        let serial = experiment(42, true, chaos, true, 1).run();
-        let canon = canonical(&serial, true);
-        let trace_canon = canonical_trace(&serial);
+        let slab = experiment(42, true, chaos, true).run();
+        let canon = canonical(&slab, true);
+        let trace_canon = canonical_trace(&slab);
         assert!(!trace_canon.is_empty());
 
-        let windowed = experiment(42, true, chaos, true, 4).run();
-        assert_eq!(
-            canon,
-            canonical(&windowed, true),
-            "traced run diverged between IBIS_PARTITIONS=1 and =4 (chaos={chaos})"
-        );
-        assert_eq!(
-            trace_canon,
-            canonical_trace(&windowed),
-            "assembled trace diverged across partition counts (chaos={chaos})"
-        );
-
-        let hash = experiment(42, true, chaos, true, 4).run_hashmap_reference();
+        let hash = experiment(42, true, chaos, true).run_hashmap_reference();
         assert_eq!(
             canon,
             canonical(&hash, true),
@@ -217,7 +204,7 @@ fn traced_runs_byte_identical_across_partitions_and_backends() {
 
 #[test]
 fn traced_chaos_run_spans_stay_well_formed() {
-    let r = experiment(7, true, true, true, 1).run();
+    let r = experiment(7, true, true, true).run();
     let rec = r.recording.as_ref().expect("recording enabled");
     let (jobs, tasks, reqs) =
         ibis_trace::check_well_formed(rec).expect("span tree well-formed under chaos");
@@ -236,7 +223,7 @@ fn traced_chaos_run_spans_stay_well_formed() {
 #[test]
 fn trace_only_run_ignores_the_obs_ring_capacity() {
     let trace = |obs: ObsConfig| {
-        let mut exp = experiment(42, false, false, true, 1);
+        let mut exp = experiment(42, false, false, true);
         exp.cluster.obs = obs;
         exp.run().trace.expect("trace assembled")
     };

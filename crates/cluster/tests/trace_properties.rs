@@ -1,6 +1,7 @@
 //! Property-based tests of the causal-tracing pipeline (ISSUE 8): for
 //! random open-system mixes (a Poisson batch tenant plus a FaaS burst
-//! tenant) with and without a random chaos schedule, the recorded event
+//! tenant, and under chaos a tenant of multi-map jobs) with and without
+//! a random chaos schedule, the recorded event
 //! timeline must assemble into a **well-formed span forest** and every
 //! application's latency-attribution components must **sum exactly to
 //! the swept total** — and to the measured latency when the recording
@@ -12,7 +13,9 @@ use ibis_cluster::prelude::*;
 use ibis_faults::{FaultSchedule, FaultsConfig};
 use ibis_obs::ObsConfig;
 use ibis_simcore::{SimDuration, SimTime};
-use ibis_workgen::{burst_tenant, ArrivalProcess, BurstProfile, JobShape, MixConfig, TenantSpec};
+use ibis_workgen::{
+    burst_tenant, ArrivalProcess, BurstProfile, JobShape, MixConfig, SizeDist, TenantSpec,
+};
 use proptest::prelude::*;
 
 fn cluster(seed: u64, chaos: Option<FaultSchedule>) -> ClusterConfig {
@@ -61,7 +64,33 @@ fn mix(seed: u64, interarrival_ms: u64, batch_jobs: u32, burst_jobs: u32) -> Mix
         .tenant(burst_tenant("faas", BurstProfile::faas(burst_jobs).weight(1.0)))
 }
 
-fn run(seed: u64, interarrival_ms: u64, batch_jobs: u32, burst_jobs: u32, chaos: bool) -> RunReport {
+/// A tenant of 2–12-map jobs. The other tenants' jobs are single-map,
+/// so only these put several tasks of one job on the cluster at once: a
+/// crash then aborts a task whose re-run can start on a lower-numbered
+/// node at the crash instant, before the aborted run's finish in the
+/// merged recording.
+fn multi_map_tenant(interarrival_ms: u64, jobs: u32) -> TenantSpec {
+    TenantSpec::new(
+        "multi",
+        2.0,
+        jobs,
+        ArrivalProcess::Poisson {
+            mean_interarrival: SimDuration::from_millis(interarrival_ms),
+        },
+        JobShape {
+            maps: SizeDist::Uniform { lo: 2.0, hi: 13.0 },
+            ..JobShape::short_task()
+        },
+    )
+}
+
+fn run(
+    seed: u64,
+    interarrival_ms: u64,
+    batch_jobs: u32,
+    burst_jobs: u32,
+    chaos: bool,
+) -> RunReport {
     let schedule = chaos.then(|| {
         FaultSchedule::new(seed ^ 0xFA17)
             .drop_reports(SimTime::ZERO, SimDuration::from_secs(3600), 4)
@@ -71,8 +100,12 @@ fn run(seed: u64, interarrival_ms: u64, batch_jobs: u32, burst_jobs: u32, chaos:
                 Some(SimDuration::from_secs(4)),
             )
     });
+    let mut m = mix(seed ^ 0x5eed, interarrival_ms, batch_jobs, burst_jobs);
+    if chaos {
+        m = m.tenant(multi_map_tenant(interarrival_ms, 2 * batch_jobs));
+    }
     let mut exp = Experiment::new(cluster(seed, schedule));
-    exp.add_mix(&mix(seed ^ 0x5eed, interarrival_ms, batch_jobs, burst_jobs));
+    exp.add_mix(&m);
     exp.run()
 }
 

@@ -2,9 +2,9 @@
 //! multi-tenant mix — a Poisson batch tenant plus a FaaS-style burst
 //! tenant emitting over a thousand short jobs with cold-start spikes —
 //! must produce **byte-identical** reports across the slab and `HashMap`
-//! side-table backends and across `IBIS_PARTITIONS ∈ {1, 4}`. The
-//! canonical serialization extends the partition-determinism canon with
-//! the per-tenant section (arrival/completion counts and the latency
+//! side-table backends. The canonical serialization covers jobs,
+//! per-app service and latency, the recording and the metrics series,
+//! plus the per-tenant section (arrival/completion counts and the latency
 //! histogram), so any nondeterminism in mid-run tenant registration,
 //! flow pooling, or arrival-event handling shows up as a text diff.
 //! A chaos + JSONL-trace smoke run covers the `ibis-faults`
@@ -21,8 +21,7 @@ use ibis_workgen::{
 use std::fmt::Write as _;
 
 /// The open-system scenario of the acceptance criteria: a Poisson batch
-/// tenant (heavy-tailed DFS-reading jobs — the I/O density that forms
-/// multi-partition windows) plus a burst tenant carrying ≥ 1000 short
+/// tenant (heavy-tailed DFS-reading jobs) plus a burst tenant carrying ≥ 1000 short
 /// jobs with cold-start spikes.
 fn open_mix(seed: u64) -> MixConfig {
     MixConfig::new(seed)
@@ -79,8 +78,9 @@ fn observed_cluster(seed: u64, chaos: bool) -> ClusterConfig {
     }
 }
 
-/// The partition-determinism canon plus the per-tenant section. Excluded
-/// as there: `wall_secs`, `par_windows`, `par_members`.
+/// Jobs, per-app service and latency, broker and fault counters, the
+/// recording and the metrics series, plus the per-tenant section.
+/// Excluded: `wall_secs`.
 fn canonical_full(r: &RunReport) -> String {
     let mut s = String::new();
     for j in &r.jobs {
@@ -153,45 +153,33 @@ fn canonical_full(r: &RunReport) -> String {
     s
 }
 
-fn open_experiment(seed: u64, chaos: bool, partitions: usize) -> Experiment {
-    let mut exp = Experiment::new(observed_cluster(seed, chaos).with_partitions(partitions));
+fn open_experiment(seed: u64, chaos: bool) -> Experiment {
+    let mut exp = Experiment::new(observed_cluster(seed, chaos));
     exp.add_mix(&open_mix(seed ^ 0x5eed));
     exp
 }
 
 #[test]
-fn open_system_run_is_byte_identical_across_partitions_and_backends() {
+fn open_system_run_is_byte_identical_across_backends() {
     let mix = open_mix(42 ^ 0x5eed);
     assert!(mix.total_jobs() >= 1000, "scenario must carry ≥1000 jobs");
 
-    let serial = open_experiment(42, false, 1).run();
-    assert_eq!(serial.tenants.len(), 2);
-    for t in &serial.tenants {
+    let slab = open_experiment(42, false).run();
+    assert_eq!(slab.tenants.len(), 2);
+    for t in &slab.tenants {
         assert_eq!(t.finished, t.submitted, "tenant {} lost jobs", t.name);
         assert!(t.latency_ms(0.5).is_some());
     }
-    let canon = canonical_full(&serial);
-
-    let windowed = open_experiment(42, false, 4).run();
-    assert!(
-        windowed.par_windows > 0,
-        "IBIS_PARTITIONS=4 never formed a multi-partition window"
-    );
     assert_eq!(
-        canon,
-        canonical_full(&windowed),
-        "open-system run diverged between IBIS_PARTITIONS=1 and =4"
-    );
-    assert_eq!(
-        canon,
-        canonical_full(&open_experiment(42, false, 4).run_hashmap_reference()),
+        canonical_full(&slab),
+        canonical_full(&open_experiment(42, false).run_hashmap_reference()),
         "open-system run diverged between slab and HashMap backends"
     );
 }
 
 #[test]
 fn tenant_jobs_share_one_flow_and_pool_service() {
-    let r = open_experiment(7, false, 1).run();
+    let r = open_experiment(7, false).run();
     let batch = r.tenant("batch").expect("batch tenant reported");
     let faas = r.tenant("faas").expect("faas tenant reported");
     assert_ne!(batch.app, faas.app);
@@ -209,8 +197,7 @@ fn tenant_jobs_share_one_flow_and_pool_service() {
 }
 
 /// Chaos + JSONL-trace smoke: a replayed trace under the fault schedule
-/// still completes and stays byte-identical across partition counts and
-/// backends.
+/// still completes and stays byte-identical across backends.
 #[test]
 fn chaos_trace_replay_is_deterministic() {
     let trace = "\
@@ -221,27 +208,20 @@ fn chaos_trace_replay_is_deterministic() {
 {\"at\": 30.0, \"tenant\": \"adhoc\", \"maps\": 1, \"input\": \"gen\"}
 {\"at\": 55.0, \"tenant\": \"etl\", \"weight\": 4, \"maps\": 3, \"shuffle_ratio\": 0.8, \"reduces\": 1}
 ";
-    let build = |partitions: usize| {
-        let mut exp = Experiment::new(observed_cluster(11, true).with_partitions(partitions));
+    let build = || {
+        let mut exp = Experiment::new(observed_cluster(11, true));
         exp.add_trace(trace).expect("trace parses");
         exp
     };
-    let serial = build(1).run();
-    assert_eq!(serial.tenants.len(), 2);
-    let etl = serial.tenant("etl").expect("etl tenant reported");
+    let slab = build().run();
+    assert_eq!(slab.tenants.len(), 2);
+    let etl = slab.tenant("etl").expect("etl tenant reported");
     assert_eq!(etl.submitted, 3);
     assert_eq!(etl.finished, 3);
-    assert!(serial.faults.expect("chaos active").crashes > 0);
-
-    let canon = canonical_full(&serial);
+    assert!(slab.faults.expect("chaos active").crashes > 0);
     assert_eq!(
-        canon,
-        canonical_full(&build(4).run()),
-        "chaos trace replay diverged between IBIS_PARTITIONS=1 and =4"
-    );
-    assert_eq!(
-        canon,
-        canonical_full(&build(4).run_hashmap_reference()),
+        canonical_full(&slab),
+        canonical_full(&build().run_hashmap_reference()),
         "chaos trace replay diverged between backends"
     );
 }

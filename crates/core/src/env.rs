@@ -1,17 +1,10 @@
 //! Shared worker-count environment parsing.
 //!
-//! Two knobs size the workspace's parallelism, and both used to be parsed
-//! ad hoc at their point of use:
-//!
-//! * `IBIS_JOBS` — how many *experiments* a sweep runs concurrently
-//!   (`ibis-cluster`'s `SweepRunner`).
-//! * `IBIS_PARTITIONS` — how many node-group partitions a *single*
-//!   simulation run fans its device-plane work across (DESIGN.md §14).
-//!
-//! This module is the single parser for both, plus the [`WorkerBudget`]
-//! arithmetic that keeps the two levels from oversubscribing one core
-//! budget: a sweep of partitioned runs wants `jobs × partitions ≈ cores`,
-//! not `jobs × partitions` threads fighting over `cores` cores.
+//! One knob sizes the workspace's parallelism: `IBIS_JOBS`, how many
+//! *experiments* a sweep runs concurrently (`ibis-cluster`'s
+//! `SweepRunner`). A single simulation run is always one serial event
+//! loop (DESIGN.md §14). The bench bins reuse [`count_from_env`] and
+//! [`available_cores`] for their own width knobs.
 
 /// Parses a positive worker count from the named environment variable.
 ///
@@ -42,98 +35,6 @@ pub fn jobs_from_env() -> usize {
     count_from_env("IBIS_JOBS").unwrap_or_else(available_cores)
 }
 
-/// The environment-selected per-run partition count: `IBIS_PARTITIONS`
-/// when set (clamped to ≥ 1), else 1 (the exact serial engine).
-pub fn partitions_from_env() -> usize {
-    count_from_env("IBIS_PARTITIONS").unwrap_or(1)
-}
-
-/// One core budget shared between sweep-level workers (parallel
-/// experiments) and run-level workers (partitions inside one simulation).
-///
-/// The budget is `IBIS_JOBS` when set, else the machine's cores; the
-/// per-run width is `IBIS_PARTITIONS` (default 1). [`sweep_jobs`] divides
-/// the budget by the per-run width so the total live-thread count stays
-/// within the budget: `IBIS_JOBS=16 IBIS_PARTITIONS=4` runs 4 experiments
-/// at a time, each on 4 workers.
-///
-/// [`sweep_jobs`]: WorkerBudget::sweep_jobs
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerBudget {
-    /// Total worker budget (≥ 1).
-    pub total: usize,
-    /// Workers one simulation run consumes (≥ 1).
-    pub per_run: usize,
-}
-
-impl WorkerBudget {
-    /// Reads the budget from `IBIS_JOBS` / `IBIS_PARTITIONS`.
-    pub fn from_env() -> Self {
-        WorkerBudget::new(jobs_from_env(), partitions_from_env())
-    }
-
-    /// A budget of `total` workers with `per_run` consumed per simulation
-    /// run (both clamped to ≥ 1).
-    pub fn new(total: usize, per_run: usize) -> Self {
-        WorkerBudget {
-            total: total.max(1),
-            per_run: per_run.max(1),
-        }
-    }
-
-    /// How many experiments a sweep should run concurrently: the budget
-    /// divided by the per-run worker count, rounded down, never below 1.
-    pub fn sweep_jobs(&self) -> usize {
-        (self.total / self.per_run).max(1)
-    }
-
-    /// Total workers actually live when a sweep at [`sweep_jobs`] width
-    /// runs partitioned simulations — what a benchmark should report as
-    /// `effective_workers` (capped by the machine's cores by the caller
-    /// if it wants a host-relative number).
-    ///
-    /// [`sweep_jobs`]: WorkerBudget::sweep_jobs
-    pub fn effective_workers(&self) -> usize {
-        self.sweep_jobs() * self.per_run
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn budget_divides_jobs_by_run_width() {
-        let b = WorkerBudget::new(16, 4);
-        assert_eq!(b.sweep_jobs(), 4);
-        assert_eq!(b.effective_workers(), 16);
-    }
-
-    #[test]
-    fn budget_never_starves_the_sweep() {
-        // A run width larger than the budget still leaves one sweep slot.
-        let b = WorkerBudget::new(2, 8);
-        assert_eq!(b.sweep_jobs(), 1);
-        assert_eq!(b.effective_workers(), 8);
-    }
-
-    #[test]
-    fn budget_clamps_to_one() {
-        let b = WorkerBudget::new(0, 0);
-        assert_eq!(b.total, 1);
-        assert_eq!(b.per_run, 1);
-        assert_eq!(b.sweep_jobs(), 1);
-    }
-
-    #[test]
-    fn serial_run_width_spends_budget_on_the_sweep() {
-        let b = WorkerBudget::new(8, 1);
-        assert_eq!(b.sweep_jobs(), 8);
-        assert_eq!(b.effective_workers(), 8);
-    }
-
-    // `count_from_env` / `*_from_env` touch process-global environment
-    // state, which is racy to mutate from parallel unit tests; their
-    // parsing behaviour is pinned by the `WorkerBudget` tests above plus
-    // the sweep-level integration tests in `ibis-cluster`.
-}
+// `count_from_env` / `jobs_from_env` touch process-global environment
+// state, which is racy to mutate from parallel unit tests; CI exercises
+// them through `ibis-cluster`'s `sweep_determinism` under `IBIS_JOBS=2`.

@@ -41,10 +41,10 @@
 //! DESIGN.md §12): [`slab`] — typed generational arenas replacing the
 //! engine's `HashMap` side tables — and [`intern`] — per-run string
 //! interning so event paths carry `Copy` symbols instead of clones. A
-//! third, [`env`], is the single parser for the `IBIS_JOBS` /
-//! `IBIS_PARTITIONS` worker-count knobs and the [`WorkerBudget`] split
-//! between sweep-level and run-level parallelism (DESIGN.md §14).
+//! third, [`env`], is the single parser for the `IBIS_JOBS` sweep-width
+//! knob.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;
@@ -63,7 +63,6 @@ pub mod strict;
 pub use baselines::{CgroupThrottle, CgroupWeight, Fifo};
 pub use broker::{BrokerStats, HashReferenceBroker, SchedulingBroker, Staleness};
 pub use broker_tree::{BrokerTree, BrokerTreeConfig, Delivery, ReportOutcome};
-pub use env::WorkerBudget;
 pub use controller::{ControllerConfig, DepthController};
 pub use intern::{Symbol, SymbolTable};
 pub use request::{AppId, IoClass, IoKind, Request};

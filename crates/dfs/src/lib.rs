@@ -18,6 +18,7 @@
 //! Block size and replication default to the paper's Table 1 values
 //! (128 MiB, 3×).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod namenode;

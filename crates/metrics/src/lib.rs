@@ -26,6 +26,7 @@
 //! `IBIS_METRICS_PERIOD_MS`) or programmatically via
 //! [`MetricsConfig::enabled`]; the capture lands on `RunReport::metrics`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod convergence;

@@ -32,6 +32,7 @@
 //! (capacity override: `IBIS_OBS_CAP=<events per node>`), or
 //! programmatically via [`ObsConfig::enabled`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

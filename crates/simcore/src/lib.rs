@@ -19,6 +19,7 @@
 //! The crate is dependency-free by design: determinism of the published
 //! experiment numbers must not hinge on the internals of an external crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hash;
@@ -29,4 +30,4 @@ pub mod time;
 pub mod units;
 
 pub use queue::{EventQueue, QueueStats};
-pub use time::{Lookahead, SimDuration, SimTime};
+pub use time::{SimDuration, SimTime};

@@ -9,12 +9,8 @@
 //! Every pushed event lands in exactly one lane, each lane is sorted by
 //! `(at, seq)`, and `pop` takes the smallest of the lanes' fronts, so the
 //! global order is exactly that of a single priority queue. There are
-//! three kinds of lane:
+//! two kinds of lane:
 //!
-//! * **Same-instant lane**: handlers frequently schedule follow-up events
-//!   at exactly the current instant (zero-cost compute steps, cascading
-//!   dispatch pumps). Seq is globally increasing, so appending them to a
-//!   `VecDeque` keeps the lane sorted: O(1) push and pop, no sifting.
 //! * **FIFO lanes** for [`EventQueue::push_periodic`], one per distinct
 //!   period: a recurring timer (a scheduler tick per device queue, the
 //!   broker sync, the metrics sampler) re-arms one period after the
@@ -30,10 +26,13 @@
 //!   everything else — no inverted-`Ord` wrapper, and `pop` fuses the
 //!   peek and the sift-down into one pass (the root is replaced by the
 //!   last element and sifted, instead of a generic remove-then-rebalance).
+//!   Events scheduled at exactly the current instant go here too: the
+//!   engine makes a handful per run, too few to pay for a lane that
+//!   `pop` would compare on every call.
 //!
-//! Which lane a push takes depends only on the push method, its time and
-//! the clock, never on the payload; [`QueueStats`] counts the pushes per
-//! lane and the heap's high-water mark.
+//! Which lane a push takes depends only on the push method, never on the
+//! time or the payload; [`QueueStats`] counts the pushes per lane and the
+//! heap's high-water mark.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -55,7 +54,6 @@ impl<E> Scheduled<E> {
 /// The lane holding an event.
 #[derive(Clone, Copy)]
 enum Lane {
-    SameInstant,
     /// Index into `EventQueue::periodic`.
     Periodic(usize),
     Heap,
@@ -66,8 +64,6 @@ enum Lane {
 /// sequence, so they are stable across runs and hosts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Pushes served by the same-instant lane.
-    pub same_instant_pushes: u64,
     /// Periodic pushes, served by the per-period FIFO lanes.
     pub fifo_pushes: u64,
     /// Pushes that went to the binary heap.
@@ -93,15 +89,8 @@ pub struct QueueStats {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Min-heap on `(at, seq)` for future events.
+    /// Min-heap on `(at, seq)` for every non-periodic event.
     heap: Vec<Scheduled<E>>,
-    /// Lane for events scheduled at exactly the current instant.
-    /// Invariant: every entry has `at == last_popped`, and entries appear
-    /// in increasing `seq` (they were pushed, in order, since the clock
-    /// reached `last_popped`). The other lanes may still hold
-    /// same-instant events with *smaller* seq (pushed before the clock
-    /// arrived), so `pop` compares the fronts.
-    batch: VecDeque<Scheduled<E>>,
     /// One lane per period passed to `push_periodic`, in first-use
     /// order. Each is sorted by `(at, seq)` because both grow along it.
     periodic: Vec<(SimDuration, VecDeque<Scheduled<E>>)>,
@@ -121,7 +110,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: Vec::new(),
-            batch: VecDeque::new(),
             periodic: Vec::new(),
             next_seq: 0,
             last_popped: SimTime::ZERO,
@@ -137,14 +125,7 @@ impl<E> EventQueue<E> {
     /// of deadlocking.
     pub fn push(&mut self, at: SimTime, event: E) {
         let s = self.stamp(at, event);
-        if s.at == self.last_popped {
-            // Same-instant fast path: seq is globally increasing, so
-            // push_back keeps the lane sorted. No heap traffic.
-            self.stats.same_instant_pushes += 1;
-            self.batch.push_back(s);
-        } else {
-            self.push_heap(s);
-        }
+        self.push_heap(s);
     }
 
     /// Schedules the next firing of a recurring timer, `period` after
@@ -168,7 +149,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (lane, _) = self.head()?;
         let s = match lane {
-            Lane::SameInstant => self.batch.pop_front(),
             Lane::Periodic(i) => self.periodic[i].1.pop_front(),
             Lane::Heap => self.pop_heap(),
         }
@@ -182,58 +162,10 @@ impl<E> EventQueue<E> {
         self.head().map(|(_, (at, _))| at)
     }
 
-    /// The full `(time, sequence)` ordering key of the next event without
-    /// removing it. Conservative-synchronization drivers use this to
-    /// decide whether the head may join the current execution window
-    /// before committing to a pop.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.head().map(|(_, key)| key)
-    }
-
-    /// Pops the earliest event only if it is due **strictly before**
-    /// `horizon`; otherwise leaves the queue untouched and returns `None`.
-    ///
-    /// This is the primitive a conservative parallel executor builds on:
-    /// `horizon` is the lookahead bound (earliest instant at which any
-    /// event processed inside the current window could schedule a new
-    /// event), so everything popped through this method is causally
-    /// independent of the window's unprocessed effects.
-    pub fn pop_within(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? >= horizon {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Like [`pop_within`](Self::pop_within), but additionally lets the
-    /// caller veto the pop after inspecting the payload: the event is
-    /// popped only if it is due strictly before `horizon` **and** `admit`
-    /// returns true for it. A vetoed event stays queued, untouched — no
-    /// sequence number is consumed, so a deterministic driver can close
-    /// an execution window on an inadmissible head and re-encounter it
-    /// later exactly as a serial engine would.
-    pub fn pop_within_if(
-        &mut self,
-        horizon: SimTime,
-        admit: impl FnOnce(&E) -> bool,
-    ) -> Option<(SimTime, E)> {
-        let (lane, (at, _)) = self.head()?;
-        let front = match lane {
-            Lane::SameInstant => self.batch.front(),
-            Lane::Periodic(i) => self.periodic[i].1.front(),
-            Lane::Heap => self.heap.first(),
-        }
-        .expect("head lane is non-empty");
-        if at >= horizon || !admit(&front.event) {
-            return None;
-        }
-        self.pop()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         let periodic: usize = self.periodic.iter().map(|(_, q)| q.len()).sum();
-        self.heap.len() + self.batch.len() + periodic
+        self.heap.len() + periodic
     }
 
     /// True if no events are pending.
@@ -270,15 +202,10 @@ impl<E> EventQueue<E> {
     #[inline]
     fn head(&self) -> Option<(Lane, (SimTime, u64))> {
         let mut best = self.heap.first().map(|h| (Lane::Heap, h.key()));
-        let lanes = self
-            .periodic
-            .iter()
-            .enumerate()
-            .map(|(i, (_, q))| (Lane::Periodic(i), q));
-        for (lane, q) in std::iter::once((Lane::SameInstant, &self.batch)).chain(lanes) {
+        for (i, (_, q)) in self.periodic.iter().enumerate() {
             if let Some(s) = q.front() {
                 if best.is_none_or(|(_, key)| s.key() < key) {
-                    best = Some((lane, s.key()));
+                    best = Some((Lane::Periodic(i), s.key()));
                 }
             }
         }
@@ -390,32 +317,32 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_batch_preserves_global_seq_order() {
-        // Heap-resident same-instant events (scheduled *before* the clock
-        // reached t=5) must still precede batch-lane events pushed *at*
-        // t=5, because their sequence numbers are smaller.
+    fn pushes_at_now_follow_earlier_seq() {
+        // Same-instant events scheduled *before* the clock reached t=5
+        // must still precede events pushed *at* t=5, because their
+        // sequence numbers are smaller.
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(5), "heap-1");
         q.push(SimTime::from_secs(5), "heap-2");
         q.push(SimTime::from_secs(5), "heap-3");
         assert_eq!(q.pop().unwrap().1, "heap-1");
-        // now() == 5: these take the batch fast path.
-        q.push(SimTime::from_secs(5), "batch-1");
+        // now() == 5: pushed at the current instant.
+        q.push(SimTime::from_secs(5), "now-1");
         q.push(SimTime::from_secs(6), "later");
-        q.push(SimTime::from_secs(5), "batch-2");
+        q.push(SimTime::from_secs(5), "now-2");
         assert_eq!(q.pop().unwrap().1, "heap-2");
         assert_eq!(q.pop().unwrap().1, "heap-3");
-        assert_eq!(q.pop().unwrap().1, "batch-1");
-        assert_eq!(q.pop().unwrap().1, "batch-2");
+        assert_eq!(q.pop().unwrap().1, "now-1");
+        assert_eq!(q.pop().unwrap().1, "now-2");
         assert_eq!(q.pop().unwrap().1, "later");
         assert!(q.is_empty());
     }
 
     #[test]
-    fn peek_sees_batch_lane() {
+    fn peek_sees_push_at_now() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(2), "future");
-        // At t=0 this is same-instant: batch lane.
+        // At t=0 this is same-instant.
         q.push(SimTime::ZERO, "immediate");
         assert_eq!(q.peek_time(), Some(SimTime::ZERO));
         assert_eq!(q.len(), 2);
@@ -424,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_lane_drains_before_clock_advances() {
+    fn pushes_at_now_drain_before_clock_advances() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(1), 0);
         q.pop();
@@ -471,35 +398,6 @@ mod tests {
             assert_eq!((t, got), (SimTime::from_secs(at), expect));
         }
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_key_orders_batch_against_heap() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), "heap-early");
-        q.push(SimTime::from_secs(5), "x");
-        q.pop(); // clock at 5; "x" (seq 1) still heap-resident
-        q.push(SimTime::from_secs(5), "batch-late");
-        // The heap-resident seq-1 event precedes the batch-lane seq-2 one.
-        assert_eq!(q.peek_key(), Some((SimTime::from_secs(5), 1)));
-        assert_eq!(q.pop().unwrap().1, "x");
-        assert_eq!(q.peek_key(), Some((SimTime::from_secs(5), 2)));
-    }
-
-    #[test]
-    fn pop_within_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1), "a");
-        q.push(SimTime::from_secs(2), "b");
-        q.push(SimTime::from_secs(3), "c");
-        let horizon = SimTime::from_secs(2);
-        assert_eq!(q.pop_within(horizon).unwrap().1, "a");
-        // "b" is at exactly the horizon: strictly-before excludes it.
-        assert_eq!(q.pop_within(horizon), None);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_within(SimTime::from_secs(10)).unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert_eq!(q.pop_within(SimTime::MAX), None);
     }
 
     #[test]

@@ -43,12 +43,10 @@ impl SimRng {
 
     /// Derives the seed of stream `stream` from a base seed, without any
     /// generator state: pure in both arguments, so consumers that own a
-    /// numbered stream (a node's device, a partition's worker) can be
-    /// built in any order — or concurrently — and still see the same
-    /// draws. This is the sanctioned base-seed → per-stream derivation;
-    /// the cluster's per-node device seeds use it, which is what keeps a
-    /// partitioned run byte-identical to the serial engine (DESIGN.md
-    /// §14): every partition rebuilds exactly the streams it owns.
+    /// numbered stream (a node's device) can be built in any order and
+    /// still see the same draws. This is the sanctioned base-seed →
+    /// per-stream derivation; the cluster's per-node device seeds use
+    /// it.
     pub const fn stream_seed(base: u64, stream: u64) -> u64 {
         base.wrapping_add(stream.wrapping_mul(0x9E37_79B9))
     }

@@ -1,7 +1,7 @@
-//! The three-lane event queue against a single binary heap: random
+//! The laned event queue against a single binary heap: random
 //! interleavings of same-instant, fixed-period and arbitrary future
-//! pushes with every pop and peek flavour must see exactly the
-//! `(time, seq)` order of `BinaryHeap<Reverse<(SimTime, u64)>>`.
+//! pushes with pops and peeks must see exactly the `(time, seq)` order
+//! of `BinaryHeap<Reverse<(SimTime, u64)>>`.
 
 use ibis_simcore::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -21,17 +21,7 @@ enum Op {
         delay: u32,
     },
     Pop,
-    PeekKey,
-    /// `pop_within` a horizon `ahead` ms past now.
-    PopWithin {
-        ahead: u32,
-    },
-    /// `pop_within_if`, admitting payloads whose id is not a multiple of
-    /// `veto`.
-    PopWithinIf {
-        ahead: u32,
-        veto: u8,
-    },
+    Peek,
 }
 
 /// Timer periods in ms: two share a period, one differs.
@@ -43,9 +33,7 @@ fn op() -> impl Strategy<Value = Op> {
         4 => (0u8..3).prop_map(|timer| Op::PushPeriodic { timer }),
         3 => (1u32..60).prop_map(|delay| Op::PushFuture { delay }),
         5 => Just(Op::Pop),
-        1 => Just(Op::PeekKey),
-        2 => (0u32..30).prop_map(|ahead| Op::PopWithin { ahead }),
-        2 => (0u32..30, 2u8..5).prop_map(|(ahead, veto)| Op::PopWithinIf { ahead, veto }),
+        1 => Just(Op::Peek),
     ]
 }
 
@@ -79,39 +67,16 @@ fn check(ops: &[Op]) {
                 let want = reference.pop().map(|Reverse(k)| k);
                 assert_eq!(q.pop(), want);
             }
-            Op::PeekKey => {
-                let want = reference.peek().map(|&Reverse(k)| k);
-                assert_eq!(q.peek_key(), want);
-                assert_eq!(q.peek_time(), want.map(|(at, _)| at));
-            }
-            Op::PopWithin { ahead } => {
-                let horizon = now + ms(ahead as u64);
-                let want = match reference.peek() {
-                    Some(&Reverse((at, _))) if at < horizon => reference.pop().map(|Reverse(k)| k),
-                    _ => None,
-                };
-                assert_eq!(q.pop_within(horizon), want);
-            }
-            Op::PopWithinIf { ahead, veto } => {
-                let horizon = now + ms(ahead as u64);
-                let admit = |id: &u64| !id.is_multiple_of(veto as u64);
-                let want = match reference.peek() {
-                    Some(&Reverse((at, id))) if at < horizon && admit(&id) => {
-                        reference.pop().map(|Reverse(k)| k)
-                    }
-                    _ => None,
-                };
-                assert_eq!(q.pop_within_if(horizon, admit), want);
+            Op::Peek => {
+                let want = reference.peek().map(|&Reverse((at, _))| at);
+                assert_eq!(q.peek_time(), want);
             }
         }
         assert_eq!(q.len(), reference.len());
         assert_eq!(q.is_empty(), reference.is_empty());
     }
     let s = q.stats();
-    assert_eq!(
-        s.same_instant_pushes + s.fifo_pushes + s.heap_pushes,
-        pushed
-    );
+    assert_eq!(s.fifo_pushes + s.heap_pushes, pushed);
     while let Some(Reverse(k)) = reference.pop() {
         assert_eq!(q.pop(), Some(k));
     }
@@ -120,7 +85,7 @@ fn check(ops: &[Op]) {
 
 proptest! {
     #[test]
-    fn three_lane_queue_matches_a_binary_heap(ops in prop::collection::vec(op(), 1..400)) {
+    fn laned_queue_matches_a_binary_heap(ops in prop::collection::vec(op(), 1..400)) {
         check(&ops);
     }
 }

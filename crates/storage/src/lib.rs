@@ -23,6 +23,7 @@
 //! event queue; a device maps `submit`/`on_complete` calls to completion
 //! timestamps.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod device;

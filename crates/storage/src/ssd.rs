@@ -175,14 +175,6 @@ impl Device for Ssd {
     fn stats(&self) -> DeviceStats {
         self.stats
     }
-
-    fn service_floor(&self) -> SimDuration {
-        // Reads cost `read_latency + transfer`, writes
-        // `write_latency + transfer (+ gc_pause)`: the fixed access
-        // latency is always paid, so the smaller of the two bounds every
-        // service from below.
-        self.cfg.read_latency.min(self.cfg.write_latency)
-    }
 }
 
 #[cfg(test)]
@@ -327,24 +319,5 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.bytes_read, MIB);
         assert_eq!(s.completed, 1);
-    }
-
-    #[test]
-    fn service_floor_is_min_access_latency() {
-        let d = Ssd::new(quiet_cfg());
-        let floor = d.service_floor();
-        assert_eq!(
-            floor,
-            d.config().read_latency.min(d.config().write_latency)
-        );
-        assert!(floor > SimDuration::ZERO);
-        // Even a 1-byte request pays at least the floor.
-        let mut d = Ssd::new(quiet_cfg());
-        let mut out = Vec::new();
-        d.submit(read(1, 1), SimTime::ZERO, &mut out);
-        d.submit(write(2, 1), SimTime::ZERO, &mut out);
-        for s in &out {
-            assert!(s.complete_at - SimTime::ZERO >= floor);
-        }
     }
 }

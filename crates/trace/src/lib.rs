@@ -14,13 +14,14 @@
 //! * **Critical paths** ([`critical_path`]): the dependency chain that
 //!   bounds a DAG's makespan.
 //! * **Engine self-profile** ([`profile`]): simulator wall clock
-//!   attributed to window formation / parallel device plane / serial
-//!   apply phases.
+//!   attributed to event handlers, split by event kind.
 //!
 //! Like `ibis-obs` and `ibis-metrics`, tracing is **zero-cost when off**
 //! and non-perturbing: the engine emits the same events whenever a
 //! recorder runs, assembly happens after the run, and reports are
 //! byte-identical with tracing on or off.
+
+#![forbid(unsafe_code)]
 
 pub mod attribution;
 pub mod critical_path;

@@ -1,13 +1,12 @@
 //! Engine self-profile: where the simulator's wall clock went.
 //!
-//! The partitioned engine (DESIGN.md §14) alternates window formation,
-//! a parallel device-plane phase, and a serial apply replay; everything
-//! else is the ordinary serial handler loop. The profile attributes
-//! measured wall seconds to those phases so "why is this run slow"
-//! is answerable without a system profiler; the serial loop further
-//! splits handler time by event kind, which is what shows a handler
-//! whose cost grows with the cluster. Collected only when tracing is
-//! enabled — the timer calls would otherwise tax the hot loop.
+//! The event loop times every handler and banks the seconds by event
+//! kind, so "why is this run slow" is answerable without a system
+//! profiler: the per-kind rows show a handler whose cost grows with the
+//! cluster, and whatever the handlers do not cover (event-queue pops,
+//! bookkeeping between handlers) is the untracked remainder. Collected
+//! only when tracing is enabled — the timer calls would otherwise tax
+//! the hot loop.
 
 use std::fmt;
 
@@ -38,32 +37,18 @@ impl KindProfile {
 pub struct EngineProfile {
     /// Total wall seconds of the event loop.
     pub total_secs: f64,
-    /// Window formation + member classification (serial).
-    pub form_secs: f64,
-    /// Parallel device-plane phase (worker pool busy).
-    pub device_secs: f64,
-    /// Serial apply replay of deferred member outputs.
-    pub apply_secs: f64,
-    /// Serial event handling (everything outside windows; includes the
-    /// small-window serial fallback).
+    /// Wall seconds inside event handlers.
     pub handler_secs: f64,
-    /// Windows formed.
-    pub windows: u64,
-    /// Windows large enough to run on the pool.
-    pub pooled_windows: u64,
-    /// The serial loop's `handler_secs` split by event kind, one row per
-    /// kind in the engine's declaration order. Windowed execution
-    /// leaves every row zero.
+    /// `handler_secs` split by event kind, one row per kind in the
+    /// engine's declaration order.
     pub by_kind: Vec<KindProfile>,
 }
 
 impl EngineProfile {
-    /// Wall seconds not covered by the named phases (event-queue pops,
-    /// bookkeeping between handlers).
+    /// Wall seconds outside the handlers (event-queue pops, bookkeeping
+    /// between handlers).
     pub fn untracked_secs(&self) -> f64 {
-        (self.total_secs - self.form_secs - self.device_secs - self.apply_secs
-            - self.handler_secs)
-            .max(0.0)
+        (self.total_secs - self.handler_secs).max(0.0)
     }
 
     /// One row per profile kind, with counts zeroed.
@@ -110,7 +95,7 @@ impl EngineProfile {
         out
     }
 
-    /// Phase share of total wall time, in [0, 1].
+    /// Share of total wall time, in [0, 1].
     pub fn share(&self, secs: f64) -> f64 {
         if self.total_secs <= 0.0 {
             0.0
@@ -124,16 +109,10 @@ impl fmt::Display for EngineProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "engine {:.3}s: form {:.1}% | device {:.1}% | apply {:.1}% | \
-             handlers {:.1}% | other {:.1}% ({} windows, {} pooled)",
+            "engine {:.3}s: handlers {:.1}% | other {:.1}%",
             self.total_secs,
-            100.0 * self.share(self.form_secs),
-            100.0 * self.share(self.device_secs),
-            100.0 * self.share(self.apply_secs),
             100.0 * self.share(self.handler_secs),
             100.0 * self.share(self.untracked_secs()),
-            self.windows,
-            self.pooled_windows,
         )
     }
 }
@@ -146,18 +125,13 @@ mod tests {
     fn shares_and_untracked() {
         let p = EngineProfile {
             total_secs: 2.0,
-            form_secs: 0.2,
-            device_secs: 1.0,
-            apply_secs: 0.3,
-            handler_secs: 0.4,
-            windows: 10,
-            pooled_windows: 4,
+            handler_secs: 1.5,
             by_kind: Vec::new(),
         };
-        assert!((p.share(p.device_secs) - 0.5).abs() < 1e-12);
-        assert!((p.untracked_secs() - 0.1).abs() < 1e-12);
+        assert!((p.share(p.handler_secs) - 0.75).abs() < 1e-12);
+        assert!((p.untracked_secs() - 0.5).abs() < 1e-12);
         let s = p.to_string();
-        assert!(s.contains("10 windows"));
+        assert!(s.contains("handlers 75.0% | other 25.0%"), "{s}");
     }
 
     #[test]

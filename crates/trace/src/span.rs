@@ -112,7 +112,11 @@ pub fn build_forest(rec: &Recording) -> SpanForest {
 
     // Closed lifecycles.
     let mut req_open: FxHashMap<(u32, u8, u64), (u64, u32)> = FxHashMap::default();
-    let mut task_open: FxHashMap<(u32, u32), (u64, u32)> = FxHashMap::default();
+    // Open tasks are keyed by node too: a crash closes the aborted run on
+    // its (down) node at the instant the re-run may open on another, and
+    // per-node rings merge in node order at equal timestamps, so the
+    // re-run's start can precede the aborted run's finish.
+    let mut task_open: FxHashMap<(u32, u32, u32), u64> = FxHashMap::default();
     let mut job_open: FxHashMap<u32, (u64, u32)> = FxHashMap::default();
     let mut requests: Vec<RequestSpan> = Vec::new();
     let mut tasks: Vec<(u32, TaskSpan)> = Vec::new(); // (job, span)
@@ -148,15 +152,15 @@ pub fn build_forest(rec: &Recording) -> SpanForest {
                 }
             }
             EventKind::TaskStarted { job, task, .. } => {
-                task_open.insert((job, task), (t, node));
+                task_open.insert((job, task, node), t);
             }
             EventKind::TaskFinished { job, task } => {
-                if let Some((start, start_node)) = task_open.remove(&(job, task)) {
+                if let Some(start) = task_open.remove(&(job, task, node)) {
                     tasks.push((
                         job,
                         TaskSpan {
                             task,
-                            node: start_node,
+                            node,
                             start_ns: start,
                             end_ns: t.max(start),
                         },
@@ -328,7 +332,9 @@ pub fn check_well_formed(rec: &Recording) -> Result<(u64, u64, u64), String> {
         }
     }
     let mut req_open: HashMap<(u32, u8, u64), u64> = HashMap::new();
-    let mut task_open: HashMap<(u32, u32), u64> = HashMap::new();
+    // Keyed by node as in `build_forest`: a crash re-run may open on
+    // another node before the aborted run's finish is merged.
+    let mut task_open: HashMap<(u32, u32, u32), u64> = HashMap::new();
     let mut job_open: HashMap<u32, u64> = HashMap::new();
     let (mut reqs, mut tasks, mut jobs) = (0u64, 0u64, 0u64);
     for ev in rec.events() {
@@ -359,13 +365,19 @@ pub fn check_well_formed(rec: &Recording) -> Result<(u64, u64, u64), String> {
                 }
             }
             EventKind::TaskStarted { job, task, .. } => {
-                let reopened = task_open.insert((job, task), t).is_some();
+                let reopened = task_open.insert((job, task, node), t).is_some();
                 if reopened {
-                    return Err(format!("task {task} of job {job} started twice"));
+                    return Err(format!(
+                        "task {task} of job {job} started twice on node {node}"
+                    ));
                 }
             }
-            EventKind::TaskFinished { job, task } => match task_open.remove(&(job, task)) {
-                None => return Err(format!("task {task} of job {job} finished unopened")),
+            EventKind::TaskFinished { job, task } => match task_open.remove(&(job, task, node)) {
+                None => {
+                    return Err(format!(
+                        "task {task} of job {job} finished unopened on node {node}"
+                    ))
+                }
                 Some(s) => {
                     if t < s {
                         return Err(format!("task {task} of job {job} ends before start"));
@@ -396,8 +408,10 @@ pub fn check_well_formed(rec: &Recording) -> Result<(u64, u64, u64), String> {
     {
         return Err(format!("io {io} on node {node} dev {dev} never completed"));
     }
-    if let Some((&(job, task), _)) = task_open.iter().next() {
-        return Err(format!("task {task} of job {job} never finished"));
+    if let Some((&(job, task, node), _)) = task_open.iter().next() {
+        return Err(format!(
+            "task {task} of job {job} on node {node} never finished"
+        ));
     }
     if let Some((&job, _)) = job_open.iter().next() {
         return Err(format!("job {job} never completed"));
@@ -464,6 +478,84 @@ mod tests {
         rec.record(ev(5, 0, 0, EventKind::TaskStarted { job: 9, task: 3, app: 1 }));
         let r = rec.finish(RecordingMeta::default());
         assert!(check_well_formed(&r).is_err());
+    }
+
+    /// A crash on node 2 at 7 s aborts task 1 of job 7 there, and the
+    /// re-run starts on node 0 at the same instant. `finish` merges the
+    /// per-node rings in node order at equal timestamps, so the re-run's
+    /// start precedes the aborted run's finish: both spans must survive.
+    #[test]
+    fn crash_rerun_on_a_lower_node_keeps_both_task_spans() {
+        const S: u64 = 1_000_000_000;
+        let mut rec = FlightRecorder::new(3, 64);
+        rec.record(ev(5 * S, 0, 0, EventKind::JobArrived { job: 7, app: 3 }));
+        rec.record(ev(
+            5_620_000_000,
+            2,
+            0,
+            EventKind::TaskStarted {
+                job: 7,
+                task: 1,
+                app: 3,
+            },
+        ));
+        rec.record(ev(
+            7 * S,
+            2,
+            0,
+            EventKind::FaultInjected { kind: 3, detail: 0 },
+        ));
+        rec.record(ev(7 * S, 2, 0, EventKind::TaskFinished { job: 7, task: 1 }));
+        rec.record(ev(
+            7 * S,
+            0,
+            0,
+            EventKind::TaskStarted {
+                job: 7,
+                task: 1,
+                app: 3,
+            },
+        ));
+        rec.record(ev(
+            12_560_000_000,
+            0,
+            0,
+            EventKind::TaskFinished { job: 7, task: 1 },
+        ));
+        rec.record(ev(
+            13 * S,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 7,
+                app: 3,
+                latency_ns: 8 * S,
+            },
+        ));
+        let rec = rec.finish(RecordingMeta::default());
+        // The merged order really puts the re-run's start first.
+        let order: Vec<(u32, bool)> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::TaskStarted { .. } => Some((e.node, true)),
+                EventKind::TaskFinished { .. } => Some((e.node, false)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(order, [(2, true), (0, true), (2, false), (0, false)]);
+
+        let forest = build_forest(&rec);
+        let spans: Vec<(u32, u64, u64)> = forest.jobs[0]
+            .tasks
+            .iter()
+            .map(|t| (t.node, t.start_ns, t.end_ns))
+            .collect();
+        assert_eq!(
+            spans,
+            [(2, 5_620_000_000, 7 * S), (0, 7 * S, 12_560_000_000)]
+        );
+        assert_eq!(check_well_formed(&rec), Ok((0, 2, 1)));
     }
 
     /// The task rule as a per-request scan over every task of the job.

@@ -27,6 +27,7 @@
 //! across arena backends and partition counts — the workload layer adds
 //! no nondeterminism.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arrival;

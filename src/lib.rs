@@ -29,6 +29,8 @@
 //! * [`metrics`] — sampled time-series telemetry, controller convergence
 //!   diagnostics, and Prometheus/CSV export (`IBIS_METRICS=1`).
 
+#![forbid(unsafe_code)]
+
 pub use ibis_cluster as cluster;
 pub use ibis_core as core;
 pub use ibis_dfs as dfs;
