@@ -176,6 +176,26 @@ fn chaos_runs_are_byte_identical_across_sweep_parallelism() {
     assert_eq!(serial, parallel, "IBIS_JOBS=1 vs =2 diverged under fault injection");
 }
 
+/// FNV-1a over `s`'s bytes: a short fingerprint of a canonical report.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The batch's canonical reports, pinned. The backend and sweep tests
+/// above compare two runs of one build, so a change that moves both runs
+/// the same way passes them; this pin moves with it.
+#[test]
+fn chaos_batch_canon_is_pinned() {
+    let digests: Vec<u64> = batch().iter().map(|e| fnv(&canonical_full(&e.run()))).collect();
+    assert_eq!(
+        digests,
+        [0xc1be_9709_1596_49dc, 0x03e3_7351_04cd_526a],
+        "chaos batch canon moved"
+    );
+}
+
 #[test]
 fn chaos_run_actually_injected_faults() {
     let exp = &batch()[1];
@@ -263,13 +283,7 @@ fn audit_report_on_rack_chaos_recording_is_pinned() {
         a.share_errors.quantile(0.5).map(f64::to_bits),
         a.share_errors.quantile(1.0).map(f64::to_bits),
     );
-    let detail = a
-        .violations
-        .iter()
-        .flat_map(|v| v.to_string().into_bytes())
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+    let detail = fnv(&a.violations.iter().map(ToString::to_string).collect::<String>());
     // Every check ran: share windows, delay charges, degraded spans and
     // the rack-scoped checks.
     assert_eq!(counts, (15653, 3652, 46, 224, 32, 290));

@@ -226,3 +226,28 @@ fn tree_broker_chaos_run_is_byte_identical_across_backends() {
         "tree-broker chaos run diverged between slab and HashMap backends"
     );
 }
+
+/// FNV-1a over `s`'s bytes: a short fingerprint of a canonical report.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The clean and chaos canons, pinned per build profile (`NODES` is 64
+/// in debug, 256 in release). The backend test above compares two runs
+/// of one build, so a change that moves both runs the same way passes
+/// it; these pins move with it.
+#[test]
+fn clean_and_chaos_canons_are_pinned() {
+    let pins: (u64, u64) = if cfg!(debug_assertions) {
+        (0x7761_074f_0f22_31ad, 0xcaaa_836d_0b2f_cd53)
+    } else {
+        (0xb99d_eac0_f805_8a5f, 0xab57_bafc_518a_ae30)
+    };
+    let digests = (
+        fnv(&canonical_full(&scale_experiment(9, false).run())),
+        fnv(&canonical_full(&scale_experiment(9, true).run())),
+    );
+    assert_eq!(digests, pins, "clean / chaos canon moved");
+}
