@@ -84,7 +84,7 @@ const FT_OVERHEAD_PCT: f64 = 50.0;
 enum Mode {
     /// Flat centralized broker.
     Flat,
-    /// Rack-sharded `BrokerTree`, fault-free fast path.
+    /// Rack-sharded `BrokerTree`, fault-free (protocol unarmed).
     Tree,
     /// The tree with the fault-tolerant protocol armed but never
     /// exercised: the schedule's only window is zero-length, so the run

@@ -42,6 +42,7 @@ use ibis_storage::{
 };
 use ibis_workloads::HiveQuery;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Index of the HDFS-data device on each node.
@@ -380,8 +381,9 @@ type DeferredReply = (u32, usize, Vec<(AppId, u64)>);
 
 /// One device class's coordination plane: the paper's flat §5 broker, or
 /// the hierarchical broker tree (DESIGN.md §17) when
-/// [`ClusterConfig::broker_tree`] is set. The flat arm runs exactly the
-/// pre-tree code paths, so default-configured runs stay byte-identical.
+/// [`ClusterConfig::broker_tree`] is set. Both arms serve the one
+/// exchange in [`Sim::sync_round`]; the flat broker replies to each
+/// report with its totals as of that report, as the paper's does.
 // One instance per device class, never stored in bulk — the size gap
 // between the arms (the tree carries its recovery-protocol state
 // inline) costs nothing, while boxing would add a pointer hop to
@@ -866,8 +868,9 @@ impl<A: ArenaKind> Sim<A> {
             ],
         };
         // Fault-injected tree runs speak the self-healing protocol
-        // (epoch/seq links + snapshot resync); fault-free runs keep the
-        // plain PR 9 path, byte-identical.
+        // (epoch/seq links + snapshot resync). Fault-free runs leave it
+        // unarmed: an armed round on 1024 nodes costs ~3.4× the time and
+        // 3.0× the sync bytes (DESIGN.md §18).
         if faults.is_some() {
             for c in &mut coord {
                 if let CoordPlane::Tree(t) = c {
@@ -2236,145 +2239,110 @@ impl<A: ArenaKind> Sim<A> {
 
     // ---- broker -------------------------------------------------------------
 
+    /// The periodic coordination round (paper §5). With a fault schedule
+    /// active, a dark broker turns the round into the start of a bounded
+    /// retry-with-backoff chain instead: reports stay buffered in the
+    /// schedulers (drained at the next successful round), and staleness
+    /// tracking lets each scheduler fall back to pure local SFQ once its
+    /// reply age exceeds the bound.
+    #[inline(never)]
     fn broker_sync(&mut self, now: SimTime) {
-        if self.faults.is_none() {
-            if matches!(self.coord[0], CoordPlane::Tree(_)) {
-                self.tree_sync_fast(now);
+        if let Some(fs) = self.faults.as_mut() {
+            fs.sync_index += 1;
+            if fs.schedule.broker_dark(now) {
+                fs.summary.broker_outages += 1;
+                if !fs.retrying && fs.retry_limit > 0 {
+                    fs.retrying = true;
+                    let backoff = fs.retry_backoff;
+                    self.queue.push(now + backoff, Event::BrokerRetry { attempt: 1 });
+                }
+                self.update_all_staleness(now);
                 return;
             }
-            // Fault-free fast path: identical to the engine without fault
-            // support (and byte-identical to the pre-tree engine).
-            for n in 0..self.nodes.len() {
-                for dev in 0..2 {
-                    self.nodes[n].devs[dev]
-                        .sched
-                        .drain_service_report(&mut self.report_scratch);
-                    if self.report_scratch.is_empty() {
-                        continue;
-                    }
-                    let CoordPlane::Flat(broker) = &mut self.coord[dev] else {
-                        unreachable!("mixed coordination planes");
-                    };
-                    let reply = broker.report(&self.report_scratch);
-                    self.nodes[n].devs[dev]
-                        .sched
-                        .apply_global_service(reply, now);
-                    self.drain_sched_obs(n as u32, dev);
-                }
-            }
-            for c in &mut self.coord {
-                c.mark_sync_at(now);
-            }
-            return;
         }
-        let fs = self.faults.as_mut().expect("checked above");
-        fs.sync_index += 1;
-        let idx = fs.sync_index;
-        if fs.schedule.broker_dark(now) {
-            // The broker is unreachable this round: reports stay buffered
-            // in the schedulers (drained next successful round), a bounded
-            // retry-with-backoff chain starts, and staleness tracking lets
-            // each scheduler fall back to pure local SFQ once its reply
-            // age exceeds the bound.
-            fs.summary.broker_outages += 1;
-            let start_retry = !fs.retrying && fs.retry_limit > 0;
-            if start_retry {
-                fs.retrying = true;
-            }
-            let backoff = fs.retry_backoff;
-            if start_retry {
-                self.queue.push(now + backoff, Event::BrokerRetry { attempt: 1 });
-            }
-            self.update_all_staleness(now);
-            return;
-        }
-        self.sync_round(idx, now);
+        self.sync_round(0..self.nodes.len() as u32, now);
         self.update_all_staleness(now);
     }
 
-    /// Fault-free sync through the hierarchical broker: a two-phase tree
-    /// round per device class. Every scheduler's delta folds into its
-    /// rack's leaf, all leaves flush up to the root, and only then do
-    /// replies flow back down — so each reply carries true end-of-round
-    /// totals, never a prefix of the round.
-    fn tree_sync_fast(&mut self, now: SimTime) {
-        for dev in 0..2 {
-            match &mut self.coord[dev] {
-                CoordPlane::Tree(t) => t.begin_round(),
-                CoordPlane::Flat(_) => unreachable!("mixed coordination planes"),
-            }
-            for n in 0..self.nodes.len() {
-                self.nodes[n].devs[dev]
-                    .sched
-                    .drain_service_report(&mut self.report_scratch);
-                if self.report_scratch.is_empty() {
-                    continue;
-                }
-                let CoordPlane::Tree(tree) = &mut self.coord[dev] else {
-                    unreachable!("mixed coordination planes");
-                };
-                tree.report(n as u32, &self.report_scratch);
-            }
-            // `complete_round` marks the sync instant `info_delay` early,
-            // so no `mark_sync_at` is needed on this path.
-            let subs = match &mut self.coord[dev] {
-                CoordPlane::Tree(t) => {
-                    t.complete_round(now);
-                    t.subs_len()
-                }
-                CoordPlane::Flat(_) => unreachable!("mixed coordination planes"),
-            };
-            for i in 0..subs {
-                let CoordPlane::Tree(tree) = &mut self.coord[dev] else {
-                    unreachable!("mixed coordination planes");
-                };
-                let (node, reply) = tree.reply_for(i);
-                self.nodes[node as usize].devs[dev]
-                    .sched
-                    .apply_global_service(reply, now);
-                self.drain_sched_obs(node, dev);
-            }
-        }
-    }
-
-    /// One report/reply exchange with the broker, honouring drop and
-    /// delay faults. Fault-free runs never come through here (see the
-    /// fast paths in `broker_sync`).
-    fn sync_round(&mut self, sync_index: u64, now: SimTime) {
+    /// One report/reply exchange between the schedulers of `nodes` and
+    /// each device class's broker: the periodic sync, the broker retry
+    /// and a rack's recovery probe all run it. Down nodes and nodes in a
+    /// dark rack (aggregator crash or partition window) stay silent: their
+    /// schedulers keep buffering deltas, the natural retransmit source.
+    /// Under a fault schedule every other tree scheduler reports even
+    /// when idle: the empty report is a heartbeat whose empty reply
+    /// refreshes the scheduler's staleness clock, and it carries the
+    /// cumulative ack that lets the protocol repair gaps and post-crash
+    /// epochs. Each report crosses the wire with the disposition
+    /// [`Sim::delivery`] decides. The flat broker replies to each report
+    /// at once, with its totals as of that report; the tree replies after
+    /// `complete_round`, with end-of-round totals. A reply-delay window
+    /// diverts every reply into one batch that `DeliverReplies` applies
+    /// later.
+    fn sync_round(&mut self, nodes: Range<u32>, now: SimTime) {
         let delay = self
             .faults
             .as_ref()
             .and_then(|fs| fs.schedule.reply_delay(now));
-        let mut deferred: Vec<DeferredReply> = Vec::new();
-        if matches!(self.coord[0], CoordPlane::Tree(_)) {
-            self.tree_sync_round(sync_index, now, delay.is_some(), &mut deferred);
-        } else {
-            for n in 0..self.nodes.len() {
-                if self.node_down(n as u32) {
+        let mut batch: Option<Vec<DeferredReply>> = delay.map(|_| Vec::new());
+        let heartbeat = self.faults.is_some() && matches!(self.coord[0], CoordPlane::Tree(_));
+        for dev in 0..2 {
+            if let CoordPlane::Tree(tree) = &mut self.coord[dev] {
+                tree.begin_round();
+            }
+            for n in nodes.clone() {
+                if self.node_down(n) || self.rack_dark_for(n, now) {
                     continue;
                 }
-                for dev in 0..2 {
-                    self.nodes[n].devs[dev]
-                        .sched
-                        .drain_service_report(&mut self.report_scratch);
-                    if self.report_scratch.is_empty() {
-                        continue;
+                self.nodes[n as usize].devs[dev]
+                    .sched
+                    .drain_service_report(&mut self.report_scratch);
+                if self.report_scratch.is_empty() && !heartbeat {
+                    continue;
+                }
+                let disp = self.delivery(n, dev, now);
+                match &mut self.coord[dev] {
+                    CoordPlane::Flat(broker) => {
+                        // A lost flat report loses its deltas, as a lost
+                        // datagram would: totals stay monotone, just
+                        // under-counted until the next report.
+                        if disp == Delivery::Drop {
+                            continue;
+                        }
+                        let reply = broker.report(&self.report_scratch);
+                        if Self::route_reply(&mut self.nodes, batch.as_mut(), n, dev, reply, now) {
+                            self.drain_sched_obs(n, dev);
+                        }
                     }
-                    if self.drop_report(n as u32, dev, sync_index, now) {
-                        continue;
+                    // A dropped tree report still burned wire bytes, and
+                    // its deltas are not gone: the protocol repairs them
+                    // from the sender's cumulative state at next contact.
+                    CoordPlane::Tree(tree) if tree.protocol_enabled() => {
+                        let outcome = tree.report_ft(n, &self.report_scratch, disp);
+                        if outcome.resynced {
+                            let fs = self.faults.as_mut().expect("the protocol implies faults");
+                            fs.summary.resyncs += 1;
+                            let entries = u64::from(outcome.snapshot_entries);
+                            self.record_fault(n, dev as u8, 13, entries, now);
+                        }
                     }
-                    let CoordPlane::Flat(broker) = &mut self.coord[dev] else {
-                        unreachable!("mixed coordination planes");
-                    };
-                    let reply = broker.report(&self.report_scratch);
-                    if delay.is_some() {
-                        deferred.push((n as u32, dev, reply.to_vec()));
-                    } else {
-                        self.nodes[n].devs[dev]
-                            .sched
-                            .apply_global_service(reply, now);
-                        self.drain_sched_obs(n as u32, dev);
-                    }
+                    CoordPlane::Tree(tree) => tree.report(n, &self.report_scratch),
+                }
+            }
+            let subs = match &mut self.coord[dev] {
+                CoordPlane::Tree(tree) => {
+                    tree.complete_round(now);
+                    tree.subs_len()
+                }
+                CoordPlane::Flat(_) => 0,
+            };
+            for i in 0..subs {
+                let CoordPlane::Tree(tree) = &mut self.coord[dev] else {
+                    unreachable!("only the tree holds subscriptions");
+                };
+                let (node, reply) = tree.reply_for(i);
+                if Self::route_reply(&mut self.nodes, batch.as_mut(), node, dev, reply, now) {
+                    self.drain_sched_obs(node, dev);
                 }
             }
         }
@@ -2383,83 +2351,73 @@ impl<A: ArenaKind> Sim<A> {
                 for c in &mut self.coord {
                     c.mark_sync_at(now);
                 }
-                self.faults.as_mut().expect("fault state").last_mark = now;
+                if let Some(fs) = self.faults.as_mut() {
+                    fs.last_mark = now;
+                }
             }
             Some(d) => {
                 // Replies ride a slow network: batch them and deliver when
                 // the latency elapses. Schedulers keep their old global
                 // view (and staleness keeps aging) until delivery.
-                let fs = self.faults.as_mut().expect("fault state");
+                let fs = self.faults.as_mut().expect("a delay window implies faults");
                 fs.summary.reply_delays += 1;
-                let batch = fs.reply_batches.len() as u32;
-                fs.reply_batches.push((now, deferred));
-                self.record_fault(0, 0, 2, d.as_nanos(), now);
-                self.queue.push(now + d, Event::DeliverReplies { batch });
+                let id = fs.reply_batches.len() as u32;
+                fs.reply_batches.push((now, batch.unwrap_or_default()));
+                self.record_fault(nodes.start, 0, 2, d.as_nanos(), now);
+                self.queue.push(now + d, Event::DeliverReplies { batch: id });
             }
         }
     }
 
-    /// Decides (deterministically) whether a flat-broker report is lost
-    /// in flight this round, and does the bookkeeping if so. The
-    /// scheduler already drained the deltas, so they are gone exactly as
-    /// a lost datagram would lose them: totals stay monotone, just
-    /// under-counted until the next report. (The tree path routes drops
-    /// through `tree_report` instead, where the protocol's cumulative
-    /// state repairs the loss at the next contact.)
-    fn drop_report(&mut self, node: u32, dev: usize, sync_index: u64, now: SimTime) -> bool {
-        let dropped = self
-            .faults
-            .as_ref()
-            .expect("fault state")
-            .schedule
-            .drop_report(now, node, dev as u8, sync_index);
-        if dropped {
-            self.faults.as_mut().expect("fault state").summary.report_drops += 1;
-            self.record_fault(node, dev as u8, 1, sync_index, now);
-        }
-        dropped
+    /// The wire's disposition for one scheduler report this round, from
+    /// the schedule's deterministic coins (drop, else duplicate, else
+    /// reorder; the flat broker rejects schedules that could duplicate or
+    /// reorder). `Ok` when no schedule is active. Counts and marks every
+    /// other disposition.
+    fn delivery(&mut self, node: u32, dev: usize, now: SimTime) -> Delivery {
+        let Some(fs) = self.faults.as_mut() else {
+            return Delivery::Ok;
+        };
+        let (coins, idx, dev) = (&fs.schedule, fs.sync_index, dev as u8);
+        let (disp, kind) = if coins.drop_report(now, node, dev, idx) {
+            fs.summary.report_drops += 1;
+            (Delivery::Drop, 1)
+        } else if coins.dup_report(now, node, dev, idx) {
+            fs.summary.dup_reports += 1;
+            (Delivery::Dup, 11)
+        } else if coins.reorder_report(now, node, dev, idx) {
+            fs.summary.reorder_reports += 1;
+            (Delivery::Reorder, 12)
+        } else {
+            return Delivery::Ok;
+        };
+        self.record_fault(node, dev, kind, idx, now);
+        disp
     }
 
-    /// The faulty-run tree round: like [`Sim::tree_sync_fast`], but it
-    /// speaks the fault-tolerant protocol. Down nodes and nodes in a dark
-    /// rack (aggregator crash or partition window) stay silent — their
-    /// schedulers keep buffering deltas locally, the natural retransmit
-    /// source — while every other node makes contact every round, idle or
-    /// not: an empty report doubles as a heartbeat whose (empty) reply
-    /// refreshes the scheduler's staleness clock, so only *unreachable*
-    /// schedulers ever age toward degradation and fault scope stays
-    /// rack-local. Each report crosses the wire with a deterministic
-    /// disposition (ok/drop/dup/reorder); forced contact also repairs
-    /// gaps and post-crash epoch bumps via snapshot resync. A reply-delay
-    /// window diverts every down message into `deferred` (delivered later
-    /// by `DeliverReplies`, exactly like the flat broker's delayed
-    /// batches).
-    fn tree_sync_round(
-        &mut self,
-        sync_index: u64,
+    /// Hands one broker reply to its scheduler, or to the round's delayed
+    /// batch when there is one. Returns whether the scheduler got it now
+    /// (the caller then drains its observability events). Takes the node
+    /// table alone so the reply can stay borrowed from its broker.
+    fn route_reply(
+        nodes: &mut [Node],
+        deferred: Option<&mut Vec<DeferredReply>>,
+        node: u32,
+        dev: usize,
+        reply: &[(AppId, u64)],
         now: SimTime,
-        defer: bool,
-        deferred: &mut Vec<DeferredReply>,
-    ) {
-        for dev in 0..2 {
-            match &mut self.coord[dev] {
-                CoordPlane::Tree(t) => t.begin_round(),
-                CoordPlane::Flat(_) => unreachable!("mixed coordination planes"),
+    ) -> bool {
+        match deferred {
+            Some(batch) => {
+                batch.push((node, dev, reply.to_vec()));
+                false
             }
-            for n in 0..self.nodes.len() as u32 {
-                if self.node_down(n) || self.rack_dark_for(n, now) {
-                    continue;
-                }
-                self.nodes[n as usize].devs[dev]
+            None => {
+                nodes[node as usize].devs[dev]
                     .sched
-                    .drain_service_report(&mut self.report_scratch);
-                // Even an empty report goes on the wire: it doubles as a
-                // heartbeat (the empty reply refreshes the scheduler's
-                // staleness clock) and it carries the cumulative ack that
-                // lets the protocol repair gaps and post-crash epochs.
-                self.tree_report(n, dev, sync_index, now);
+                    .apply_global_service(reply, now);
+                true
             }
-            self.tree_finish_round(dev, now, defer, deferred);
         }
     }
 
@@ -2478,88 +2436,6 @@ impl<A: ArenaKind> Sim<A> {
         self.faults
             .as_ref()
             .is_some_and(|fs| fs.schedule.rack_dark(now, node / rs))
-    }
-
-    /// One scheduler's report into the tree under the fault protocol:
-    /// decides the wire's disposition with the schedule's deterministic
-    /// coins, sends `report_scratch`, and accounts the outcome. Unlike
-    /// the flat path, a dropped report is still charged at level 0 — it
-    /// burned wire bytes — and its deltas are *not* gone: the protocol
-    /// repairs them from the sender's cumulative state at next contact.
-    fn tree_report(&mut self, node: u32, dev: usize, sync_index: u64, now: SimTime) {
-        let disp = {
-            let sched = &self.faults.as_ref().expect("fault state").schedule;
-            if sched.drop_report(now, node, dev as u8, sync_index) {
-                Delivery::Drop
-            } else if sched.dup_report(now, node, dev as u8, sync_index) {
-                Delivery::Dup
-            } else if sched.reorder_report(now, node, dev as u8, sync_index) {
-                Delivery::Reorder
-            } else {
-                Delivery::Ok
-            }
-        };
-        let CoordPlane::Tree(tree) = &mut self.coord[dev] else {
-            unreachable!("mixed coordination planes");
-        };
-        let outcome = tree.report_ft(node, &self.report_scratch, disp);
-        let fs = self.faults.as_mut().expect("fault state");
-        let mark = match disp {
-            Delivery::Ok => None,
-            Delivery::Drop => {
-                fs.summary.report_drops += 1;
-                Some(1)
-            }
-            Delivery::Dup => {
-                fs.summary.dup_reports += 1;
-                Some(11)
-            }
-            Delivery::Reorder => {
-                fs.summary.reorder_reports += 1;
-                Some(12)
-            }
-        };
-        if outcome.resynced {
-            fs.summary.resyncs += 1;
-        }
-        if let Some(kind) = mark {
-            self.record_fault(node, dev as u8, kind, sync_index, now);
-        }
-        if outcome.resynced {
-            self.record_fault(node, dev as u8, 13, outcome.snapshot_entries as u64, now);
-        }
-    }
-
-    /// Closes one device class's tree round and routes the replies
-    /// (applied immediately, or deferred under a reply-delay window).
-    fn tree_finish_round(
-        &mut self,
-        dev: usize,
-        now: SimTime,
-        defer: bool,
-        deferred: &mut Vec<DeferredReply>,
-    ) {
-        let subs = match &mut self.coord[dev] {
-            CoordPlane::Tree(t) => {
-                t.complete_round(now);
-                t.subs_len()
-            }
-            CoordPlane::Flat(_) => unreachable!("mixed coordination planes"),
-        };
-        for i in 0..subs {
-            let CoordPlane::Tree(tree) = &mut self.coord[dev] else {
-                unreachable!("mixed coordination planes");
-            };
-            let (node, reply) = tree.reply_for(i);
-            if defer {
-                deferred.push((node, dev, reply.to_vec()));
-            } else {
-                self.nodes[node as usize].devs[dev]
-                    .sched
-                    .apply_global_service(reply, now);
-                self.drain_sched_obs(node, dev);
-            }
-        }
     }
 
     /// A rack's leaf aggregator dies. The window itself comes from the
@@ -2651,58 +2527,10 @@ impl<A: ArenaKind> Sim<A> {
             return;
         }
         fs.sync_index += 1;
-        let idx = fs.sync_index;
-        self.rack_sync_round(rack, idx, now);
-        self.update_all_staleness(now);
-    }
-
-    /// One tree sync round scoped to `rack`'s schedulers, run right after
-    /// a rack-local fault heals. Every live scheduler in the rack makes
-    /// forced contact — the epoch-bumped full re-report after an
-    /// aggregator crash, a plain in-order delta after a partition — so
-    /// the rack re-converges within the recovery probe instead of
-    /// waiting out the periodic sync.
-    fn rack_sync_round(&mut self, rack: u32, sync_index: u64, now: SimTime) {
         let rs = self.tree_rack_size().max(1);
-        let lo = rack * rs;
-        let hi = ((rack + 1) * rs).min(self.nodes.len() as u32);
-        let delay = self
-            .faults
-            .as_ref()
-            .and_then(|fs| fs.schedule.reply_delay(now));
-        let mut deferred: Vec<DeferredReply> = Vec::new();
-        for dev in 0..2 {
-            match &mut self.coord[dev] {
-                CoordPlane::Tree(t) => t.begin_round(),
-                CoordPlane::Flat(_) => unreachable!("rack recovery requires the tree"),
-            }
-            for n in lo..hi {
-                if self.node_down(n) {
-                    continue;
-                }
-                self.nodes[n as usize].devs[dev]
-                    .sched
-                    .drain_service_report(&mut self.report_scratch);
-                self.tree_report(n, dev, sync_index, now);
-            }
-            self.tree_finish_round(dev, now, delay.is_some(), &mut deferred);
-        }
-        match delay {
-            None => {
-                for c in &mut self.coord {
-                    c.mark_sync_at(now);
-                }
-                self.faults.as_mut().expect("fault state").last_mark = now;
-            }
-            Some(d) => {
-                let fs = self.faults.as_mut().expect("fault state");
-                fs.summary.reply_delays += 1;
-                let batch = fs.reply_batches.len() as u32;
-                fs.reply_batches.push((now, deferred));
-                self.record_fault(rack * rs, 0, 2, d.as_nanos(), now);
-                self.queue.push(now + d, Event::DeliverReplies { batch });
-            }
-        }
+        let nodes = rack * rs..((rack + 1) * rs).min(self.nodes.len() as u32);
+        self.sync_round(nodes, now);
+        self.update_all_staleness(now);
     }
 
     /// A delayed reply batch arrives: apply it to every scheduler that is
@@ -2758,8 +2586,7 @@ impl<A: ArenaKind> Sim<A> {
             let fs = self.faults.as_mut().expect("fault state");
             fs.retrying = false;
             fs.sync_index += 1;
-            let idx = fs.sync_index;
-            self.sync_round(idx, now);
+            self.sync_round(0..self.nodes.len() as u32, now);
             self.update_all_staleness(now);
         } else if attempt < limit {
             self.queue.push(
