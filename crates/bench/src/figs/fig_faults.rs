@@ -194,6 +194,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     assert!(outage.degraded_entries > 0, "no scheduler degraded during the outage");
     let crash = &reports[2].faults.expect("faults active");
     assert!(crash.crashes == 1 && crash.restarts == 1, "crash/restart not injected");
+    // A straggler breaks no coordination: the broker answers every round
+    // and idle schedulers heartbeat, so none may fall back to local SFQ.
+    let straggler = &reports[3].faults.expect("faults active");
+    assert_eq!(straggler.degraded_entries, 0, "straggler degraded a scheduler");
     for (s, r) in SCENARIOS.iter().zip(&reports) {
         assert!(
             r.jobs.len() == 2,

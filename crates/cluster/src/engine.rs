@@ -2269,11 +2269,12 @@ impl<A: ArenaKind> Sim<A> {
     /// and a rack's recovery probe all run it. Down nodes and nodes in a
     /// dark rack (aggregator crash or partition window) stay silent: their
     /// schedulers keep buffering deltas, the natural retransmit source.
-    /// Under a fault schedule every other tree scheduler reports even
-    /// when idle: the empty report is a heartbeat whose empty reply
-    /// refreshes the scheduler's staleness clock, and it carries the
-    /// cumulative ack that lets the protocol repair gaps and post-crash
-    /// epochs. Each report crosses the wire with the disposition
+    /// Under a fault schedule every other scheduler reports even when
+    /// idle, on either plane: the empty report is a heartbeat whose empty
+    /// reply refreshes the scheduler's staleness clock, so only an
+    /// unreachable scheduler ages toward degradation. On the tree it also
+    /// carries the cumulative ack that lets the protocol repair gaps and
+    /// post-crash epochs. Each report crosses the wire with the disposition
     /// [`Sim::delivery`] decides. The flat broker replies to each report
     /// at once, with its totals as of that report; the tree replies after
     /// `complete_round`, with end-of-round totals. A reply-delay window
@@ -2285,7 +2286,7 @@ impl<A: ArenaKind> Sim<A> {
             .as_ref()
             .and_then(|fs| fs.schedule.reply_delay(now));
         let mut batch: Option<Vec<DeferredReply>> = delay.map(|_| Vec::new());
-        let heartbeat = self.faults.is_some() && matches!(self.coord[0], CoordPlane::Tree(_));
+        let heartbeat = self.faults.is_some();
         for dev in 0..2 {
             if let CoordPlane::Tree(tree) = &mut self.coord[dev] {
                 tree.begin_round();
@@ -3685,42 +3686,51 @@ mod tests {
 
     #[test]
     fn armed_but_inert_fault_schedule_does_not_perturb_results() {
-        let run = |faults: ibis_faults::FaultsConfig| {
-            let mut cfg = tiny_cluster();
-            cfg.policy = Policy::SfqD2(SfqD2Config::default());
-            cfg.coordination = true;
-            cfg.faults = faults;
-            let mut exp = Experiment::new(cfg);
-            exp.add_job(teragen(GIB));
-            exp.add_job(wordcount(GIB));
-            exp.run()
-        };
-        let off = run(ibis_faults::FaultsConfig::default());
-        // Armed subsystem, but every window opens long after the run ends:
-        // the fault-aware sync path must replay the fault-free exchange
-        // exactly.
-        let far = SimTime::from_secs(1_000_000);
-        let on = run(faults_cfg(
-            FaultSchedule::new(7)
-                .broker_outage(far, SimDuration::from_secs(10))
-                .drop_reports(far, SimDuration::from_secs(10), 2)
-                .delay_replies(far, SimDuration::from_secs(10), SimDuration::from_secs(1)),
-        ));
-        // The armed run pops the extra far-future window-edge markers never
-        // (run ends first), so event counts and timings must match.
-        assert_eq!(off.events, on.events);
-        assert_eq!(off.makespan, on.makespan);
-        for j in &off.jobs {
-            assert_eq!(Some(j.runtime), on.job(&j.name).map(|x| x.runtime));
+        for tree in [false, true] {
+            let run = |faults: ibis_faults::FaultsConfig| {
+                let mut cfg = tiny_cluster();
+                cfg.policy = Policy::SfqD2(SfqD2Config::default());
+                cfg.coordination = true;
+                if tree {
+                    cfg = cfg.with_broker_tree(2, SimDuration::from_micros(50));
+                }
+                cfg.faults = faults;
+                let mut exp = Experiment::new(cfg);
+                exp.add_job(teragen(GIB));
+                exp.add_job(wordcount(GIB));
+                exp.run()
+            };
+            let off = run(ibis_faults::FaultsConfig::default());
+            // Armed subsystem, but every window opens long after the run
+            // ends: the fault-aware sync path must replay the fault-free
+            // exchange exactly.
+            let far = SimTime::from_secs(1_000_000);
+            let on = run(faults_cfg(
+                FaultSchedule::new(7)
+                    .broker_outage(far, SimDuration::from_secs(10))
+                    .drop_reports(far, SimDuration::from_secs(10), 2)
+                    .delay_replies(far, SimDuration::from_secs(10), SimDuration::from_secs(1)),
+            ));
+            // The armed run pops the extra far-future window-edge markers
+            // never (run ends first), so event counts and timings must
+            // match.
+            assert_eq!(off.events, on.events, "tree={tree}");
+            assert_eq!(off.makespan, on.makespan, "tree={tree}");
+            for j in &off.jobs {
+                assert_eq!(Some(j.runtime), on.job(&j.name).map(|x| x.runtime));
+            }
+            assert!(off.faults.is_none(), "disabled runs report no fault summary");
+            let s = on.faults.expect("armed runs report a fault summary");
+            assert_eq!(s.broker_outages, 0);
+            assert_eq!(s.report_drops, 0);
+            assert_eq!(s.reply_delays, 0);
+            assert_eq!(s.retries, 0);
+            assert_eq!(s.crashes, 0);
+            assert_eq!(s.lost_replicas, 0);
+            // The broker answers every round, so an idle scheduler's
+            // heartbeat keeps it fresh: nothing degrades.
+            assert_eq!(s.degraded_entries, 0, "tree={tree}");
         }
-        assert!(off.faults.is_none(), "disabled runs report no fault summary");
-        let s = on.faults.expect("armed runs report a fault summary");
-        assert_eq!(s.broker_outages, 0);
-        assert_eq!(s.report_drops, 0);
-        assert_eq!(s.reply_delays, 0);
-        assert_eq!(s.retries, 0);
-        assert_eq!(s.crashes, 0);
-        assert_eq!(s.lost_replicas, 0);
     }
 
     #[test]

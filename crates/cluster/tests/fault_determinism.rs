@@ -129,9 +129,8 @@ fn canonical_full(r: &RunReport) -> String {
     s
 }
 
-/// Chaos runs on the engine paths that differ most: uncoordinated SFQ(D)
-/// (no broker to lose, but crashes and slowdowns still hit) and fully
-/// coordinated SFQ(D2) (every fault kind active).
+/// Chaos runs on the two coordinated policies, SFQ(D) and SFQ(D2), both
+/// through the flat broker with every flat-plane fault kind active.
 fn batch() -> Vec<Experiment> {
     let policies = [
         Policy::SfqD { depth: 4 },
@@ -185,13 +184,15 @@ fn fnv(s: &str) -> u64 {
 
 /// The batch's canonical reports, pinned. The backend and sweep tests
 /// above compare two runs of one build, so a change that moves both runs
-/// the same way passes them; this pin moves with it.
+/// the same way passes them; this pin moves with it. Both runs count the
+/// heartbeats of idle flat-broker schedulers: their reports, drops and
+/// replies, and the degraded entries those replies prevent.
 #[test]
 fn chaos_batch_canon_is_pinned() {
     let digests: Vec<u64> = batch().iter().map(|e| fnv(&canonical_full(&e.run()))).collect();
     assert_eq!(
         digests,
-        [0xc1be_9709_1596_49dc, 0x03e3_7351_04cd_526a],
+        [0x1ae0_979d_6fd7_5647, 0xef79_769d_292a_e800],
         "chaos batch canon moved"
     );
 }
