@@ -7,8 +7,8 @@
 //! checker (per-app latency components must sum to the measured
 //! latency), and exits non-zero if any invariant is violated — or if the
 //! chaos scenarios never actually degraded / never evaluated a rack
-//! check, so those invariants cannot pass vacuously. Results land in
-//! `results/audit.json`.
+//! check, so those invariants cannot pass vacuously. A run of every
+//! scenario writes `results/audit.json`; a named subset leaves it alone.
 //!
 //! Usage: `audit [--list] [--trace DIR] [--json PATH] [scenario ...]`
 //!
@@ -19,7 +19,8 @@
 //! * `--json PATH` writes a machine-readable verdict — per scenario and
 //!   per invariant, checked/violation counts plus pass/fail — so CI can
 //!   gate on structure instead of grepping the human summary.
-//! * Naming scenarios runs only those; unknown names error.
+//! * Naming scenarios runs only those (and does not rewrite
+//!   `results/audit.json`); unknown names error.
 
 use ibis_bench::experiments::{hdd_cluster, sfqd2};
 use ibis_bench::{json, ResultSink};
@@ -366,7 +367,9 @@ fn main() {
             println!("chrome trace → {path}");
         }
     }
-    sink.save();
+    if names.is_empty() {
+        sink.save();
+    }
     if let (Some(mut w), Some(path)) = (verdict, json_path) {
         w.close(); // scenarios array
         w.value(Some("passed"), if failed { "false" } else { "true" });

@@ -197,7 +197,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     // A straggler breaks no coordination: the broker answers every round
     // and idle schedulers heartbeat, so none may fall back to local SFQ.
     let straggler = &reports[3].faults.expect("faults active");
-    assert_eq!(straggler.degraded_entries, 0, "straggler degraded a scheduler");
+    assert_eq!(
+        straggler.degraded_entries, 0,
+        "straggler degraded a scheduler"
+    );
     for (s, r) in SCENARIOS.iter().zip(&reports) {
         assert!(
             r.jobs.len() == 2,

@@ -11,11 +11,12 @@
 /// can detect mixed histories.
 pub const BENCH_SCHEMA_VERSION: f64 = 1.0;
 
-/// Short git revision of the checkout producing the record, or
-/// `"unknown"` outside a git work tree.
+/// Short git revision of the checkout producing the record, suffixed
+/// `-dirty` when the work tree has uncommitted changes, or `"unknown"`
+/// outside a git work tree.
 pub fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty", "--exclude=*"])
         .output()
         .ok()
         .filter(|o| o.status.success())

@@ -2254,7 +2254,8 @@ impl<A: ArenaKind> Sim<A> {
                 if !fs.retrying && fs.retry_limit > 0 {
                     fs.retrying = true;
                     let backoff = fs.retry_backoff;
-                    self.queue.push(now + backoff, Event::BrokerRetry { attempt: 1 });
+                    self.queue
+                        .push(now + backoff, Event::BrokerRetry { attempt: 1 });
                 }
                 self.update_all_staleness(now);
                 return;
@@ -2365,7 +2366,8 @@ impl<A: ArenaKind> Sim<A> {
                 let id = fs.reply_batches.len() as u32;
                 fs.reply_batches.push((now, batch.unwrap_or_default()));
                 self.record_fault(nodes.start, 0, 2, d.as_nanos(), now);
-                self.queue.push(now + d, Event::DeliverReplies { batch: id });
+                self.queue
+                    .push(now + d, Event::DeliverReplies { batch: id });
             }
         }
     }
@@ -3719,7 +3721,10 @@ mod tests {
             for j in &off.jobs {
                 assert_eq!(Some(j.runtime), on.job(&j.name).map(|x| x.runtime));
             }
-            assert!(off.faults.is_none(), "disabled runs report no fault summary");
+            assert!(
+                off.faults.is_none(),
+                "disabled runs report no fault summary"
+            );
             let s = on.faults.expect("armed runs report a fault summary");
             assert_eq!(s.broker_outages, 0);
             assert_eq!(s.report_drops, 0);

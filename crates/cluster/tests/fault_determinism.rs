@@ -189,7 +189,10 @@ fn fnv(s: &str) -> u64 {
 /// replies, and the degraded entries those replies prevent.
 #[test]
 fn chaos_batch_canon_is_pinned() {
-    let digests: Vec<u64> = batch().iter().map(|e| fnv(&canonical_full(&e.run()))).collect();
+    let digests: Vec<u64> = batch()
+        .iter()
+        .map(|e| fnv(&canonical_full(&e.run())))
+        .collect();
     assert_eq!(
         digests,
         [0x1ae0_979d_6fd7_5647, 0xef79_769d_292a_e800],
@@ -284,7 +287,11 @@ fn audit_report_on_rack_chaos_recording_is_pinned() {
         a.share_errors.quantile(0.5).map(f64::to_bits),
         a.share_errors.quantile(1.0).map(f64::to_bits),
     );
-    let detail = fnv(&a.violations.iter().map(ToString::to_string).collect::<String>());
+    let detail = fnv(&a
+        .violations
+        .iter()
+        .map(ToString::to_string)
+        .collect::<String>());
     // Every check ran: share windows, delay charges, degraded spans and
     // the rack-scoped checks.
     assert_eq!(counts, (15653, 3652, 46, 224, 32, 290));
