@@ -4,7 +4,10 @@
 //! 1. **Simulation wall-clock**: the same contended SFQ(D2) run timed
 //!    with the recorder off and on (best of three each), plus the event
 //!    rate the recorder absorbed and the bytes it retained.
-//! 2. **Scheduler micro**: the SFQ(D) request lifecycle ns/op with the
+//! 2. **Recorder micro**: that run's recording replayed into a fresh
+//!    recorder (time, then node order), timing `record` per event and
+//!    `finish` per event (best of seven each).
+//! 3. **Scheduler micro**: the SFQ(D) request lifecycle ns/op with the
 //!    emit branches cold (recording off — the cost every untraced run
 //!    pays) and hot (recording on, buffers drained per op).
 //!
@@ -14,7 +17,7 @@ use ibis_bench::experiments::{hdd_cluster, sfqd2};
 use ibis_bench::json;
 use ibis_cluster::prelude::*;
 use ibis_core::prelude::*;
-use ibis_obs::ObsConfig;
+use ibis_obs::{FlightRecorder, ObsConfig, Recording};
 use ibis_simcore::units::GIB;
 use ibis_simcore::{SimDuration, SimTime};
 use ibis_workloads::{teragen, wordcount};
@@ -43,6 +46,25 @@ fn time_sim(obs: ObsConfig) -> (f64, RunReport) {
         last = Some(r);
     }
     (best, last.expect("ran"))
+}
+
+/// Best-of-seven ns per event for recording every event of `rec` into a
+/// fresh recorder of `capacity` per node, and for finishing it.
+fn recorder_micro(rec: &Recording, capacity: usize) -> (f64, f64) {
+    let per_event = 1e9 / rec.len().max(1) as f64;
+    let (mut record, mut finish) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        let mut fr = FlightRecorder::new(rec.meta.nodes, capacity);
+        let t = Instant::now();
+        for &ev in rec.events() {
+            fr.record(black_box(ev));
+        }
+        record = record.min(t.elapsed().as_secs_f64() * per_event);
+        let t = Instant::now();
+        black_box(fr.finish(rec.meta.clone()));
+        finish = finish.min(t.elapsed().as_secs_f64() * per_event);
+    }
+    (record, finish)
 }
 
 /// Best-of-samples ns/op for one lifecycle closure.
@@ -101,10 +123,14 @@ fn main() {
     eprintln!("[bench_obs] timing contended sim, recorder off ...");
     let (off_secs, _) = time_sim(ObsConfig::default());
     eprintln!("[bench_obs] timing contended sim, recorder on ...");
-    let (on_secs, on_report) = time_sim(ObsConfig::enabled(1 << 16));
+    let capacity = 1 << 16;
+    let (on_secs, on_report) = time_sim(ObsConfig::enabled(capacity));
     let rec = on_report.recording.as_ref().expect("recorder on");
     let overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
     let events_per_sec = rec.seen() as f64 / on_secs.max(1e-9);
+
+    eprintln!("[bench_obs] recorder micro, record vs finish per event ...");
+    let (record_ns, finish_ns) = recorder_micro(rec, capacity);
 
     eprintln!("[bench_obs] scheduler micro, emit branches cold vs hot ...");
     let cold_ns = micro(false);
@@ -112,6 +138,7 @@ fn main() {
     let emit_overhead_pct = (hot_ns / cold_ns - 1.0) * 100.0;
 
     let mut w = json::bench_writer("obs");
+    w.number(Some("host_cores"), ibis_core::env::available_cores() as f64);
     w.open_object(Some("sim_wall_clock"));
     w.string(Some("case"), "wc32_vs_teragen_sfqd2_quick");
     w.number(Some("recorder_off_secs"), off_secs);
@@ -121,6 +148,11 @@ fn main() {
     w.number(Some("events_per_sec"), events_per_sec);
     w.number(Some("retained_bytes"), rec.retained_bytes() as f64);
     w.number(Some("dropped_events"), rec.dropped_total() as f64);
+    w.close();
+    w.open_object(Some("recorder_micro"));
+    w.number(Some("events"), rec.len() as f64);
+    w.number(Some("record_ns_per_event"), record_ns);
+    w.number(Some("finish_ns_per_event"), finish_ns);
     w.close();
     w.open_object(Some("scheduler_micro"));
     w.string(Some("case"), "sfq_d8_lifecycle_8flows");
@@ -132,8 +164,8 @@ fn main() {
     eprintln!(
         "[bench_obs] {out_path}: sim {off_secs:.2}s → {on_secs:.2}s \
          ({overhead_pct:+.1}%), {events_per_sec:.0} events/s, \
-         {:.0} KB retained; micro {cold_ns:.0} → {hot_ns:.0} ns/op \
-         ({emit_overhead_pct:+.1}%)",
+         {:.0} KB retained; record {record_ns:.1} + finish {finish_ns:.1} ns/event; \
+         micro {cold_ns:.0} → {hot_ns:.0} ns/op ({emit_overhead_pct:+.1}%)",
         rec.retained_bytes() as f64 / 1e3
     );
 }

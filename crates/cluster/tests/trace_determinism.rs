@@ -239,3 +239,126 @@ fn trace_only_run_ignores_the_obs_ring_capacity() {
     assert_eq!(unbounded.dropped_events, 0);
     assert!(trace(ObsConfig::enabled(16)).dropped_events > 0);
 }
+
+/// An FNV-1a hasher fed through `fmt::Write`, so a recording's text is
+/// digested as it is formatted instead of being built as one string.
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Digests of the four post-run outputs: the recording (every event in
+/// order, drops per node and `seen`), the assembled trace, the
+/// attribution check and the audit report.
+fn output_digests(r: &RunReport) -> [u64; 4] {
+    let rec = r.recording.as_ref().expect("recording enabled");
+    let mut h = Fnv::default();
+    for e in rec.events() {
+        writeln!(h, "{:?} n{} d{} {:?}", e.at, e.node, e.dev, e.kind).unwrap();
+    }
+    for n in 0..rec.meta.nodes {
+        write!(h, "drop{n}={} ", rec.dropped_on(n)).unwrap();
+    }
+    writeln!(h, "seen={}", rec.seen()).unwrap();
+    let recording = h.0;
+
+    let t = r.trace.as_ref().expect("trace assembled");
+    let mut h = Fnv::default();
+    write!(h, "{:?} {:?} {}", t.per_app, t.forest, t.dropped_events).unwrap();
+    let trace = h.0;
+
+    let mut h = Fnv::default();
+    write!(h, "{:?}", ibis_trace::check(rec, ibis_trace::SUM_REL_TOL)).unwrap();
+    let check = h.0;
+
+    let mut h = Fnv::default();
+    let audit = ibis_obs::audit(rec, &ibis_obs::AuditConfig::default());
+    write!(h, "{audit:?}").unwrap();
+    [recording, trace, check, h.0]
+}
+
+/// A reduced twin of the benchmark's observed SWIM run: HDDs, SFQ(D2),
+/// the flat broker, four Facebook 2009 jobs at weight 32 against a
+/// TeraGen at weight 1, recorder and tracing on.
+fn swim_observed_reduced() -> RunReport {
+    let hdd = ibis_storage::HddConfig {
+        seed: 0x5eed,
+        ..ibis_storage::HddConfig::default()
+    };
+    let cfg = ClusterConfig {
+        seed: 1,
+        hdfs_device: DeviceSpec::Hdd(hdd.clone()),
+        scratch_device: DeviceSpec::Hdd(hdd),
+        obs: ObsConfig::enabled(1 << 20),
+        metrics: MetricsConfig::default(),
+        faults: FaultsConfig::default(),
+        trace: ibis_trace::TraceConfig::on(),
+        ..ClusterConfig::default()
+    }
+    .with_policy(Policy::SfqD2(SfqD2Config::default()))
+    .with_coordination(true);
+    let mut exp = Experiment::new(cfg);
+    let swim = ibis_workloads::SwimConfig {
+        jobs: 4,
+        ..ibis_workloads::SwimConfig::default()
+    };
+    for mut job in ibis_workloads::facebook2009(&swim) {
+        job.io_weight = 32.0;
+        job.max_slots = Some(48);
+        exp.add_job(job);
+    }
+    exp.add_job(teragen(2 * GIB).io_weight(1.0).max_slots(48));
+    exp.run()
+}
+
+/// The recording, the assembled trace, the attribution check and the
+/// audit report of two runs, pinned. The other tests here compare two
+/// runs of one build, so a change that moves both runs the same way
+/// passes them; these pins move with it. The chaos run's ring is small
+/// enough to evict on some nodes and not others, so eviction order and
+/// the clamps on truncated streams are pinned too.
+#[test]
+fn post_run_outputs_are_pinned() {
+    let swim = swim_observed_reduced();
+    let rec = swim.recording.as_ref().expect("recording enabled");
+    assert_eq!((rec.len(), rec.dropped_total()), (107_549, 0));
+    assert_eq!(
+        output_digests(&swim),
+        [
+            0x4a55_55cf_0dfd_16be,
+            0x74af_311d_679f_00b5,
+            0x5fd6_fd85_219b_bd8a,
+            0xf8e3_fa23_1406_631c,
+        ],
+        "swim outputs moved"
+    );
+
+    let mut exp = experiment(42, true, true, true);
+    exp.cluster.obs = ObsConfig::enabled(3000);
+    let chaos = exp.run();
+    let rec = chaos.recording.as_ref().expect("recording enabled");
+    let drops: Vec<u64> = (0..rec.meta.nodes).map(|n| rec.dropped_on(n)).collect();
+    assert_eq!((rec.len(), drops), (11_502, vec![1607, 246, 404, 0]));
+    assert_eq!(
+        output_digests(&chaos),
+        [
+            0xfb86_a21a_6eef_3033,
+            0x3d11_9af6_4ed5_98de,
+            0xbf9a_73df_ac1d_fff2,
+            0x6f2a_59d2_9a0f_980e,
+        ],
+        "chaos outputs moved"
+    );
+}

@@ -13,9 +13,27 @@
 //! component sum equals the swept total *exactly*, and the swept total
 //! equals the measured per-job latency sum whenever the recording is
 //! complete (no ring truncation).
+//!
+//! The sweep builds and sorts no edge list. Edges come from three
+//! streams, each already in `(instant, completion position, edge)`
+//! order, and are merged as they are applied:
+//!
+//! * the recording itself, in its own time order: job arrivals and
+//!   completions, request completions, degraded episodes, node down/up;
+//! * the queue instants of matched requests, time-ordered because queue
+//!   events are, with same-instant requests in completion order;
+//! * service starts (completion instant minus device latency), the one
+//!   stream that is sorted.
+//!
+//! A request's edges are keyed by its completion's position in the
+//! recording, so at one instant they interleave with the recording's
+//! own edges exactly as a stable time sort of edges pushed in recording
+//! order would put them, and the clamps on truncated recordings see the
+//! same sequence.
 
+use crate::request::Requests;
 use ibis_obs::{EventKind, Recording};
-use ibis_simcore::hash::{FxHashMap, FxHashSet};
+use ibis_simcore::hash::FxHashMap;
 
 /// Component names, in classification-priority order: a device-service
 /// interval wins over a delay charge, which wins over a degraded episode,
@@ -91,44 +109,6 @@ impl AppAttribution {
     }
 }
 
-/// One sweep edge. Edges are applied in recording order within an
-/// instant, which keeps the (rare) same-instant interactions between
-/// queue and degraded-episode bookkeeping deterministic. `app` is a dense
-/// app index and `dd` a dense (node, device) index, both assigned in
-/// first-seen order while the edges are collected.
-enum Edge {
-    OpenJobs {
-        app: u32,
-        delta: i32,
-    },
-    Service {
-        app: u32,
-        delta: i32,
-    },
-    /// A request entered the queue of `dd`.
-    Queued {
-        app: u32,
-        dd: u32,
-        delayed: bool,
-    },
-    /// A request left the queue of `dd` (as queued by `q_app`) and
-    /// entered service (as completed by `app`): the queue and service
-    /// edges of one dispatch instant, applied in that order.
-    Dispatched {
-        q_app: u32,
-        app: u32,
-        dd: u32,
-        delayed: bool,
-    },
-    Degraded {
-        dd: u32,
-        on: bool,
-    },
-    NodeDown {
-        delta: i32,
-    },
-}
-
 #[derive(Default)]
 struct AppState {
     id: u32,
@@ -168,185 +148,228 @@ impl Apps {
     }
 }
 
+/// Per-(node, dev) sweep state, densely indexed.
+#[derive(Default)]
+struct Devices {
+    index: FxHashMap<(u32, u8), u32>,
+    degraded: Vec<bool>,
+    /// `(dense app, queued count)` for each app with a positive count
+    /// on the device (a missing app counts zero).
+    queued: Vec<Vec<(u32, i64)>>,
+}
+
+impl Devices {
+    fn of(&mut self, node: u32, dev: u8) -> u32 {
+        let i = dense(&mut self.index, (node, dev));
+        if i as usize == self.degraded.len() {
+            self.degraded.push(false);
+            self.queued.push(Vec::new());
+        }
+        i
+    }
+}
+
+/// Which stream an edge comes from. At one instant and one completion
+/// position a request's queue edge goes first, then its service start,
+/// then the completion itself: the order the three were once pushed in.
+const QUEUE: u8 = 0;
+const START: u8 = 1;
+const OWN: u8 = 2;
+
+/// The key past every edge: `(instant, position, stream)`.
+const END: (u64, u32, u8) = (u64::MAX, u32::MAX, u8::MAX);
+
+/// A matched request's dense ids.
+struct Ids {
+    /// The app it was queued under.
+    q_app: u32,
+    /// The app that completed it.
+    app: u32,
+    /// Its (node, dev).
+    dd: u32,
+    /// True when a DSFQ delay charge landed on `q_app` at the queue
+    /// instant.
+    q_delayed: bool,
+}
+
+/// True when the event itself is a sweep edge at its own instant.
+fn own_edge(kind: &EventKind) -> bool {
+    matches!(
+        kind,
+        EventKind::JobArrived { .. }
+            | EventKind::JobCompleted { .. }
+            | EventKind::Completed { .. }
+            | EventKind::DegradedEnter { .. }
+            | EventKind::DegradedExit { .. }
+            | EventKind::FaultInjected { kind: 3 | 4, .. }
+    )
+}
+
 /// Runs the attribution sweep over `rec`. Returns one entry per
 /// application seen in job-lifecycle events, sorted by app id.
 /// Ring-truncated recordings degrade gracefully: unmatched opens are
 /// dropped and negative counts clamp to zero, so the decomposition stays
 /// a partition of whatever latency the surviving events describe.
 pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
-    // Pass 1: match request lifecycles, collect edges and the measured
-    // totals, which come straight from the completion events.
-    let mut delayed_at: FxHashSet<(u32, u8, u32, u64)> = FxHashSet::default();
-    for ev in rec.events() {
-        if let EventKind::DelayApplied { app, .. } = ev.kind {
-            delayed_at.insert((ev.node, ev.dev, app, ev.at.as_nanos()));
-        }
-    }
+    sweep(rec, &Requests::build(rec))
+}
 
+/// [`attribute`] over the recording's request table.
+pub(crate) fn sweep(rec: &Recording, reqs: &Requests) -> Vec<AppAttribution> {
+    let events = rec.events();
     let mut apps = Apps::default();
-    // (node, dev) → dense index.
-    let mut dds: FxHashMap<(u32, u8), u32> = FxHashMap::default();
-    let mut edges: Vec<(u64, Edge)> = Vec::with_capacity(rec.len());
-    // (node, dev, io) → (queue instant, dense app).
-    let mut pending: FxHashMap<(u32, u8, u64), (u64, u32)> = FxHashMap::default();
-    for ev in rec.events() {
-        let (node, dev, t) = (ev.node, ev.dev, ev.at.as_nanos());
-        match ev.kind {
-            EventKind::JobArrived { app, .. } => {
-                let app = apps.of(app);
-                edges.push((t, Edge::OpenJobs { app, delta: 1 }));
-            }
-            EventKind::JobCompleted {
-                app, latency_ns, ..
-            } => {
-                let app = apps.of(app);
-                let s = &mut apps.state[app as usize];
-                s.measured_ns += latency_ns;
-                s.jobs += 1;
-                edges.push((t, Edge::OpenJobs { app, delta: -1 }));
-            }
-            EventKind::IoQueued { io, app, .. } => {
-                pending.insert((node, dev, io), (t, apps.of(app)));
-            }
-            EventKind::Completed {
-                io,
-                app,
-                latency_ns,
-                ..
-            } => {
-                let dispatch = t.saturating_sub(latency_ns);
-                let app = apps.of(app);
-                if let Some((t_q, q_app)) = pending.remove(&(node, dev, io)) {
-                    let dispatch = dispatch.max(t_q);
-                    let q_id = apps.state[q_app as usize].id;
-                    let delayed = delayed_at.contains(&(node, dev, q_id, t_q));
-                    let dd = dense(&mut dds, (node, dev));
-                    edges.push((
-                        t_q,
-                        Edge::Queued {
-                            app: q_app,
-                            dd,
-                            delayed,
-                        },
-                    ));
-                    edges.push((
-                        dispatch,
-                        Edge::Dispatched {
-                            q_app,
-                            app,
-                            dd,
-                            delayed,
-                        },
-                    ));
-                } else {
-                    // Truncated open: count the service interval alone.
-                    edges.push((dispatch, Edge::Service { app, delta: 1 }));
-                }
-                edges.push((t, Edge::Service { app, delta: -1 }));
-            }
-            EventKind::DegradedEnter { .. } => {
-                let dd = dense(&mut dds, (node, dev));
-                edges.push((t, Edge::Degraded { dd, on: true }));
-            }
-            EventKind::DegradedExit { .. } => {
-                let dd = dense(&mut dds, (node, dev));
-                edges.push((t, Edge::Degraded { dd, on: false }));
-            }
-            EventKind::FaultInjected { kind, .. } => match kind {
-                3 => edges.push((t, Edge::NodeDown { delta: 1 })),
-                4 => edges.push((t, Edge::NodeDown { delta: -1 })),
-                _ => {}
+    let mut devs = Devices::default();
+    // Per matched request, its dense ids; per service start, its key
+    // `(instant, completion position, request)`, where requests past the
+    // matched ones are orphans. Starts are the one stream to sort.
+    let matched = reqs.matched.len();
+    let mut ids: Vec<Ids> = Vec::with_capacity(matched);
+    let mut starts: Vec<(u64, u32, u32)> = Vec::with_capacity(matched + reqs.orphans.len());
+    for (i, &r) in reqs.matched.iter().enumerate() {
+        let m = reqs.fields(r);
+        let q_app = apps.of(m.q_app);
+        ids.push(Ids {
+            q_app,
+            app: if m.app == m.q_app {
+                q_app
+            } else {
+                apps.of(m.app)
             },
-            _ => {}
-        }
+            dd: devs.of(m.node, m.dev),
+            q_delayed: reqs.delayed(m.node, m.dev, m.q_app, m.queued_ns),
+        });
+        starts.push((m.dispatched_ns, r.done, i as u32));
     }
-    // Stable by instant: same-instant edges keep recording order.
-    edges.sort_by_key(|&(t, _)| t);
+    let mut orphan_apps: Vec<u32> = Vec::with_capacity(reqs.orphans.len());
+    for (k, &done) in reqs.orphans.iter().enumerate() {
+        let (app, dispatch_ns) = reqs.orphan(done);
+        orphan_apps.push(apps.of(app));
+        starts.push((dispatch_ns, done, (matched + k) as u32));
+    }
+    starts.sort_unstable();
 
-    // Pass 2: the sweep. Accumulate the elapsed elementary interval for
-    // every app with open jobs, then apply the edges at the new instant.
-    let apps = &mut apps.state;
-    let ndd = dds.len();
-    let mut degraded = vec![false; ndd];
-    // Per (node, dev): `(dense app, queued count)` for each app with a
-    // positive count there (a missing app counts zero).
-    let mut dd_apps: Vec<Vec<(u32, i64)>> = vec![Vec::new(); ndd];
+    // The sweep. Between two consecutive edge instants the state is
+    // constant: charge the elapsed interval to every app with open jobs,
+    // then apply the edges at the new instant in key order.
+    let next_own = |from: usize| {
+        from + events[from..]
+            .iter()
+            .position(|ev| own_edge(&ev.kind))
+            .unwrap_or(events.len() - from)
+    };
     let mut down_nodes: i64 = 0;
+    // Dense apps with open jobs: the ones an interval is charged to.
+    let mut open_apps: Vec<u32> = Vec::new();
     let mut prev: Option<u64> = None;
-    let mut i = 0;
-    while i < edges.len() {
-        let t = edges[i].0;
-        if let Some(p) = prev {
+    // Cursors into the queue, start and own-edge streams.
+    let (mut q, mut d, mut e) = (0, 0, next_own(0));
+    loop {
+        let kq = reqs
+            .matched
+            .get(q)
+            .map_or(END, |&r| (reqs.queued_ns(r), r.done, QUEUE));
+        let kd = starts.get(d).map_or(END, |&(t, done, _)| (t, done, START));
+        let ke = events
+            .get(e)
+            .map_or(END, |ev| (ev.at.as_nanos(), e as u32, OWN));
+        let key = kq.min(kd).min(ke);
+        if key == END {
+            break;
+        }
+        let (t, _, stream) = key;
+        if let Some(p) = prev.filter(|&p| t > p) {
             let len = t - p;
-            if len > 0 {
-                for s in apps.iter_mut() {
-                    if s.open_jobs <= 0 {
-                        continue;
-                    }
-                    let slot = if s.in_service > 0 {
-                        DEVICE_SERVICE
-                    } else if s.delayed_queued > 0 {
-                        DSFQ_DELAY
-                    } else if s.queued_on_degraded > 0 {
-                        DEGRADED_WAIT
-                    } else if s.queued > 0 {
-                        QUEUE_WAIT
-                    } else if down_nodes > 0 {
-                        FAULT_STALL
-                    } else {
-                        OTHER
-                    };
-                    s.acc[slot] += len * s.open_jobs as u64;
-                }
+            for &i in &open_apps {
+                let s = &mut apps.state[i as usize];
+                let slot = if s.in_service > 0 {
+                    DEVICE_SERVICE
+                } else if s.delayed_queued > 0 {
+                    DSFQ_DELAY
+                } else if s.queued_on_degraded > 0 {
+                    DEGRADED_WAIT
+                } else if s.queued > 0 {
+                    QUEUE_WAIT
+                } else if down_nodes > 0 {
+                    FAULT_STALL
+                } else {
+                    OTHER
+                };
+                s.acc[slot] += len * s.open_jobs as u64;
             }
         }
         prev = Some(t);
-        while i < edges.len() && edges[i].0 == t {
-            match edges[i].1 {
-                Edge::OpenJobs { app, delta } => {
-                    let s = &mut apps[app as usize];
-                    s.open_jobs = (s.open_jobs + i64::from(delta)).max(0);
+        match stream {
+            QUEUE => {
+                let r = &ids[q];
+                queue(&mut apps.state, &mut devs, r.q_app, r.dd, r.q_delayed, 1);
+                q += 1;
+            }
+            START => {
+                let i = starts[d].2 as usize;
+                if let Some(r) = ids.get(i) {
+                    // Leaves the queue as queued, enters service as completed.
+                    queue(&mut apps.state, &mut devs, r.q_app, r.dd, r.q_delayed, -1);
+                    apps.state[r.app as usize].in_service += 1;
+                } else {
+                    // Truncated open: the service interval alone.
+                    apps.state[orphan_apps[i - matched] as usize].in_service += 1;
                 }
-                Edge::Service { app, delta } => {
-                    let s = &mut apps[app as usize];
-                    s.in_service = (s.in_service + i64::from(delta)).max(0);
-                }
-                Edge::Queued { app, dd, delayed } => {
-                    queue(apps, &mut dd_apps, &degraded, app, dd, delayed, 1);
-                }
-                Edge::Dispatched {
-                    q_app,
-                    app,
-                    dd,
-                    delayed,
-                } => {
-                    queue(apps, &mut dd_apps, &degraded, q_app, dd, delayed, -1);
-                    let s = &mut apps[app as usize];
-                    s.in_service += 1;
-                }
-                Edge::Degraded { dd, on } => {
-                    let was = degraded[dd as usize];
-                    if on != was {
-                        degraded[dd as usize] = on;
-                        for &(app, n) in &dd_apps[dd as usize] {
-                            let s = &mut apps[app as usize];
-                            s.queued_on_degraded = if on {
-                                s.queued_on_degraded + n
-                            } else {
-                                (s.queued_on_degraded - n).max(0)
-                            };
+                d += 1;
+            }
+            _ => {
+                let ev = &events[e];
+                match ev.kind {
+                    EventKind::JobArrived { app, .. } => {
+                        let i = apps.of(app);
+                        let st = &mut apps.state[i as usize];
+                        st.open_jobs += 1;
+                        if st.open_jobs == 1 {
+                            open_apps.push(i);
                         }
                     }
+                    EventKind::JobCompleted {
+                        app, latency_ns, ..
+                    } => {
+                        let i = apps.of(app);
+                        let st = &mut apps.state[i as usize];
+                        st.measured_ns += latency_ns;
+                        st.jobs += 1;
+                        if st.open_jobs == 1 {
+                            open_apps.retain(|&a| a != i);
+                        }
+                        st.open_jobs = (st.open_jobs - 1).max(0);
+                    }
+                    EventKind::Completed { app, .. } => {
+                        let i = apps.of(app) as usize;
+                        let st = &mut apps.state[i];
+                        st.in_service = (st.in_service - 1).max(0);
+                    }
+                    EventKind::DegradedEnter { .. } | EventKind::DegradedExit { .. } => {
+                        let on = matches!(ev.kind, EventKind::DegradedEnter { .. });
+                        let dd = devs.of(ev.node, ev.dev) as usize;
+                        if on != devs.degraded[dd] {
+                            devs.degraded[dd] = on;
+                            for &(app, n) in &devs.queued[dd] {
+                                let st = &mut apps.state[app as usize];
+                                st.queued_on_degraded = if on {
+                                    st.queued_on_degraded + n
+                                } else {
+                                    (st.queued_on_degraded - n).max(0)
+                                };
+                            }
+                        }
+                    }
+                    EventKind::FaultInjected { kind: 3, .. } => down_nodes += 1,
+                    EventKind::FaultInjected { .. } => down_nodes = (down_nodes - 1).max(0),
+                    _ => unreachable!("only own edges are visited"),
                 }
-                Edge::NodeDown { delta } => {
-                    down_nodes = (down_nodes + i64::from(delta)).max(0);
-                }
+                e = next_own(e + 1);
             }
-            i += 1;
         }
     }
 
     let mut out: Vec<AppAttribution> = apps
+        .state
         .iter()
         .filter(|s| s.jobs > 0 || s.acc.iter().any(|&v| v > 0))
         .map(|s| AppAttribution {
@@ -364,24 +387,16 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
 /// Applies a queue-length change of `delta` for dense app `app` on dense
 /// device `dd`. Counts clamp at zero, so a truncated recording's
 /// unmatched close cannot drive them negative.
-fn queue(
-    apps: &mut [AppState],
-    dd_apps: &mut [Vec<(u32, i64)>],
-    degraded: &[bool],
-    app: u32,
-    dd: u32,
-    delayed: bool,
-    delta: i64,
-) {
+fn queue(apps: &mut [AppState], devs: &mut Devices, app: u32, dd: u32, delayed: bool, delta: i64) {
     let s = &mut apps[app as usize];
     s.queued = (s.queued + delta).max(0);
     if delayed {
         s.delayed_queued = (s.delayed_queued + delta).max(0);
     }
-    if degraded[dd as usize] {
+    if devs.degraded[dd as usize] {
         s.queued_on_degraded = (s.queued_on_degraded + delta).max(0);
     }
-    let per_app = &mut dd_apps[dd as usize];
+    let per_app = &mut devs.queued[dd as usize];
     match per_app.iter().position(|&(a, _)| a == app) {
         Some(k) => {
             per_app[k].1 += delta;

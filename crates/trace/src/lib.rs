@@ -26,6 +26,7 @@
 pub mod attribution;
 pub mod critical_path;
 pub mod profile;
+mod request;
 pub mod span;
 
 pub use attribution::{attribute, check, AppAttribution, AttributionCheck, COMPONENTS};
@@ -81,11 +82,13 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Assembles attribution and span trees from a finished recording.
+    /// Assembles attribution and span trees from a finished recording,
+    /// matching its request lifecycles once for both.
     pub fn assemble(rec: &Recording) -> TraceReport {
+        let requests = request::Requests::build(rec);
         TraceReport {
-            per_app: attribution::attribute(rec),
-            forest: span::build_forest(rec),
+            per_app: attribution::sweep(rec, &requests),
+            forest: span::assemble(rec, &requests),
             dropped_events: rec.dropped_total(),
         }
     }
