@@ -598,8 +598,8 @@ pub struct Sim<A: ArenaKind = SlabArenas> {
     last_event_time: SimTime,
     /// Flight recorder (None unless `cfg.obs.enabled`). Scheduler-side
     /// event buffers are drained into it through `obs_scratch` right
-    /// inside the handler that produced them, so per-node ring order is
-    /// true processing order.
+    /// inside the handler that produced them, so record order is true
+    /// processing order.
     recorder: Option<FlightRecorder>,
     obs_scratch: Vec<(SimTime, EventKind)>,
     /// Metrics registry + sampler (None unless `cfg.metrics.enabled`).
@@ -931,7 +931,7 @@ impl<A: ArenaKind> Sim<A> {
 
     /// Moves any events buffered by a device's scheduler into the flight
     /// recorder, stamping node and device. Called from each handler that
-    /// can make a scheduler emit, so ring order matches processing order.
+    /// can make a scheduler emit, so record order matches processing order.
     /// Outlined: callers on the dispatch hot path guard on
     /// `self.recorder.is_some()` so a disabled recorder costs one branch.
     #[inline(never)]

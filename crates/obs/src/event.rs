@@ -187,7 +187,7 @@ pub struct ObsEvent {
 /// A per-emitter event buffer: zero-cost when disabled (one predictable
 /// branch per emission site), an appending `Vec` when enabled. The engine
 /// drains buffers inside the handler that produced the events, so the
-/// per-node ring receives them in true processing order.
+/// recorder receives them in true processing order.
 #[derive(Debug, Clone, Default)]
 pub struct EventBuf {
     enabled: bool,

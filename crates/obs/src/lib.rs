@@ -19,9 +19,10 @@
 //!   and sweep results stay byte-identical.
 //! * **Recorder** ([`recorder`]) — the cluster engine stamps each event
 //!   with `(time, node, device)` and feeds a [`FlightRecorder`]: one
-//!   bounded ring per node, oldest-evicted, so memory is
-//!   `nodes × capacity × 48 B` no matter how long the run. Finishing
-//!   yields an immutable [`Recording`].
+//!   append-only vector with a bounded history per node, oldest-evicted,
+//!   so memory stays within `2 × nodes × capacity × 48 B` (plus 1,024
+//!   events) no matter how long the run. Finishing yields an immutable
+//!   [`Recording`].
 //! * **Consumers** — the fairness auditor ([`audit`]) replays a recording
 //!   and checks start-tag monotonicity, windowed proportional share, and
 //!   the DSFQ delay identity; the Chrome exporter ([`chrome`]) renders
