@@ -2,10 +2,9 @@
 //! the slab refactor's acceptance numbers (DESIGN.md §12):
 //!
 //! 1. **Steady state**: the `sfq_d8_lifecycle_8flows` table micro run
-//!    under a counting global allocator. The slab backend must perform
-//!    **zero** heap allocations per event once warm; the `HashMap`
-//!    reference shows what the old tables cost. ns/event comes from the
-//!    same shared harness `bench_sweep` times.
+//!    under a counting global allocator. The slab tables must perform
+//!    **zero** heap allocations per event once warm. ns/event comes from
+//!    the shared harness in `ibis_bench::tables`.
 //! 2. **Full run**: a small two-job cluster simulation, reported as
 //!    allocs/event over the whole run (informational — startup, report
 //!    building, and workload construction are included).
@@ -18,7 +17,7 @@
 
 use ibis_bench::alloc::{count_in, CountingAlloc};
 use ibis_bench::json;
-use ibis_bench::tables::{time_lifecycle, HashTables, SlabTables, MICRO_CASE};
+use ibis_bench::tables::{time_lifecycle, SlabTables, MICRO_CASE};
 use ibis_cluster::prelude::*;
 use ibis_simcore::units::GIB;
 use ibis_workloads::{terasort, wordcount};
@@ -148,15 +147,6 @@ fn main() {
         slab.allocs_per_event, slab.bytes_per_event, slab.ns_per_event
     );
 
-    eprintln!("[bench_alloc] steady state: hashmap reference ...");
-    let mut hash_tables = HashTables::new();
-    let hash = measure_steady(|| hash_tables.step());
-    eprintln!(
-        "[bench_alloc]   {:.4} allocs/event, {:.1} bytes/event, {:.0} ns/event",
-        hash.allocs_per_event, hash.bytes_per_event, hash.ns_per_event
-    );
-    let improvement_pct = (1.0 - slab.ns_per_event / hash.ns_per_event) * 100.0;
-
     eprintln!("[bench_alloc] full run (terasort+wordcount, SFQ d=8) ...");
     let (allocs, bytes, report) = count_in(|| full_run_experiment().run());
     let events = report.events.max(1);
@@ -175,12 +165,6 @@ fn main() {
     w.number(Some("bytes_per_event"), slab.bytes_per_event);
     w.number(Some("ns_per_event"), slab.ns_per_event);
     w.close();
-    w.open_object(Some("steady_state_hashmap_reference"));
-    w.number(Some("allocs_per_event"), hash.allocs_per_event);
-    w.number(Some("bytes_per_event"), hash.bytes_per_event);
-    w.number(Some("ns_per_event"), hash.ns_per_event);
-    w.close();
-    w.number(Some("improvement_pct"), improvement_pct);
     w.open_object(Some("full_run"));
     w.string(Some("experiment"), "terasort_1gib+wordcount_1gib_sfq_d8");
     w.number(Some("events"), report.events as f64);
@@ -189,9 +173,8 @@ fn main() {
     w.close();
     json::write_bench(w, &out_path);
     eprintln!(
-        "[bench_alloc] {out_path}: slab {:.0} ns/event 0-alloc vs hashmap {:.0} ns/event \
-         ({improvement_pct:+.1}%)",
-        slab.ns_per_event, hash.ns_per_event
+        "[bench_alloc] {out_path}: slab {:.0} ns/event, {:.4} allocs/event",
+        slab.ns_per_event, slab.allocs_per_event
     );
 
     if let Some(baseline_path) = baseline {

@@ -1,27 +1,17 @@
 //! The engine-side-table micro harness: one interposed-I/O lifecycle
 //! (submit → dispatch → complete) through an SFQ(D) scheduler plus the
-//! engine's bookkeeping, with that bookkeeping backed either by the
-//! generational slab tables the engine uses today or by a faithful
-//! replica of the pre-slab `HashMap` tables.
+//! engine's bookkeeping, a generational slab entry per I/O and a reused
+//! completion buffer.
 //!
-//! Both sides drive the identical scheduler on the identical request
-//! sequence, so the measured difference is exactly what the slab
-//! refactor changed: the keyed lookups (slab index vs hash+probe), the
-//! merged io/inflight entry (one table vs two), and the completion
-//! buffer (reused scratch vs a fresh `Vec` per pump — what the old
-//! engine allocated on every dispatch/completion).
-//!
-//! Used by the `slab_tables` criterion bench, `bench_sweep`'s
-//! `table_micro` record, and the `bench_alloc` allocation-regression bin.
+//! Used by the `bench_alloc` allocation-regression bin.
 
 use ibis_core::prelude::*;
-use ibis_core::slab::{Arena, IoKey, Slab, SlabKey};
+use ibis_core::slab::{IoKey, Slab, SlabKey};
 use ibis_simcore::{SimDuration, SimTime};
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// The benchmark case both table backends run.
+/// The benchmark case the harness runs.
 pub const MICRO_CASE: &str = "sfq_d8_lifecycle_8flows";
 /// Flows (applications) in the micro case.
 pub const MICRO_FLOWS: u32 = 8;
@@ -39,8 +29,8 @@ fn micro_sched() -> Box<dyn IoScheduler + Send> {
     sched
 }
 
-/// Everything the engine remembers about an in-flight I/O — the slab
-/// side's single merged entry.
+/// Everything the engine remembers about an in-flight I/O, in one
+/// entry.
 struct Ctx {
     cont: u64,
     app: AppId,
@@ -49,9 +39,9 @@ struct Ctx {
     dispatched: SimTime,
 }
 
-/// The post-refactor bookkeeping: one generational slab entry per I/O
-/// and a reused completion scratch. Steady-state `step` performs zero
-/// heap allocations once the slab and scheduler are warm.
+/// The engine's bookkeeping: one generational slab entry per I/O and a
+/// reused completion scratch. Steady-state `step` performs zero heap
+/// allocations once the slab and scheduler are warm.
 pub struct SlabTables {
     sched: Box<dyn IoScheduler + Send>,
     table: Slab<IoKey, Ctx>,
@@ -108,74 +98,6 @@ impl SlabTables {
     }
 }
 
-/// What the pre-slab engine kept per dispatched I/O in the device
-/// queue's `inflight` map.
-struct Inflight {
-    app: AppId,
-    kind: IoKind,
-    bytes: u64,
-    dispatched: SimTime,
-}
-
-/// The pre-refactor bookkeeping, replicated faithfully: an `io_table`
-/// hash map for the continuation, a second `inflight` hash map for
-/// routing/timing (two lookups per completion), and a fresh `Vec` per
-/// pump — the old engine's `let mut started = Vec::new()`.
-pub struct HashTables {
-    sched: Box<dyn IoScheduler + Send>,
-    io_table: HashMap<u64, u64>,
-    inflight: HashMap<u64, Inflight>,
-    next_io: u64,
-}
-
-impl Default for HashTables {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HashTables {
-    /// A fresh harness on the micro case.
-    pub fn new() -> Self {
-        HashTables {
-            sched: micro_sched(),
-            io_table: HashMap::new(),
-            inflight: HashMap::new(),
-            next_io: 0,
-        }
-    }
-
-    /// One full request lifecycle.
-    pub fn step(&mut self) {
-        let id = self.next_io;
-        self.next_io += 1;
-        let app = AppId(id as u32 % MICRO_FLOWS);
-        self.io_table.insert(id, id);
-        self.sched
-            .submit(Request::new(id, app, IoKind::Read, MICRO_BYTES), SimTime::ZERO);
-        let r = self.sched.pop_dispatch(SimTime::ZERO).expect("dispatch");
-        self.inflight.insert(
-            r.id,
-            Inflight {
-                app: r.app,
-                kind: r.kind,
-                bytes: r.bytes,
-                dispatched: SimTime::ZERO,
-            },
-        );
-        let mut started = Vec::new();
-        started.push(r.id);
-        for id in started {
-            let inf = self.inflight.remove(&id).expect("inflight");
-            let _ = inf.dispatched;
-            self.sched
-                .on_complete(inf.app, inf.kind, inf.bytes, MICRO_LATENCY, SimTime::ZERO);
-            let cont = self.io_table.remove(&id).expect("ctx");
-            black_box(cont);
-        }
-    }
-}
-
 /// Best-of-samples ns/op for one lifecycle closure (the protocol every
 /// scheduler micro in this crate uses: warm up one full batch, then keep
 /// the fastest of 7 timed batches).
@@ -193,22 +115,4 @@ pub fn time_lifecycle(mut op: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_nanos() as f64 / BATCH as f64);
     }
     best
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn both_backends_run_the_lifecycle() {
-        let mut slab = SlabTables::new();
-        let mut hash = HashTables::new();
-        for _ in 0..1000 {
-            slab.step();
-            hash.step();
-        }
-        // Steady state leaves no residue in the tables.
-        assert!(slab.table.is_empty());
-        assert!(hash.io_table.is_empty() && hash.inflight.is_empty());
-    }
 }

@@ -349,14 +349,7 @@ impl Experiment {
 
     /// Runs the experiment to completion and returns the report.
     pub fn run(&self) -> crate::report::RunReport {
-        crate::engine::Sim::<ibis_core::slab::SlabArenas>::new(self).run()
-    }
-
-    /// Runs the experiment on the `HashMap`-backed reference side tables
-    /// instead of the production slabs. Exists for the determinism tests
-    /// (DESIGN.md §12): both paths must produce byte-identical reports.
-    pub fn run_hashmap_reference(&self) -> crate::report::RunReport {
-        crate::engine::Sim::<ibis_core::slab::HashArenas>::new(self).run()
+        crate::engine::Sim::new(self).run()
     }
 }
 

@@ -24,7 +24,7 @@ use crate::config::{ClusterConfig, Experiment, Workload};
 use crate::report::{AssignStats, FaultSummary, JobSummary, QuerySummary, RunReport};
 use ibis_core::intern::{Symbol, SymbolTable};
 use ibis_core::scheduler::{IoScheduler, Policy};
-use ibis_core::slab::{Arena, ArenaKind, ChainKey, CompKey, IoKey, SlabArenas, SlabKey, TaskKey, XferKey};
+use ibis_core::slab::{ChainKey, CompKey, IoKey, Slab, SlabKey, TaskKey, XferKey};
 use ibis_core::{
     AppId, BrokerTree, Delivery, IoClass, IoKind, Request, SchedulingBroker, SfqD2Config, Staleness,
 };
@@ -519,11 +519,9 @@ fn build_sched(
 
 /// The simulator. Construct with [`Sim::new`], run with [`Sim::run`].
 ///
-/// Generic over the side-table backend: production code uses the default
-/// [`SlabArenas`] (dense generational slabs, zero allocations per event
-/// at steady state); the determinism tests run the identical engine over
-/// `HashArenas` and assert a byte-identical [`RunReport`] (DESIGN.md §12).
-pub struct Sim<A: ArenaKind = SlabArenas> {
+/// Per-task and per-I/O state lives in generational [`Slab`]s: zero
+/// allocations per event at steady state (DESIGN.md §12).
+pub struct Sim {
     cfg: ClusterConfig,
     queue: EventQueue<Event>,
     nodes: Vec<Node>,
@@ -563,17 +561,17 @@ pub struct Sim<A: ArenaKind = SlabArenas> {
     symbols: SymbolTable,
     /// first-stage job id → interned query name, for workflow reporting.
     queries: Vec<(JobId, Symbol)>,
-    tasks: A::Arena<TaskKey, RunningTask>,
-    io_table: A::Arena<IoKey, IoCtx>,
-    transfers: A::Arena<XferKey, Cont>,
-    comps: A::Arena<CompKey, CompState>,
+    tasks: Slab<TaskKey, RunningTask>,
+    io_table: Slab<IoKey, IoCtx>,
+    transfers: Slab<XferKey, Cont>,
+    comps: Slab<CompKey, CompState>,
     /// HDFS pipeline state, one entry per open (writer task, replica
     /// node) chain — addressed through the writer's
     /// `RunningTask::open_chains`: one TCP chain per block pipeline — one
     /// chunk on the wire at a time, at most `pipeline_window` chunks
     /// unacknowledged (in flight or waiting at the downstream disk). A
     /// stalled downstream write back-pressures the sender (§3).
-    chains: A::Arena<ChainKey, Chain>,
+    chains: Slab<ChainKey, Chain>,
     /// Retired [`Chain`] shells kept to recycle their chunk deques.
     chain_pool: Vec<Chain>,
     /// Reducers waiting for more map outputs, indexed by `JobId` (dense:
@@ -616,7 +614,7 @@ pub struct Sim<A: ArenaKind = SlabArenas> {
     profile: Option<ibis_trace::EngineProfile>,
 }
 
-impl<A: ArenaKind> Sim<A> {
+impl Sim {
     /// Builds the simulator for an experiment: creates nodes, devices and
     /// schedulers, registers every input file with the namenode, and
     /// schedules all workload arrivals.

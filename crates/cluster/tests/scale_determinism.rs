@@ -3,8 +3,8 @@
 //! scale-smoke job) coordinated through the `BrokerTree` — leaf
 //! aggregators per rack, delta-encoded reports up, delta-encoded replies
 //! down — running a `MixConfig::flood` open-system mix under the full
-//! chaos schedule must produce **byte-identical** reports across the
-//! slab and `HashMap` side-table backends. The canon serializes jobs,
+//! chaos schedule must produce **byte-identical** reports from two runs
+//! of one seed, and a pinned canon. The canon serializes jobs,
 //! per-app service and latency, the recording and the metrics series,
 //! plus the per-tenant section, the broker's per-level traffic counters,
 //! the rack-topology transfer counters, the slot-assignment work
@@ -187,7 +187,7 @@ fn canonical_full(r: &RunReport) -> String {
 }
 
 #[test]
-fn tree_broker_chaos_run_is_byte_identical_across_backends() {
+fn tree_broker_chaos_run_is_byte_identical_across_runs() {
     let serial = scale_experiment(9, true).run();
     // The run really coordinated through the tree: scheduler reports
     // reached rack leaves, aggregator traffic flowed on level 1, the
@@ -222,8 +222,8 @@ fn tree_broker_chaos_run_is_byte_identical_across_backends() {
     assert!(q.fifo_pushes >= ticks && q.heap_pushes > 0, "{q:?}");
     assert_eq!(
         canonical_full(&serial),
-        canonical_full(&scale_experiment(9, true).run_hashmap_reference()),
-        "tree-broker chaos run diverged between slab and HashMap backends"
+        canonical_full(&scale_experiment(9, true).run()),
+        "tree-broker chaos run diverged between two runs of one seed"
     );
 }
 
@@ -235,8 +235,8 @@ fn fnv(s: &str) -> u64 {
 }
 
 /// The clean and chaos canons, pinned per build profile (`NODES` is 64
-/// in debug, 256 in release). The backend test above compares two runs
-/// of one build, so a change that moves both runs the same way passes
+/// in debug, 256 in release). The test above compares two runs of one
+/// build, so a change that moves both runs the same way passes
 /// it; these pins move with it.
 #[test]
 fn clean_and_chaos_canons_are_pinned() {

@@ -2,10 +2,10 @@
 //! *observer*. For the same experiment, `IBIS_TRACE` on vs off must
 //! produce **byte-identical** reports — with observability on (the
 //! recording now carries the extra lifecycle events, so the canon
-//! compares only trace-independent fields) and off (full canon), and
-//! across the slab and `HashMap` side-table backends, clean and under
-//! the chaos schedule. The assembled trace itself must also be identical
-//! across backends: it is a pure function of the event timeline.
+//! compares only trace-independent fields) and off (full canon), clean
+//! and under the chaos schedule. The traced runs' canons and assembled
+//! traces are pinned: the trace is a pure function of the event
+//! timeline.
 
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
@@ -180,26 +180,34 @@ fn tracing_on_and_off_byte_identical() {
     }
 }
 
+/// The seed-42 traced run, clean and under chaos: its report canon and
+/// its assembled trace, pinned. `tracing_on_and_off_byte_identical`
+/// compares two runs of one build, so a change that moves both runs the
+/// same way passes it; these pins move with it.
 #[test]
-fn traced_runs_byte_identical_across_backends() {
-    for chaos in [false, true] {
-        let slab = experiment(42, true, chaos, true).run();
-        let canon = canonical(&slab, true);
-        let trace_canon = canonical_trace(&slab);
-        assert!(!trace_canon.is_empty());
-
-        let hash = experiment(42, true, chaos, true).run_hashmap_reference();
-        assert_eq!(
-            canon,
-            canonical(&hash, true),
-            "traced run diverged between slab and HashMap backends (chaos={chaos})"
-        );
-        assert_eq!(
-            trace_canon,
-            canonical_trace(&hash),
-            "assembled trace diverged across backends (chaos={chaos})"
-        );
-    }
+fn traced_runs_are_pinned() {
+    let digest = |text: &str| {
+        let mut h = Fnv::default();
+        h.write_str(text).unwrap();
+        h.0
+    };
+    let digests: Vec<(u64, u64)> = [false, true]
+        .into_iter()
+        .map(|chaos| {
+            let r = experiment(42, true, chaos, true).run();
+            let trace_canon = canonical_trace(&r);
+            assert!(!trace_canon.is_empty());
+            (digest(&canonical(&r, true)), digest(&trace_canon))
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            (0x8f15_fed2_99fd_038a, 0x91a4_3586_879f_e420),
+            (0xbbc5_5903_ecfe_10de, 0x9500_2180_f4db_035b),
+        ],
+        "traced canon or trace moved"
+    );
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Open-system workload determinism (ISSUE 7): a trace-driven,
 //! multi-tenant mix — a Poisson batch tenant plus a FaaS-style burst
 //! tenant emitting over a thousand short jobs with cold-start spikes —
-//! must produce **byte-identical** reports across the slab and `HashMap`
-//! side-table backends. The canonical serialization covers jobs,
+//! must produce **byte-identical** reports from two runs of one seed,
+//! and a pinned canon. The canonical serialization covers jobs,
 //! per-app service and latency, the recording and the metrics series,
 //! plus the per-tenant section (arrival/completion counts and the latency
 //! histogram), so any nondeterminism in mid-run tenant registration,
@@ -159,22 +159,33 @@ fn open_experiment(seed: u64, chaos: bool) -> Experiment {
     exp
 }
 
+/// FNV-1a over `s`'s bytes: a short fingerprint of a canonical report.
+fn fnv(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Two runs of the open mix agree byte for byte, and the canon is
+/// pinned: a change that moves both runs the same way moves the pin.
 #[test]
-fn open_system_run_is_byte_identical_across_backends() {
+fn open_system_run_is_byte_identical_across_runs() {
     let mix = open_mix(42 ^ 0x5eed);
     assert!(mix.total_jobs() >= 1000, "scenario must carry ≥1000 jobs");
 
-    let slab = open_experiment(42, false).run();
-    assert_eq!(slab.tenants.len(), 2);
-    for t in &slab.tenants {
+    let first = open_experiment(42, false).run();
+    assert_eq!(first.tenants.len(), 2);
+    for t in &first.tenants {
         assert_eq!(t.finished, t.submitted, "tenant {} lost jobs", t.name);
         assert!(t.latency_ms(0.5).is_some());
     }
+    let canon = canonical_full(&first);
     assert_eq!(
-        canonical_full(&slab),
-        canonical_full(&open_experiment(42, false).run_hashmap_reference()),
-        "open-system run diverged between slab and HashMap backends"
+        canon,
+        canonical_full(&open_experiment(42, false).run()),
+        "open-system run diverged between two runs of one seed"
     );
+    assert_eq!(fnv(&canon), 0xc01b_772f_aaef_7b01, "open-system canon moved");
 }
 
 #[test]
@@ -197,7 +208,8 @@ fn tenant_jobs_share_one_flow_and_pool_service() {
 }
 
 /// Chaos + JSONL-trace smoke: a replayed trace under the fault schedule
-/// still completes and stays byte-identical across backends.
+/// still completes, two runs agree byte for byte, and the canon is
+/// pinned.
 #[test]
 fn chaos_trace_replay_is_deterministic() {
     let trace = "\
@@ -213,15 +225,17 @@ fn chaos_trace_replay_is_deterministic() {
         exp.add_trace(trace).expect("trace parses");
         exp
     };
-    let slab = build().run();
-    assert_eq!(slab.tenants.len(), 2);
-    let etl = slab.tenant("etl").expect("etl tenant reported");
+    let first = build().run();
+    assert_eq!(first.tenants.len(), 2);
+    let etl = first.tenant("etl").expect("etl tenant reported");
     assert_eq!(etl.submitted, 3);
     assert_eq!(etl.finished, 3);
-    assert!(slab.faults.expect("chaos active").crashes > 0);
+    assert!(first.faults.expect("chaos active").crashes > 0);
+    let canon = canonical_full(&first);
     assert_eq!(
-        canonical_full(&slab),
-        canonical_full(&build().run_hashmap_reference()),
-        "chaos trace replay diverged between backends"
+        canon,
+        canonical_full(&build().run()),
+        "chaos trace replay diverged between two runs of one seed"
     );
+    assert_eq!(fnv(&canon), 0x8c74_7eca_19d5_9a4b, "chaos trace replay canon moved");
 }

@@ -38,8 +38,8 @@
 //! a real I/O proxy.
 //!
 //! Two support modules serve the engine's allocation-lean hot path (see
-//! DESIGN.md §12): [`slab`] — typed generational arenas replacing the
-//! engine's `HashMap` side tables — and [`intern`] — per-run string
+//! DESIGN.md §12): [`slab`] — the typed generational arena that holds
+//! every engine side table — and [`intern`] — per-run string
 //! interning so event paths carry `Copy` symbols instead of clones. A
 //! third, [`env`], is the single parser for the `IBIS_JOBS` sweep-width
 //! knob.

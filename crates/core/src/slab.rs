@@ -15,8 +15,9 @@
 //!   of silently aliasing the new occupant. Fault injection leans on
 //!   this: a node crash sweeps a task or I/O out from under in-flight
 //!   continuations, whose later lookups then miss harmlessly.
-//! * Keys are strongly typed via the [`slab_key!`] macro ([`IoKey`],
-//!   [`TaskKey`], …), so an I/O id cannot be handed to the task table.
+//! * Keys are strongly typed via the [`slab_key!`](crate::slab_key)
+//!   macro ([`IoKey`], [`TaskKey`], …), so an I/O id cannot be handed to
+//!   the task table.
 //! * A key packs losslessly into a `u64` ([`SlabKey::encode`] /
 //!   [`SlabKey::decode`]), letting it ride through existing id channels
 //!   (device request ids, link transfer ids, observability events)
@@ -24,18 +25,18 @@
 //!
 //! Determinism: the engine's byte-identical-replay guarantee only needs
 //! key assignment to be a pure function of the insert/remove sequence.
-//! Both backends here — the dense [`Slab`] and the [`HashSlab`] reference
-//! used by the validation tests — allocate keys with the *same* LIFO
-//! free-list discipline, so a run produces the same key sequence (and
-//! therefore the same encoded ids, event order, and report) on either.
+//! The LIFO free list and the generation bump on each removal make it
+//! one, so a replayed run produces the same key sequence and therefore
+//! the same encoded ids, event order, and report. The `slab_model`
+//! proptest checks that discipline against a model written from this
+//! spec.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::marker::PhantomData;
 
 /// A typed generational arena key: an `(index, generation)` pair that
 /// packs into a `u64`. Implemented by the key types declared with
-/// [`slab_key!`]; not meant for manual implementation.
+/// [`slab_key!`](crate::slab_key); not meant for manual implementation.
 pub trait SlabKey: Copy + Eq + std::hash::Hash + fmt::Debug {
     /// Assembles a key from its slot index and generation.
     fn from_parts(index: u32, generation: u32) -> Self;
@@ -110,37 +111,6 @@ slab_key!(
     pub struct ChainKey
 );
 
-/// The operations the engine needs from a keyed side table. Implemented
-/// by the dense [`Slab`] (production) and the [`HashSlab`] reference
-/// (validation); both allocate keys identically, see the module docs.
-pub trait Arena<K: SlabKey, V>: Default {
-    /// Stores `value` and returns its key. Reuses the most recently freed
-    /// slot (LIFO) or appends a new one.
-    fn insert(&mut self, value: V) -> K;
-    /// The live entry for `key`, or `None` if it was removed — whether or
-    /// not the slot was since reused under a newer generation. Panics
-    /// only on a foreign key (index never allocated), which is always an
-    /// engine bug.
-    fn get(&self, key: K) -> Option<&V>;
-    /// Mutable [`Arena::get`].
-    fn get_mut(&mut self, key: K) -> Option<&mut V>;
-    /// Removes and returns the entry, freeing its slot. `None`/panic
-    /// semantics match [`Arena::get`].
-    fn remove(&mut self, key: K) -> Option<V>;
-    /// Number of live entries.
-    fn len(&self) -> usize;
-    /// True when no entries are live.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Appends every live key to `out` in slot-index order. Index order is
-    /// identical on both backends regardless of hash state, so fault
-    /// handling that sweeps a table (e.g. aborting a crashed node's
-    /// in-flight I/O) stays deterministic. A full scan — keep it off the
-    /// per-event hot paths.
-    fn keys_into(&self, out: &mut Vec<K>);
-}
-
 #[cold]
 #[inline(never)]
 fn foreign_key(key: impl fmt::Debug, slots: usize) -> ! {
@@ -173,8 +143,10 @@ impl<K, V> Default for Slab<K, V> {
     }
 }
 
-impl<K: SlabKey, V> Arena<K, V> for Slab<K, V> {
-    fn insert(&mut self, value: V) -> K {
+impl<K: SlabKey, V> Slab<K, V> {
+    /// Stores `value` and returns its key. Reuses the most recently freed
+    /// slot (LIFO) or appends a new one.
+    pub fn insert(&mut self, value: V) -> K {
         self.len += 1;
         if let Some(index) = self.free.pop() {
             let slot = &mut self.slots[index as usize];
@@ -193,7 +165,11 @@ impl<K: SlabKey, V> Arena<K, V> for Slab<K, V> {
         }
     }
 
-    fn get(&self, key: K) -> Option<&V> {
+    /// The live entry for `key`, or `None` if it was removed — whether or
+    /// not the slot was since reused under a newer generation. Panics
+    /// only on a foreign key (index never allocated), which is always an
+    /// engine bug.
+    pub fn get(&self, key: K) -> Option<&V> {
         match self.slots.get(key.index() as usize) {
             Some(Slot::Occupied { generation, value }) => {
                 if *generation == key.generation() {
@@ -207,7 +183,8 @@ impl<K: SlabKey, V> Arena<K, V> for Slab<K, V> {
         }
     }
 
-    fn get_mut(&mut self, key: K) -> Option<&mut V> {
+    /// Mutable [`Slab::get`].
+    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
         let slots = self.slots.len();
         match self.slots.get_mut(key.index() as usize) {
             Some(Slot::Occupied { generation, value }) => {
@@ -222,7 +199,9 @@ impl<K: SlabKey, V> Arena<K, V> for Slab<K, V> {
         }
     }
 
-    fn remove(&mut self, key: K) -> Option<V> {
+    /// Removes and returns the entry, freeing its slot and bumping its
+    /// generation. `None`/panic semantics match [`Slab::get`].
+    pub fn remove(&mut self, key: K) -> Option<V> {
         let slots = self.slots.len();
         let slot = match self.slots.get_mut(key.index() as usize) {
             Some(s) => s,
@@ -247,140 +226,27 @@ impl<K: SlabKey, V> Arena<K, V> for Slab<K, V> {
         Some(value)
     }
 
-    fn len(&self) -> usize {
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn keys_into(&self, out: &mut Vec<K>) {
+    /// True when no entries are live.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends every live key to `out` in slot-index order, so fault
+    /// handling that sweeps a table (e.g. aborting a crashed node's
+    /// in-flight I/O) stays deterministic. A full scan — keep it off the
+    /// per-event hot paths.
+    pub fn keys_into(&self, out: &mut Vec<K>) {
         for (i, slot) in self.slots.iter().enumerate() {
             if let Slot::Occupied { generation, .. } = slot {
                 out.push(K::from_parts(i as u32, *generation));
             }
         }
     }
-}
-
-/// A `HashMap`-backed arena with the *same* key-allocation discipline as
-/// [`Slab`] — the validation reference the determinism tests run the
-/// engine against, and the "before" side of the allocation benchmarks.
-pub struct HashSlab<K, V> {
-    /// Occupancy + generation mirror of [`Slab::slots`]; values live in
-    /// `map` so every access pays the hash the slab removed.
-    slots: Vec<HashSlot>,
-    free: Vec<u32>,
-    map: HashMap<u64, V>,
-    _key: PhantomData<K>,
-}
-
-enum HashSlot {
-    Vacant { generation: u32 },
-    Occupied { generation: u32 },
-}
-
-impl<K, V> Default for HashSlab<K, V> {
-    fn default() -> Self {
-        HashSlab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            map: HashMap::new(),
-            _key: PhantomData,
-        }
-    }
-}
-
-impl<K: SlabKey, V> HashSlab<K, V> {
-    /// Resolves `key` to its encoded map slot, with [`Slab`]-identical
-    /// stale/foreign/vacant semantics.
-    fn resolve(&self, key: K) -> Option<u64> {
-        match self.slots.get(key.index() as usize) {
-            Some(HashSlot::Occupied { generation }) => {
-                if *generation == key.generation() {
-                    Some(key.encode())
-                } else {
-                    None
-                }
-            }
-            Some(HashSlot::Vacant { .. }) => None,
-            None => foreign_key(key, self.slots.len()),
-        }
-    }
-}
-
-impl<K: SlabKey, V> Arena<K, V> for HashSlab<K, V> {
-    fn insert(&mut self, value: V) -> K {
-        let key = if let Some(index) = self.free.pop() {
-            let slot = &mut self.slots[index as usize];
-            let HashSlot::Vacant { generation } = *slot else {
-                unreachable!("free list points at occupied slot");
-            };
-            *slot = HashSlot::Occupied { generation };
-            K::from_parts(index, generation)
-        } else {
-            let index = self.slots.len() as u32;
-            self.slots.push(HashSlot::Occupied { generation: 0 });
-            K::from_parts(index, 0)
-        };
-        self.map.insert(key.encode(), value);
-        key
-    }
-
-    fn get(&self, key: K) -> Option<&V> {
-        let enc = self.resolve(key)?;
-        self.map.get(&enc)
-    }
-
-    fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        let enc = self.resolve(key)?;
-        self.map.get_mut(&enc)
-    }
-
-    fn remove(&mut self, key: K) -> Option<V> {
-        let enc = self.resolve(key)?;
-        self.slots[key.index() as usize] = HashSlot::Vacant {
-            generation: key.generation().wrapping_add(1),
-        };
-        self.free.push(key.index());
-        self.map.remove(&enc)
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn keys_into(&self, out: &mut Vec<K>) {
-        // Scan the occupancy mirror, not the map: index order on both
-        // backends, independent of hash iteration order.
-        for (i, slot) in self.slots.iter().enumerate() {
-            if let HashSlot::Occupied { generation } = slot {
-                out.push(K::from_parts(i as u32, *generation));
-            }
-        }
-    }
-}
-
-/// Selects the arena backend for every side table of a generic consumer
-/// (the cluster engine is `Sim<A: ArenaKind>`). Production code uses
-/// [`SlabArenas`]; the determinism tests run the same engine over
-/// [`HashArenas`] and assert byte-identical reports.
-pub trait ArenaKind {
-    /// The concrete table type for key `K` / value `V`.
-    type Arena<K: SlabKey, V>: Arena<K, V>;
-}
-
-/// Dense generational slabs (production backend).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SlabArenas;
-
-impl ArenaKind for SlabArenas {
-    type Arena<K: SlabKey, V> = Slab<K, V>;
-}
-
-/// `HashMap`-backed reference tables (validation backend).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashArenas;
-
-impl ArenaKind for HashArenas {
-    type Arena<K: SlabKey, V> = HashSlab<K, V>;
 }
 
 #[cfg(test)]
@@ -400,7 +266,9 @@ mod tests {
         assert_eq!(format!("{k:?}"), "TestKey(7v3)");
     }
 
-    fn lifecycle<A: Arena<TestKey, &'static str>>(mut t: A) {
+    #[test]
+    fn slab_lifecycle() {
+        let mut t = Slab::<TestKey, &'static str>::default();
         assert!(t.is_empty());
         let a = t.insert("a");
         let b = t.insert("b");
@@ -420,63 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_lifecycle() {
-        lifecycle(Slab::<TestKey, &'static str>::default());
-    }
-
-    #[test]
-    fn hash_slab_lifecycle() {
-        lifecycle(HashSlab::<TestKey, &'static str>::default());
-    }
-
-    #[test]
-    fn backends_assign_identical_keys() {
-        let mut slab = Slab::<TestKey, u32>::default();
-        let mut hash = HashSlab::<TestKey, u32>::default();
-        let mut keys = Vec::new();
-        // Interleaved inserts and removes must produce the same key
-        // sequence on both backends (the determinism contract).
-        for i in 0..100u32 {
-            let (a, b) = (slab.insert(i), hash.insert(i));
-            assert_eq!(a, b);
-            keys.push(a);
-            if i % 3 == 0 {
-                let k = keys.remove((i as usize / 2) % keys.len());
-                assert_eq!(slab.remove(k), hash.remove(k));
-            }
-        }
-        assert_eq!(slab.len(), hash.len());
-    }
-
-    #[test]
-    fn backends_iterate_keys_in_identical_order() {
-        let mut slab = Slab::<TestKey, u32>::default();
-        let mut hash = HashSlab::<TestKey, u32>::default();
-        let mut live = Vec::new();
-        for i in 0..50u32 {
-            let (a, b) = (slab.insert(i), hash.insert(i));
-            assert_eq!(a, b);
-            live.push(a);
-            if i % 4 == 1 {
-                let k = live.remove((i as usize) % live.len());
-                slab.remove(k);
-                hash.remove(k);
-            }
-        }
-        let (mut ks, mut kh) = (Vec::new(), Vec::new());
-        slab.keys_into(&mut ks);
-        hash.keys_into(&mut kh);
-        assert_eq!(ks, kh, "key sweeps must match across backends");
-        assert_eq!(ks.len(), slab.len());
-        // Index order, and every key resolves.
-        assert!(ks.windows(2).all(|w| w[0].index() < w[1].index()));
-        for k in ks {
-            assert_eq!(slab.get(k), hash.get(k));
-            assert!(slab.get(k).is_some());
-        }
-    }
-
-    #[test]
     fn slab_stale_key_misses() {
         let mut t = Slab::<TestKey, u32>::default();
         let a = t.insert(1);
@@ -490,29 +301,9 @@ mod tests {
     }
 
     #[test]
-    fn hash_slab_stale_key_misses() {
-        let mut t = HashSlab::<TestKey, u32>::default();
-        let a = t.insert(1);
-        t.remove(a);
-        let b = t.insert(2);
-        assert_eq!(t.get(a), None);
-        assert_eq!(t.remove(a), None);
-        assert_eq!(t.get(b), Some(&2));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "foreign slab key")]
     fn slab_foreign_key_panics() {
         let t = Slab::<TestKey, u32>::default();
         t.get(TestKey::from_parts(0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "foreign slab key")]
-    fn hash_slab_foreign_key_panics() {
-        let mut t = HashSlab::<TestKey, u32>::default();
-        t.insert(1);
-        t.get_mut(TestKey::from_parts(9, 0));
     }
 }

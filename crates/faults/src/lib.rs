@@ -7,7 +7,7 @@
 //! syncs, device dispatches, node lifecycle). Every decision is a pure
 //! function of the schedule and the injection site — no hidden RNG
 //! state — so a fault run replays byte-for-byte regardless of worker
-//! count or side-table backend, exactly like the fault-free sweep.
+//! count, exactly like the fault-free sweep.
 //!
 //! Fault kinds (the tentpole's three axes):
 //!
@@ -360,7 +360,7 @@ impl FaultSchedule {
 
     /// Should the report from (`node`, `dev`) at sync number `sync_index`
     /// be dropped? Pure function of the schedule — independent of
-    /// evaluation order, worker count, and table backend.
+    /// evaluation order and worker count.
     pub fn drop_report(&self, at: SimTime, node: u32, dev: u8, sync_index: u64) -> bool {
         self.faults.iter().any(|f| match f {
             Fault::DropReports {

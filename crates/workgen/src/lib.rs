@@ -23,9 +23,9 @@
 //!   or hand-written workloads replay bit-exactly.
 //!
 //! Everything downstream of a [`mix::MixConfig`] is a pure function of
-//! the seed, and the cluster engine executes the result identically
-//! across arena backends and partition counts — the workload layer adds
-//! no nondeterminism.
+//! the seed, and the cluster engine executes the result identically on
+//! every replay and at any sweep width — the workload layer adds no
+//! nondeterminism.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
