@@ -1,5 +1,6 @@
-//! A counting global allocator for the alloc-regression harness
-//! (feature `alloc-count`, used by the `bench_alloc` bin only).
+//! A counting global allocator for the alloc-regression harness. Only
+//! the `bench_alloc` bin installs it: it intercepts every allocation in
+//! the process.
 //!
 //! Wraps the system allocator and counts every allocation and reallocation
 //! plus the bytes requested. The counters are process-global relaxed

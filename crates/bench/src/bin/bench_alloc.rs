@@ -9,13 +9,15 @@
 //!    allocs/event over the whole run (informational — startup, report
 //!    building, and workload construction are included).
 //!
-//! Usage: `bench_alloc [output-path] [--check <baseline.json>]`
-//! (default output `BENCH_alloc.json`). With `--check`, the freshly
-//! measured numbers are gated against the committed baseline: non-zero
-//! steady-state slab allocs/event or a >10% ns/event regression exits
-//! non-zero. Build with `--features alloc-count --release`.
+//! Usage: `bench_alloc [--check BASELINE] [OUT]` (default output
+//! `BENCH_alloc.json`). With `--check`, non-zero steady-state slab
+//! allocs/event or a >10% ns/event regression against `BASELINE` exits 1.
+//! This is a binary of its own, not a `bench` record, because the
+//! counting allocator counts for the whole process.
 
 use ibis_bench::alloc::{count_in, CountingAlloc};
+use ibis_bench::experiments::pinned;
+use ibis_bench::gate::{self, Args, Baseline, Verdict};
 use ibis_bench::json;
 use ibis_bench::tables::{time_lifecycle, SlabTables, MICRO_CASE};
 use ibis_cluster::prelude::*;
@@ -29,8 +31,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// harness batch size).
 const WINDOW: u64 = 200_000;
 
-/// Allowed ns/event regression vs the committed baseline before the
-/// `--check` gate fails.
+/// Allowed ns/event regression vs the baseline before the gate fails.
 const NS_REGRESSION_PCT: f64 = 10.0;
 
 struct Steady {
@@ -62,32 +63,16 @@ fn measure_steady(mut step: impl FnMut()) -> Steady {
 /// seconds, mixed enough (terasort + wordcount under SFQ(D)) to exercise
 /// every engine table.
 fn full_run_experiment() -> Experiment {
-    let mut exp = Experiment::new(
-        ClusterConfig::default().with_policy(Policy::SfqD { depth: 8 }),
-    );
+    let mut exp =
+        Experiment::new(pinned(ClusterConfig::default()).with_policy(Policy::SfqD { depth: 8 }));
     exp.add_job(terasort(GIB).max_slots(8).io_weight(4.0));
     exp.add_job(wordcount(GIB).max_slots(8));
     exp
 }
 
-/// Pulls the first number following `"key":` after `anchor` in a JSON
-/// document. Enough parser for the fixed-shape baseline we emit
-/// ourselves; `None` if either marker is missing.
-fn extract_after(doc: &str, anchor: &str, key: &str) -> Option<f64> {
-    let tail = &doc[doc.find(anchor)? + anchor.len()..];
-    let needle = format!("\"{key}\":");
-    let tail = &tail[tail.find(&needle)? + needle.len()..];
-    let num: String = tail
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || matches!(c, '.' | '-' | 'e' | 'E' | '+'))
-        .collect();
-    num.parse().ok()
-}
-
-/// Gates fresh numbers against the committed baseline. Returns the list
-/// of failures (empty = pass).
-fn check(baseline_path: &str, slab: &Steady) -> Vec<String> {
+/// Zero steady-state allocations, always; ns/event within
+/// [`NS_REGRESSION_PCT`] of the baseline when it is timed.
+fn gate(slab: &Steady, base: &Baseline) -> Verdict {
     let mut failures = Vec::new();
     if slab.allocs_per_event > 0.0 {
         failures.push(format!(
@@ -95,49 +80,24 @@ fn check(baseline_path: &str, slab: &Steady) -> Vec<String> {
             slab.allocs_per_event
         ));
     }
-    let doc = match std::fs::read_to_string(baseline_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            failures.push(format!("read baseline {baseline_path}: {e}"));
-            return failures;
-        }
-    };
-    let profile_matches = doc.contains(&format!(
-        "\"build_profile\": \"{}\"",
-        json::build_profile()
-    ));
-    match extract_after(&doc, "\"steady_state_slab\"", "ns_per_event") {
-        Some(base_ns) if profile_matches => {
-            let limit = base_ns * (1.0 + NS_REGRESSION_PCT / 100.0);
-            if slab.ns_per_event > limit {
-                failures.push(format!(
-                    "steady-state slab ns/event {:.1} exceeds baseline {:.1} by >{}% (limit {:.1})",
-                    slab.ns_per_event, base_ns, NS_REGRESSION_PCT, limit
-                ));
-            }
-        }
-        Some(_) => eprintln!(
-            "[bench_alloc] baseline build profile differs from {}; skipping ns gate",
-            json::build_profile()
-        ),
-        None => failures.push(format!(
-            "baseline {baseline_path} has no steady_state_slab.ns_per_event"
-        )),
+    if base.timed {
+        failures.extend(base.at_most(
+            "steady_state_slab",
+            "ns_per_event",
+            slab.ns_per_event,
+            NS_REGRESSION_PCT,
+        )?);
     }
-    failures
+    Ok(failures)
 }
 
 fn main() {
-    let mut out_path = "BENCH_alloc.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--check" {
-            baseline = Some(args.next().expect("--check needs a baseline path"));
-        } else {
-            out_path = arg;
-        }
-    }
+    let args = Args::parse(std::env::args().skip(1), false).unwrap_or_else(|e| {
+        eprintln!("bench_alloc: {e}\nusage: bench_alloc [--check BASELINE] [OUT]");
+        std::process::exit(2);
+    });
+    let base = gate::baseline("bench_alloc", &args);
+    let out = args.out.as_deref().unwrap_or("BENCH_alloc.json");
 
     eprintln!("[bench_alloc] steady state: slab tables ...");
     let mut slab_tables = SlabTables::new();
@@ -148,11 +108,11 @@ fn main() {
     );
 
     eprintln!("[bench_alloc] full run (terasort+wordcount, SFQ d=8) ...");
-    let (allocs, bytes, report) = count_in(|| full_run_experiment().run());
-    let events = report.events.max(1);
+    let (allocs, bytes, full) = count_in(|| full_run_experiment().run());
+    let events = full.events.max(1);
     eprintln!(
         "[bench_alloc]   {} events, {:.2} allocs/event, {:.1} bytes/event",
-        report.events,
+        full.events,
         allocs as f64 / events as f64,
         bytes as f64 / events as f64
     );
@@ -167,25 +127,57 @@ fn main() {
     w.close();
     w.open_object(Some("full_run"));
     w.string(Some("experiment"), "terasort_1gib+wordcount_1gib_sfq_d8");
-    w.number(Some("events"), report.events as f64);
+    w.number(Some("events"), full.events as f64);
     w.number(Some("allocs_per_event"), allocs as f64 / events as f64);
     w.number(Some("bytes_per_event"), bytes as f64 / events as f64);
     w.close();
-    json::write_bench(w, &out_path);
+    json::write_bench(w, out);
     eprintln!(
-        "[bench_alloc] {out_path}: slab {:.0} ns/event, {:.4} allocs/event",
+        "[bench_alloc] {out}: slab {:.0} ns/event, {:.4} allocs/event",
         slab.ns_per_event, slab.allocs_per_event
     );
 
-    if let Some(baseline_path) = baseline {
-        let failures = check(&baseline_path, &slab);
-        if failures.is_empty() {
-            eprintln!("[bench_alloc] check vs {baseline_path}: PASS");
-        } else {
-            for f in &failures {
-                eprintln!("[bench_alloc] check FAIL: {f}");
-            }
-            std::process::exit(1);
+    if let Some(base) = &base {
+        gate::report("bench_alloc", base, gate(&slab, base));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn limits_hold_against_the_committed_record() {
+        let committed = |profile| {
+            let doc = include_str!(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../BENCH_alloc.json"
+            ));
+            Baseline::parse("BENCH_alloc.json", doc, profile)
+        };
+        let base = committed("release");
+        let ns = base.num("steady_state_slab", "ns_per_event").unwrap();
+        let failures = |allocs_per_event, ns_per_event, base: &Baseline| {
+            let slab = Steady {
+                allocs_per_event,
+                bytes_per_event: 0.0,
+                ns_per_event,
+            };
+            gate(&slab, base).unwrap().len()
+        };
+        // 0 allocs/event, in any build; ns/event +10 %.
+        for (allocs, factor, want) in [
+            (0.0, 1.0, 0),
+            (0.0, 1.099, 0),
+            (0.0, 1.101, 1),
+            (1e-6, 1.0, 1),
+        ] {
+            assert_eq!(
+                failures(allocs, ns * factor, &base),
+                want,
+                "{allocs} allocs, ns ×{factor}"
+            );
         }
+        assert_eq!(failures(1e-6, ns * 2.0, &committed("debug")), 1);
     }
 }

@@ -35,6 +35,20 @@ pub fn hdd_cluster(policy: Policy) -> ClusterConfig {
         .with_coordination(coordinated)
 }
 
+/// `cfg` with every subsystem that `ClusterConfig::default()` reads from
+/// the environment (`IBIS_OBS`, `IBIS_METRICS`, `IBIS_FAULTS`,
+/// `IBIS_TRACE`) switched off, so a timed run measures the same work under
+/// any environment. Set a field after pinning to time it switched on.
+pub fn pinned(cfg: ClusterConfig) -> ClusterConfig {
+    ClusterConfig {
+        obs: ibis_obs::ObsConfig::default(),
+        metrics: ibis_metrics::MetricsConfig::default(),
+        faults: ibis_faults::FaultsConfig::default(),
+        trace: ibis_trace::TraceConfig::default(),
+        ..cfg
+    }
+}
+
 /// The paper's SSD testbed (§7.2's second setup).
 pub fn ssd_cluster(policy: Policy) -> ClusterConfig {
     hdd_cluster(policy).with_ssd()
@@ -126,6 +140,24 @@ mod tests {
         assert!(!c.coordination);
         let c = ssd_cluster(sfqd2());
         assert!(matches!(c.hdfs_device, DeviceSpec::Ssd(_)));
+    }
+
+    #[test]
+    fn pinned_switches_off_every_env_read_subsystem() {
+        let on = ClusterConfig {
+            obs: ibis_obs::ObsConfig::enabled(1 << 10),
+            metrics: ibis_metrics::MetricsConfig::enabled(ibis_simcore::SimDuration::from_secs(1)),
+            faults: ibis_faults::FaultsConfig {
+                enabled: true,
+                ..ibis_faults::FaultsConfig::default()
+            },
+            trace: ibis_trace::TraceConfig::on(),
+            ..hdd_cluster(sfqd2())
+        };
+        let off = pinned(on);
+        let enabled = (off.obs.enabled, off.metrics.enabled, off.faults.enabled, off.trace.enabled);
+        assert_eq!(enabled, (false, false, false, false));
+        assert!(off.coordination, "pinning keeps every other field");
     }
 
     #[test]

@@ -18,12 +18,11 @@ use ibis_simcore::SimDuration;
 /// Virtual time at which the step load (TeraGen) arrives.
 const STEP_AT_SECS: u64 = 60;
 
-/// Runs the fig07 step-load scenario with sampling enabled and returns the
-/// report (shared with the `metrics` overhead bin so both measure the same
-/// workload).
-pub fn step_load_run(scale: ScaleProfile, metrics: MetricsConfig) -> RunReport {
-    let mut cluster = hdd_cluster(sfqd2());
-    cluster.metrics = metrics;
+/// Runs the fig07 step-load scenario on `cluster`, the HDD testbed under
+/// SFQ(D2) (`hdd_cluster(sfqd2())`) with the caller's sampler setting, and
+/// returns the report (shared with `bench metrics`, so the figure and the
+/// overhead record measure the same workload).
+pub fn step_load_run(scale: ScaleProfile, cluster: ClusterConfig) -> RunReport {
     let mut exp = Experiment::new(cluster);
     exp.add_job(wc_half(scale).io_weight(32.0));
     exp.add_job(
@@ -61,7 +60,13 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         scale.label()
     );
 
-    let r = step_load_run(scale, MetricsConfig::enabled(SimDuration::from_secs(1)));
+    let r = step_load_run(
+        scale,
+        ClusterConfig {
+            metrics: MetricsConfig::enabled(SimDuration::from_secs(1)),
+            ..hdd_cluster(sfqd2())
+        },
+    );
     let cap = r.metrics.as_ref().expect("metrics captured");
     let (report, depth_osc) = controller_diagnostics(cap);
 

@@ -30,7 +30,7 @@
 //!   *parity*: sharding the broker must not change who gets served.
 //! * **Sync bytes per node** over the whole run — the tree's per-node
 //!   coordination cost stays flat up the ladder while the flat broker's
-//!   single-endpoint payload grows with the cluster (`bench_scale` gates
+//!   single-endpoint payload grows with the cluster (`bench scale` gates
 //!   these curves exactly; the figure records them alongside fairness).
 //! * The **fairness audit**: the five `ibis-obs` invariants (start-tag
 //!   monotonicity, windowed proportional share, DSFQ delay identity,
@@ -52,7 +52,7 @@ use std::collections::HashMap;
 const SEED: u64 = 0x5ca1e;
 
 /// Nodes per rack — one leaf aggregator per rack in tree mode.
-const RACK: u32 = 16;
+pub const RACK: u32 = 16;
 
 /// Maximum tolerated Jain-index gap between the flat and tree planes at
 /// one size — and between the calm and rack-chaos runs on unaffected
@@ -105,7 +105,35 @@ fn mix(nodes: u32) -> MixConfig {
     )
 }
 
-/// The `bench_scale` cluster with the flight recorder on and the cell's
+/// The scale ladder's cluster, shared with `bench scale`: `nodes`
+/// four-core nodes on fast `Ideal` devices in racks of [`RACK`], running
+/// coordinated SFQ(D2) through the flat broker or, with `tree`, the
+/// rack-sharded broker tree (50 µs per hop).
+pub fn ladder_cluster(nodes: u32, tree: bool) -> ClusterConfig {
+    let ideal = DeviceSpec::Ideal {
+        bandwidth: 300e6,
+        latency: SimDuration::from_millis(2),
+    };
+    let cfg = ClusterConfig {
+        nodes,
+        cores_per_node: 4,
+        seed: SEED,
+        hdfs_device: ideal.clone(),
+        scratch_device: ideal,
+        auto_reference: false,
+        ..ClusterConfig::default()
+    }
+    .with_policy(Policy::SfqD2(SfqD2Config::default()))
+    .with_racks(RACK)
+    .with_coordination(true);
+    if tree {
+        cfg.with_broker_tree(RACK, SimDuration::from_micros(50))
+    } else {
+        cfg
+    }
+}
+
+/// The [`ladder_cluster`] with the flight recorder on and the cell's
 /// fault shape: a single mid-run broker outage (15 s in, 6 s long, 2 s
 /// staleness bound) for the ladder cells — long enough that every
 /// scheduler declares its broker totals stale and drops to pure-local
@@ -129,31 +157,12 @@ fn cluster(nodes: u32, tree: bool, chaos: Chaos) -> ClusterConfig {
             ..FaultsConfig::default()
         },
     };
-    let mut cfg = ClusterConfig {
-        nodes,
-        cores_per_node: 4,
-        seed: SEED,
-        hdfs_device: DeviceSpec::Ideal {
-            bandwidth: 300e6,
-            latency: SimDuration::from_millis(2),
-        },
-        scratch_device: DeviceSpec::Ideal {
-            bandwidth: 300e6,
-            latency: SimDuration::from_millis(2),
-        },
-        auto_reference: false,
+    ClusterConfig {
         obs: ObsConfig::enabled(1 << 20),
         metrics: ibis_metrics::MetricsConfig::default(),
         faults,
-        ..ClusterConfig::default()
+        ..ladder_cluster(nodes, tree)
     }
-    .with_policy(Policy::SfqD2(SfqD2Config::default()))
-    .with_racks(RACK)
-    .with_coordination(true);
-    if tree {
-        cfg = cfg.with_broker_tree(RACK, SimDuration::from_micros(50));
-    }
-    cfg
 }
 
 struct Cell {

@@ -1,8 +1,7 @@
 //! One module per regenerated table/figure (see DESIGN.md §4 for the
-//! index). Each exposes `run(scale) -> ResultSink`; the `src/bin/`
-//! wrappers print and save. Keeping the logic in the library lets the
-//! integration tests exercise downsized versions of every experiment and
-//! lets `all_experiments` drive the complete set.
+//! index). Each exposes `run(scale) -> ResultSink`, which prints the
+//! table; `all_experiments [NAME…]` runs the [`suite`] entries and saves
+//! their results, and `bench sweep` times the whole suite.
 
 use crate::results::ResultSink;
 use crate::scale::ScaleProfile;
@@ -26,11 +25,11 @@ const fn entry(name: &'static str, title: &'static str, run: FigureFn) -> SuiteE
 }
 
 /// The complete suite in EXPERIMENTS.md order — shared by the
-/// `all_experiments` regeneration bin and the `bench_sweep` timing bin.
+/// `all_experiments` regeneration bin and the `bench sweep` record.
 pub fn suite() -> Vec<SuiteEntry> {
     vec![
         entry("tab01", "Table 1: cluster/Hadoop configuration", tab01_config::run),
-        entry("fig02", "Fig. 2: device latency/throughput profiles", fig02_profiles::run),
+        entry("fig02", "Fig. 2: TeraSort and WordCount read/write throughput over time", fig02_profiles::run),
         entry("fig03", "Fig. 3: motivation — native interference", fig03_motivation::run),
         entry("fig06", "Fig. 6: WordCount vs TeraGen isolation (HDD)", fig06_isolation_hdd::run),
         entry("fig07", "Fig. 7: SFQ(D2) depth/latency trace", fig07_depth_trace::run),

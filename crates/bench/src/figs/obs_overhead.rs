@@ -12,9 +12,11 @@ use crate::table::Table;
 use ibis_cluster::prelude::*;
 use ibis_obs::{audit, AuditConfig, ObsConfig};
 
-fn contended(scale: ScaleProfile, obs: ObsConfig) -> RunReport {
-    let mut cfg = hdd_cluster(sfqd2());
-    cfg.obs = obs;
+/// The contended run on `cfg`: WordCount (I/O weight 32) against TeraGen
+/// (weight 1), each on half the slots. `cfg` is the HDD testbed under
+/// SFQ(D2), `hdd_cluster(sfqd2())`, with the caller's recorder setting;
+/// `bench obs` times this run.
+pub fn contended(scale: ScaleProfile, cfg: ClusterConfig) -> RunReport {
     let mut exp = Experiment::new(cfg);
     exp.add_job(wc_half(scale).io_weight(32.0));
     exp.add_job(tg_half(scale).io_weight(1.0));
@@ -32,8 +34,12 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     // Recorder off: ObsConfig::default() is disabled regardless of the
     // environment, so this row is the untraced baseline even under
     // IBIS_OBS=1.
-    let off = contended(scale, ObsConfig::default());
-    let on = contended(scale, ObsConfig::enabled(1 << 16));
+    let cluster = |obs| ClusterConfig {
+        obs,
+        ..hdd_cluster(sfqd2())
+    };
+    let off = contended(scale, cluster(ObsConfig::default()));
+    let on = contended(scale, cluster(ObsConfig::enabled(1 << 16)));
     let rec = on.recording.as_ref().expect("recorder was enabled");
 
     let overhead_pct = (on.wall_secs / off.wall_secs - 1.0) * 100.0;

@@ -35,9 +35,9 @@ pub fn build_profile() -> &'static str {
 }
 
 /// Opens the root object of a `BENCH_*.json` record with the shared
-/// provenance header every bench bin stamps: bench name, schema version,
-/// git revision, and build profile. Append the record body, then hand the
-/// writer to [`write_bench`].
+/// provenance header every record carries: bench name, schema version,
+/// git revision, build profile, and the host's core count. Append the
+/// record body, then hand the writer to [`write_bench`].
 pub fn bench_writer(bench: &str) -> Writer {
     let mut w = Writer::new();
     w.open_object(None);
@@ -45,6 +45,7 @@ pub fn bench_writer(bench: &str) -> Writer {
     w.number(Some("schema_version"), BENCH_SCHEMA_VERSION);
     w.string(Some("git_rev"), &git_rev());
     w.string(Some("build_profile"), build_profile());
+    w.number(Some("host_cores"), ibis_core::env::available_cores() as f64);
     w
 }
 
@@ -175,11 +176,6 @@ impl Writer {
         self.value(key, &rendered)
     }
 
-    /// A boolean value.
-    pub fn boolean(&mut self, key: Option<&str>, v: bool) -> &mut Self {
-        self.value(key, if v { "true" } else { "false" })
-    }
-
     /// The accumulated document.
     pub fn finish(self) -> String {
         assert!(self.stack.is_empty(), "unclosed JSON scope");
@@ -214,6 +210,7 @@ mod tests {
         assert!(doc.starts_with("{\n  \"bench\": \"test\",\n  \"schema_version\": 1.0,"));
         assert!(doc.contains("\"git_rev\": \""));
         assert!(doc.contains(&format!("\"build_profile\": \"{}\"", build_profile())));
+        assert!(doc.contains("\"host_cores\": "));
         assert!(doc.contains("\"x\": 1.0"));
     }
 

@@ -1,6 +1,6 @@
 //! Machine-readable result recording.
 //!
-//! Every figure binary writes its measured values to
+//! Every figure writes its measured values to
 //! `results/<experiment>.json` so EXPERIMENTS.md entries can be
 //! regenerated and diffed across runs.
 

@@ -1,6 +1,6 @@
 //! Experiment scale control.
 //!
-//! Every figure binary supports two scales, chosen by the `IBIS_SCALE`
+//! Every figure runs at one of two scales, chosen by the `IBIS_SCALE`
 //! environment variable:
 //!
 //! * `quick` (default) — data volumes divided by [`QUICK_DIVISOR`], so the
@@ -49,7 +49,7 @@ impl ScaleProfile {
 }
 
 /// Reads `IBIS_BENCH_NODES` for topology-parameterized benches
-/// (`bench_scale`), falling back to `default`. Unparsable
+/// (`bench scale`), falling back to `default`. Unparsable
 /// or zero values fall back too — a bench should never panic over an
 /// environment typo, it should run the documented default.
 pub fn bench_nodes(default: u32) -> u32 {

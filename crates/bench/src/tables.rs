@@ -1,9 +1,10 @@
-//! The engine-side-table micro harness: one interposed-I/O lifecycle
-//! (submit → dispatch → complete) through an SFQ(D) scheduler plus the
-//! engine's bookkeeping, a generational slab entry per I/O and a reused
-//! completion buffer.
+//! The scheduler micro harness: one interposed-I/O lifecycle (submit →
+//! dispatch → complete) through an SFQ(D) scheduler, plus — in
+//! [`SlabTables`] — the engine's bookkeeping, a generational slab entry
+//! per I/O and a reused completion buffer.
 //!
-//! Used by the `bench_alloc` allocation-regression bin.
+//! `bench_alloc` times and counts [`SlabTables`]; `bench obs` times the
+//! bare scheduler with its event emission cold and hot.
 
 use ibis_core::prelude::*;
 use ibis_core::slab::{IoKey, Slab, SlabKey};
@@ -18,10 +19,14 @@ pub const MICRO_FLOWS: u32 = 8;
 /// Scheduler dispatch depth in the micro case.
 pub const MICRO_DEPTH: u32 = 8;
 
-const MICRO_BYTES: u64 = 4 << 20;
-const MICRO_LATENCY: SimDuration = SimDuration::from_millis(5);
+/// Bytes per request in the micro case.
+pub const MICRO_BYTES: u64 = 4 << 20;
+/// Device latency charged per completion in the micro case.
+pub const MICRO_LATENCY: SimDuration = SimDuration::from_millis(5);
 
-fn micro_sched() -> Box<dyn IoScheduler + Send> {
+/// The micro case's scheduler: SFQ([`MICRO_DEPTH`]) with
+/// [`MICRO_FLOWS`] flows weighted 1, 2, ….
+pub fn micro_sched() -> Box<dyn IoScheduler + Send> {
     let mut sched = (Policy::SfqD { depth: MICRO_DEPTH }).build();
     for f in 0..MICRO_FLOWS {
         sched.set_weight(AppId(f), 1.0 + f as f64);
