@@ -74,19 +74,20 @@ fn link_churn(c: &mut Criterion) {
             let mut id = 0u64;
             let mut now = SimTime::ZERO;
             let mut timer = None;
+            let mut finished = Vec::new();
             // prime with a steady set of flows
             for _ in 0..flows {
-                timer = Some(link.start(id, 4 << 20, now));
+                timer = Some(link.start(id, 4 << 20, 1.0, now));
                 id += 1;
             }
             b.iter(|| {
                 // fire the earliest timer, replace every finished transfer
                 let t = timer.take().expect("timer");
                 now = t.at;
-                let (finished, next) = link.on_timer(now, t.epoch);
-                timer = next;
-                for _ in finished {
-                    timer = Some(link.start(id, 4 << 20, now));
+                finished.clear();
+                timer = link.on_timer(now, t.epoch, &mut finished);
+                for _ in &finished {
+                    timer = Some(link.start(id, 4 << 20, 1.0, now));
                     id += 1;
                 }
                 black_box(link.active())

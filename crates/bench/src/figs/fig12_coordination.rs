@@ -15,43 +15,30 @@ use crate::table::Table;
 use ibis_cluster::prelude::*;
 use ibis_workloads::{teragen, terasort};
 
-fn cluster(scale: ScaleProfile, sync: bool) -> ClusterConfig {
-    let mut c = hdd_cluster(sfqd2()).with_coordination(sync);
-    // Per-node unevenness arises naturally from slot placement, reduce
-    // distribution and replica traffic (§5 lists all three); an explicit
-    // input skew can be layered on with IBIS_FIG12_SKEW=1, but it also
-    // slows the standalone baselines and tends to wash the slowdown
-    // ratios out.
-    if std::env::var("IBIS_FIG12_SKEW").as_deref() == Ok("1") {
-        c.placement = ibis_dfs::Placement::Skewed {
-            hot_nodes: 3,
-            hot_weight: 6.0,
-        };
-    }
-    let _ = scale;
-    c
+/// TeraSort's I/O weight against TeraGen's 1 (the figure's 32:1).
+const TS_IO_WEIGHT: f64 = 32.0;
+
+/// Per-node unevenness arises naturally from slot placement, reduce
+/// distribution and replica traffic (§5 lists all three), so input
+/// placement stays uniform: an explicit input skew also slows the
+/// standalone baselines and tends to wash the slowdown ratios out.
+fn cluster(sync: bool) -> ClusterConfig {
+    hdd_cluster(sfqd2()).with_coordination(sync)
 }
 
 fn standalone_thunks(scale: ScaleProfile, sync: bool) -> [RunThunk; 2] {
     [
         run_thunk(move || {
-            let mut exp = Experiment::new(cluster(scale, sync));
+            let mut exp = Experiment::new(cluster(sync));
             exp.add_job(ts_spec(scale));
             exp.run()
         }),
         run_thunk(move || {
-            let mut exp = Experiment::new(cluster(scale, sync));
+            let mut exp = Experiment::new(cluster(sync));
             exp.add_job(teragen(scale.bytes(volumes::TERAGEN)));
             exp.run()
         }),
     ]
-}
-
-fn ts_io_weight() -> f64 {
-    std::env::var("IBIS_FIG12_W")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32.0)
 }
 
 fn ts_spec(scale: ScaleProfile) -> ibis_mapreduce::JobSpec {
@@ -64,10 +51,9 @@ fn ts_spec(scale: ScaleProfile) -> ibis_mapreduce::JobSpec {
 }
 
 fn contended(scale: ScaleProfile, sync: bool) -> RunThunk {
-    let ts_weight = ts_io_weight();
     run_thunk(move || {
-        let mut exp = Experiment::new(cluster(scale, sync));
-        exp.add_job(ts_spec(scale).cpu_weight(1.0).io_weight(ts_weight));
+        let mut exp = Experiment::new(cluster(sync));
+        exp.add_job(ts_spec(scale).cpu_weight(1.0).io_weight(TS_IO_WEIGHT));
         exp.add_job(
             teragen(scale.bytes(volumes::TERAGEN))
                 .cpu_weight(1.0)

@@ -21,7 +21,7 @@
 
 use crate::experiments::{hdd_cluster, sfqd2};
 use crate::figs::fig_trace::build_traces;
-use crate::results::ResultSink;
+use crate::results::{self, ResultSink};
 use crate::scale::ScaleProfile;
 use crate::table::Table;
 use ibis_cluster::prelude::*;
@@ -132,11 +132,13 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         .collect();
     let metrics = sfq.metrics.as_ref().expect("metrics enabled");
     let csv = ibis_metrics::csv::export_with(metrics, &extra);
-    std::fs::create_dir_all("results").ok();
-    std::fs::write("results/fig_attribution.csv", &csv).expect("write joined csv");
+    let path = results::dir()
+        .expect("create the results directory")
+        .join("fig_attribution.csv");
+    std::fs::write(&path, &csv).expect("write joined csv");
     println!(
-        "\njoined CSV (metrics series + latency components) → \
-         results/fig_attribution.csv ({} rows)",
+        "\njoined CSV (metrics series + latency components) → {} ({} rows)",
+        path.display(),
         csv.lines().count() - 1
     );
 

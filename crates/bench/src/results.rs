@@ -8,6 +8,16 @@ use crate::json;
 use std::fs;
 use std::path::PathBuf;
 
+/// The directory every result file goes to — `IBIS_RESULTS_DIR` when set,
+/// else `results/` under the working directory — created if missing.
+pub fn dir() -> std::io::Result<PathBuf> {
+    let dir: PathBuf = std::env::var("IBIS_RESULTS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|_| PathBuf::from("results"));
+    fs::create_dir_all(&dir)?;
+    Ok(dir)
+}
+
 /// Collects named measurements for one experiment and writes them as a
 /// JSON object on drop-free explicit save.
 #[derive(Debug)]
@@ -53,17 +63,16 @@ impl ResultSink {
             .map(|&(_, v)| v)
     }
 
-    /// Writes `results/<experiment>.json` under `root` (defaults to the
-    /// workspace `results/` when `IBIS_RESULTS_DIR` is unset). Errors are
-    /// reported but non-fatal — figures still print to stdout.
+    /// Writes `<experiment>.json` under [`dir`]. Errors are reported but
+    /// non-fatal — figures still print to stdout.
     pub fn save(&self) {
-        let dir: PathBuf = std::env::var("IBIS_RESULTS_DIR")
-            .map(PathBuf::from)
-            .unwrap_or_else(|_| PathBuf::from("results"));
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
-        }
+        let dir = match dir() {
+            Ok(dir) => dir,
+            Err(e) => {
+                eprintln!("warning: cannot create the results directory: {e}");
+                return;
+            }
+        };
         let path = dir.join(format!("{}.json", self.experiment));
         if let Err(e) = fs::write(&path, self.to_json()) {
             eprintln!("warning: cannot write {}: {e}", path.display());
@@ -112,15 +121,21 @@ mod tests {
 
     #[test]
     fn save_respects_env_dir() {
-        let dir = std::env::temp_dir().join(format!("ibis-results-{}", std::process::id()));
-        std::env::set_var("IBIS_RESULTS_DIR", &dir);
+        let tmp = std::env::temp_dir().join(format!("ibis-results-{}", std::process::id()));
+        std::env::set_var("IBIS_RESULTS_DIR", &tmp);
         let mut s = ResultSink::new("unit-test", "quick");
         s.record("x", 1.0);
         s.save();
-        let path = dir.join("unit-test.json");
+        let path = tmp.join("unit-test.json");
         let data = std::fs::read_to_string(&path).expect("file written");
         assert!(data.contains("\"unit-test\""));
+        // fig_attribution's joined CSV resolves through the same
+        // directory, which `dir` creates when it is missing.
+        std::fs::remove_dir_all(&tmp).expect("remove results dir");
+        let csv = dir().expect("results dir created").join("fig_attribution.csv");
+        assert_eq!(csv, tmp.join("fig_attribution.csv"));
+        assert!(tmp.is_dir());
         std::env::remove_var("IBIS_RESULTS_DIR");
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&tmp);
     }
 }

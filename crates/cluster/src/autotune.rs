@@ -12,15 +12,7 @@
 //! `log2(weight)` converges in a handful of simulated runs — the
 //! simulator stands in for the paper's envisioned performance models.
 
-//!
-//! Because each probe is an independent simulation, the search also comes
-//! in a parallel flavour: [`tune_weight_grid`] replaces the sequential
-//! bisection with two waves of log-spaced probes submitted through a
-//! [`SweepRunner`] — same monotonicity argument, finer resolution, and
-//! the wall-clock of ~2 runs instead of ~7.
-
 use crate::report::RunReport;
-use crate::sweep::SweepRunner;
 
 /// Outcome of a tuning search.
 #[derive(Debug, Clone)]
@@ -93,78 +85,6 @@ pub fn tune_weight(
         if hi - lo < 0.25 {
             break;
         }
-    }
-
-    TuneResult {
-        weight: best.0,
-        achieved_slowdown: best.1,
-        probes,
-    }
-}
-
-/// The parallel counterpart of [`tune_weight`]: evaluates independent
-/// weight probes through `runner` instead of bisecting sequentially.
-///
-/// Wave 1 probes a log-spaced grid over `[1, max_weight]`; because the
-/// slowdown is monotone non-increasing in the weight, the smallest
-/// feasible grid point and its infeasible left neighbour bracket the
-/// answer. Wave 2 probes the bracket's interior. All probes within a wave
-/// are independent simulations, so they fan out across the runner's
-/// width; the result is deterministic for a given grid regardless of
-/// thread count.
-pub fn tune_weight_grid(
-    runner: &SweepRunner,
-    run: impl Fn(f64) -> RunReport + Sync,
-    runtime_of: impl Fn(&RunReport) -> f64 + Sync,
-    baseline_secs: f64,
-    target_slowdown: f64,
-    max_weight: f64,
-) -> TuneResult {
-    assert!(baseline_secs > 0.0, "baseline must be positive");
-    assert!(target_slowdown >= 1.0, "targets below 1.0 are unreachable");
-    assert!(max_weight >= 1.0);
-
-    let probe_wave = |weights: Vec<f64>| -> Vec<(f64, f64)> {
-        runner.map(weights, |_, w| {
-            let report = run(w);
-            (w, runtime_of(&report) / baseline_secs)
-        })
-    };
-    // Log-spaced inclusive grid over [2^lo, 2^hi].
-    let grid = |lo: f64, hi: f64, n: usize| -> Vec<f64> {
-        (0..n)
-            .map(|i| (lo + (hi - lo) * i as f64 / (n - 1) as f64).exp2())
-            .collect()
-    };
-
-    let hi = max_weight.log2();
-    let coarse = probe_wave(grid(0.0, hi, 8));
-    let mut probes = coarse.clone();
-
-    // Smallest feasible coarse weight (the grid is ascending in weight).
-    let Some(first_ok) = coarse.iter().position(|&(_, sd)| sd <= target_slowdown) else {
-        // Even max_weight misses the target: report infeasibility.
-        let &(w, sd) = coarse.last().expect("non-empty grid");
-        return TuneResult {
-            weight: w,
-            achieved_slowdown: sd,
-            probes,
-        };
-    };
-    let mut best = coarse[first_ok];
-    if first_ok > 0 {
-        // Refine inside the bracketing interval (endpoints already run).
-        let lo2 = coarse[first_ok - 1].0.log2();
-        let hi2 = best.0.log2();
-        let fine = probe_wave(grid(lo2, hi2, 8)[1..7].to_vec());
-        if let Some(better) = fine
-            .iter()
-            .find(|&&(_, sd)| sd <= target_slowdown)
-            .copied()
-        {
-            best = better;
-        }
-        probes.extend(fine);
     }
 
     TuneResult {
@@ -249,43 +169,5 @@ mod tests {
     #[should_panic(expected = "unreachable")]
     fn rejects_sub_one_targets() {
         let _ = tune_weight(contended, |_| 1.0, 1.0, 0.5, 8.0);
-    }
-
-    #[test]
-    fn grid_meets_the_target_in_parallel() {
-        let mut exp = Experiment::new(cluster());
-        exp.add_job(wordcount(GIB).max_slots(8));
-        let base = exp.run().runtime_secs("WordCount").unwrap();
-
-        let runner = SweepRunner::with_jobs(4);
-        let result = tune_weight_grid(
-            &runner,
-            contended,
-            |r| r.runtime_secs("WordCount").unwrap(),
-            base,
-            1.5,
-            64.0,
-        );
-        assert!(
-            result.achieved_slowdown <= 1.5,
-            "missed target: {result:?}"
-        );
-        assert!(result.weight >= 1.0 && result.weight <= 64.0);
-        assert!(result.probes.len() >= 8, "coarse wave records all probes");
-    }
-
-    #[test]
-    fn grid_reports_infeasible_targets_honestly() {
-        let runner = SweepRunner::with_jobs(2);
-        let result = tune_weight_grid(
-            &runner,
-            contended,
-            |r| r.runtime_secs("WordCount").unwrap(),
-            1.0, // absurd baseline: nothing can match it
-            1.01,
-            8.0,
-        );
-        assert!(result.achieved_slowdown > 1.01);
-        assert_eq!(result.weight, 8.0);
     }
 }

@@ -87,13 +87,6 @@ pub struct ClusterConfig {
     /// fatter ingress (e.g. bonded links) to stay in the paper's regime.
     /// See DESIGN.md.
     pub nic_bw: f64,
-    /// HDFS pipeline ack window: chunks of one block pipeline that may be
-    /// unacknowledged (in transfer or queued at the downstream disk)
-    /// before the sender stalls. Models the aggregate buffering along a
-    /// real pipeline — the DFSClient's in-flight packet allowance, both
-    /// sockets' TCP buffers, and the receiving DataNode's write-behind —
-    /// which together absorb tens of MB per block chain.
-    pub pipeline_window: u32,
     /// The I/O scheduler on every device queue.
     pub policy: Policy,
     /// Enable the distributed scheduling coordination (§5).
@@ -143,19 +136,12 @@ pub struct ClusterConfig {
     /// causality is relaxed to aggregate streaming behaviour; see
     /// DESIGN.md) — the `ablate_write_window` sweep quantifies the effect.
     pub read_window: u32,
-    /// Intermediate-write window: Hadoop spills via a background thread
-    /// while the task keeps producing, so spill writes overlap compute.
-    pub intermediate_write_window: u32,
     /// Profile the devices at start-up and use the measured knee latency
     /// as the SFQ(D2) reference (§4's offline profiling). When false, the
     /// references in the policy's controller config are used as-is.
     pub auto_reference: bool,
     /// Record the Fig. 7 depth/latency trace on this node's HDFS device.
     pub trace_node: Option<u32>,
-    /// Bin width of the throughput time series.
-    pub series_bin: SimDuration,
-    /// Abort if simulated time exceeds this bound (deadlock guard).
-    pub max_sim_time: SimDuration,
     /// Master RNG seed.
     pub seed: u64,
     /// Flight-recorder configuration (see `ibis-obs`). Defaults to the
@@ -198,7 +184,6 @@ impl Default for ClusterConfig {
             hdfs_device: DeviceSpec::default_hdd(),
             scratch_device: DeviceSpec::default_hdd(),
             nic_bw: 250e6,
-            pipeline_window: 12,
             policy: Policy::Native,
             coordination: false,
             network_control: false,
@@ -211,11 +196,8 @@ impl Default for ClusterConfig {
             chunk: IO_CHUNK,
             hdfs_write_window: 16,
             read_window: 1,
-            intermediate_write_window: 2,
             auto_reference: true,
             trace_node: None,
-            series_bin: SimDuration::from_secs(1),
-            max_sim_time: SimDuration::from_secs(48 * 3600),
             seed: 0x1b15,
             obs: ibis_obs::ObsConfig::from_env(),
             metrics: ibis_metrics::MetricsConfig::from_env(),

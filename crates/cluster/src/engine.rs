@@ -22,7 +22,6 @@
 
 use crate::config::{ClusterConfig, Experiment, Workload};
 use crate::report::{AssignStats, FaultSummary, JobSummary, QuerySummary, RunReport};
-use ibis_core::intern::{Symbol, SymbolTable};
 use ibis_core::scheduler::{IoScheduler, Policy};
 use ibis_core::slab::{ChainKey, CompKey, IoKey, Slab, SlabKey, TaskKey, XferKey};
 use ibis_core::{
@@ -159,6 +158,24 @@ impl Event {
         }
     }
 }
+
+/// HDFS pipeline ack window: chunks of one block pipeline that may be
+/// unacknowledged (in transfer or queued at the downstream disk) before
+/// the sender stalls. Models the aggregate buffering along a real
+/// pipeline — the DFSClient's in-flight packet allowance, both sockets'
+/// TCP buffers, and the receiving DataNode's write-behind — which
+/// together absorb tens of MB per block chain.
+const PIPELINE_WINDOW: u32 = 12;
+
+/// Intermediate-write window: Hadoop spills via a background thread
+/// while the task keeps producing, so spill writes overlap compute.
+const INTERMEDIATE_WRITE_WINDOW: u32 = 2;
+
+/// Bin width of the throughput time series.
+const SERIES_BIN: SimDuration = SimDuration::from_secs(1);
+
+/// Deadlock guard: a run aborts if simulated time exceeds this bound.
+const MAX_SIM_TIME: SimDuration = SimDuration::from_secs(48 * 3600);
 
 /// Bucket upper bounds (ms) for the per-device completion-latency
 /// histograms recorded when metrics are enabled.
@@ -557,10 +574,8 @@ pub struct Sim {
     tenant_index: HashMap<String, usize>,
     /// Job → index in `tenants`, dense by `JobId.0` (`None` = no tenant).
     job_tenant: Vec<Option<u32>>,
-    /// Interned workload names; resolved only at report-building time.
-    symbols: SymbolTable,
-    /// first-stage job id → interned query name, for workflow reporting.
-    queries: Vec<(JobId, Symbol)>,
+    /// first-stage job id → query name, for workflow reporting.
+    queries: Vec<(JobId, String)>,
     tasks: Slab<TaskKey, RunningTask>,
     io_table: Slab<IoKey, IoCtx>,
     transfers: Slab<XferKey, Cont>,
@@ -568,7 +583,7 @@ pub struct Sim {
     /// HDFS pipeline state, one entry per open (writer task, replica
     /// node) chain — addressed through the writer's
     /// `RunningTask::open_chains`: one TCP chain per block pipeline — one
-    /// chunk on the wire at a time, at most `pipeline_window` chunks
+    /// chunk on the wire at a time, at most `PIPELINE_WINDOW` chunks
     /// unacknowledged (in flight or waiting at the downstream disk). A
     /// stalled downstream write back-pressures the sender (§3).
     chains: Slab<ChainKey, Chain>,
@@ -895,7 +910,6 @@ impl Sim {
             tenants: Vec::new(),
             tenant_index: HashMap::new(),
             job_tenant: Vec::new(),
-            symbols: SymbolTable::new(),
             queries: Vec::new(),
             tasks: Default::default(),
             io_table: Default::default(),
@@ -910,8 +924,8 @@ impl Sim {
             app_read: HashMap::new(),
             app_write: HashMap::new(),
             app_latency: HashMap::new(),
-            total_read: TimeSeries::new(SimDuration::from_secs(1)),
-            total_write: TimeSeries::new(SimDuration::from_secs(1)),
+            total_read: TimeSeries::new(SERIES_BIN),
+            total_write: TimeSeries::new(SERIES_BIN),
             events: 0,
             reference_ms,
             finished: false,
@@ -1036,8 +1050,6 @@ impl Sim {
     /// Runs to completion and produces the report.
     pub fn run(mut self) -> RunReport {
         let wall = Instant::now();
-        self.total_read = TimeSeries::new(self.cfg.series_bin);
-        self.total_write = TimeSeries::new(self.cfg.series_bin);
         self.event_loop();
         assert!(
             self.finished || self.pending.is_empty(),
@@ -1060,8 +1072,8 @@ impl Sim {
             self.last_event_time = now;
         }
         assert!(
-            now - SimTime::ZERO <= self.cfg.max_sim_time,
-            "simulation exceeded max_sim_time at {now}: likely deadlock \
+            now - SimTime::ZERO <= MAX_SIM_TIME,
+            "simulation exceeded MAX_SIM_TIME at {now}: likely deadlock \
              ({} tasks running, {} queued events)",
             self.tasks.len(),
             self.queue.len()
@@ -1182,9 +1194,8 @@ impl Sim {
                 let HiveQuery { name, stages } = q;
                 let first = stages.first().expect("query has stages");
                 let blocks = self.resolve_input(first);
-                let sym = self.symbols.intern(&name);
                 let id = self.job_mgr.submit_workflow(&name, stages, blocks, now);
-                self.queries.push((id, sym));
+                self.queries.push((id, name));
                 self.register_job(id, now);
             }
         }
@@ -1697,7 +1708,7 @@ impl Sim {
         let t = self.tasks.get_mut(slot).expect("task exists");
         let window = match cat {
             IoCat::Read => t.read_window,
-            IoCat::IWrite => self.cfg.intermediate_write_window,
+            IoCat::IWrite => INTERMEDIATE_WRITE_WINDOW,
             IoCat::HWrite => self.cfg.hdfs_write_window,
         }
         .max(1);
@@ -1981,14 +1992,14 @@ impl Sim {
                 self.total_read.add(now, bytes as f64);
                 self.app_read
                     .entry(app)
-                    .or_insert_with(|| TimeSeries::new(self.cfg.series_bin))
+                    .or_insert_with(|| TimeSeries::new(SERIES_BIN))
                     .add(now, bytes as f64);
             }
             IoKind::Write => {
                 self.total_write.add(now, bytes as f64);
                 self.app_write
                     .entry(app)
-                    .or_insert_with(|| TimeSeries::new(self.cfg.series_bin))
+                    .or_insert_with(|| TimeSeries::new(SERIES_BIN))
                     .add(now, bytes as f64);
             }
         }
@@ -2035,7 +2046,7 @@ impl Sim {
     /// Starts the next queued transfer if the wire is free and the ack
     /// window has room.
     fn pump_chain(&mut self, slot: TaskKey, to_node: u32, now: SimTime) {
-        let window = self.cfg.pipeline_window.max(1);
+        let window = PIPELINE_WINDOW;
         let Some(key) = self.chain_key(slot, to_node) else {
             return;
         };
@@ -2126,12 +2137,7 @@ impl Sim {
             1.0
         };
         let id = self.transfers.insert(cont).encode();
-        let link = &mut self.nodes[to_node as usize].rx;
-        let timer = if weight != 1.0 {
-            link.start_weighted(id, bytes, weight, now)
-        } else {
-            link.start_counted(id, bytes, now)
-        };
+        let timer = self.nodes[to_node as usize].rx.start(id, bytes, weight, now);
         self.queue.push(
             timer.at,
             Event::LinkTimer {
@@ -2146,7 +2152,7 @@ impl Sim {
         finished.clear();
         let next = self.nodes[node as usize]
             .rx
-            .on_timer_into(now, epoch, &mut finished);
+            .on_timer(now, epoch, &mut finished);
         if let Some(t) = next {
             self.queue.push(
                 t.at,
@@ -3086,9 +3092,9 @@ impl Sim {
         let queries = self
             .queries
             .iter()
-            .filter_map(|&(first, sym)| {
-                self.job_mgr.workflow_runtime(first).map(|rt| QuerySummary {
-                    name: self.symbols.resolve(sym).to_string(),
+            .filter_map(|(first, name)| {
+                self.job_mgr.workflow_runtime(*first).map(|rt| QuerySummary {
+                    name: name.clone(),
                     first_app: first.app(),
                     runtime: rt,
                 })

@@ -48,7 +48,7 @@ pub mod engine;
 pub mod report;
 pub mod sweep;
 
-pub use autotune::{tune_weight, tune_weight_grid, TuneResult};
+pub use autotune::{tune_weight, TuneResult};
 pub use config::{ClusterConfig, DeviceSpec, Experiment, Workload};
 pub use report::{AssignStats, JobSummary, RunReport};
 pub use sweep::SweepRunner;

@@ -5,7 +5,7 @@
 //! and its event queue, and shares no mutable state with any other run.
 //! That makes a *batch* of experiments embarrassingly parallel — and the
 //! figure/table suite is mostly batches (a baseline plus N policies, an
-//! ablation grid, autotune probes).
+//! ablation grid).
 //!
 //! [`SweepRunner`] fans a batch across a [`std::thread::scope`] worker
 //! pool and returns results **in submission order**. Because each run is

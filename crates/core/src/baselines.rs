@@ -196,10 +196,6 @@ impl IoScheduler for CgroupWeight {
     fn stats(&self) -> &SchedStats {
         &self.stats
     }
-
-    fn current_depth(&self) -> Option<u32> {
-        Some(CGROUP_DEPTH)
-    }
 }
 
 /// Fraction of a capped application's intermediate-read bytes that

@@ -259,12 +259,6 @@ impl SchedulingBroker {
         self.stats
     }
 
-    /// Mutable access to the counters, for composite brokers that account
-    /// traffic at a different level than their inner table.
-    pub fn stats_mut(&mut self) -> &mut BrokerStats {
-        &mut self.stats
-    }
-
     /// Records the completion of a sync round at virtual time `now`, so
     /// staleness of the totals is observable between rounds.
     pub fn mark_sync(&mut self, now: SimTime) {

@@ -37,11 +37,9 @@
 //! embedded in the discrete-event cluster simulator, a benchmark loop, or
 //! a real I/O proxy.
 //!
-//! Two support modules serve the engine's allocation-lean hot path (see
-//! DESIGN.md §12): [`slab`] — the typed generational arena that holds
-//! every engine side table — and [`intern`] — per-run string
-//! interning so event paths carry `Copy` symbols instead of clones. A
-//! third, [`env`], is the single parser for the `IBIS_JOBS` sweep-width
+//! Two support modules serve the engine: [`slab`] — the typed
+//! generational arena that holds every engine side table (DESIGN.md §12)
+//! — and [`env`](mod@env), the single parser for the `IBIS_JOBS` sweep-width
 //! knob.
 
 #![forbid(unsafe_code)]
@@ -52,7 +50,6 @@ pub mod broker;
 pub mod broker_tree;
 pub mod controller;
 pub mod env;
-pub mod intern;
 pub mod request;
 pub mod scheduler;
 pub mod sfq;
@@ -64,7 +61,6 @@ pub use baselines::{CgroupThrottle, CgroupWeight, Fifo};
 pub use broker::{BrokerStats, HashReferenceBroker, SchedulingBroker, Staleness};
 pub use broker_tree::{BrokerTree, BrokerTreeConfig, Delivery, ReportOutcome};
 pub use controller::{ControllerConfig, DepthController};
-pub use intern::{Symbol, SymbolTable};
 pub use request::{AppId, IoClass, IoKind, Request};
 pub use scheduler::{IoScheduler, Policy, SchedStats, ServiceMap};
 pub use sfq::{SfqConfig, SfqD};

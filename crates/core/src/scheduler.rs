@@ -169,11 +169,6 @@ pub trait IoScheduler {
         None
     }
 
-    /// Current dispatch depth bound, if the scheduler has one.
-    fn current_depth(&self) -> Option<u32> {
-        None
-    }
-
     /// Turns flight-recorder event emission on or off. Schedulers without
     /// emit sites ignore it (the engine then records only device-level
     /// completions for them).

@@ -482,10 +482,6 @@ impl IoScheduler for SfqD {
         self.degraded_entries
     }
 
-    fn current_depth(&self) -> Option<u32> {
-        Some(self.cfg.depth)
-    }
-
     fn set_recording(&mut self, on: bool) {
         self.obs.set_enabled(on);
     }

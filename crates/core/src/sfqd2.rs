@@ -158,10 +158,6 @@ impl IoScheduler for SfqD2 {
         self.trace.then_some(&self.latency_trace)
     }
 
-    fn current_depth(&self) -> Option<u32> {
-        Some(self.controller.depth())
-    }
-
     fn set_recording(&mut self, on: bool) {
         self.inner.set_recording(on);
     }
@@ -237,7 +233,7 @@ mod tests {
         // → equilibrium depth = 2.
         let mut s = traced();
         run_closed_loop(&mut s, 120, SimDuration::from_millis(25));
-        let d = s.current_depth().unwrap();
+        let d = s.controller().depth();
         assert!(
             (1..=3).contains(&d),
             "depth {d} did not converge toward 2 (trace: {:?})",
@@ -251,7 +247,7 @@ mod tests {
         // controller pushes to d_max.
         let mut s = traced();
         run_closed_loop(&mut s, 200, SimDuration::from_millis(2));
-        assert_eq!(s.current_depth().unwrap(), 12);
+        assert_eq!(s.controller().depth(), 12);
     }
 
     #[test]

@@ -129,10 +129,6 @@ impl IoScheduler for StrictPartition {
     fn stats(&self) -> &SchedStats {
         &self.stats
     }
-
-    fn current_depth(&self) -> Option<u32> {
-        Some(self.depth)
-    }
 }
 
 #[cfg(test)]

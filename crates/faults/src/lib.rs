@@ -732,9 +732,9 @@ impl FaultsConfig {
     ///   schedule (armed but inert); anything else is parsed by
     ///   [`FaultSchedule::parse`].
     /// * `IBIS_FAULTS_SEED` — schedule seed (default 0xFA17).
-    /// * `IBIS_FAULTS_STALENESS` — staleness bound (duration syntax).
-    /// * `IBIS_FAULTS_RETRY` — base retry backoff (duration syntax).
-    /// * `IBIS_FAULTS_RETRY_LIMIT` — retry attempts per failed sync.
+    ///
+    /// The staleness bound and the retry policy keep their defaults; code
+    /// that needs others sets the fields.
     ///
     /// Malformed values panic: a chaos run silently falling back to
     /// fault-free would invalidate the experiment.
@@ -756,19 +756,6 @@ impl FaultsConfig {
                 cfg.enabled = true;
             }
             Err(_) => {}
-        }
-        if let Ok(v) = std::env::var("IBIS_FAULTS_STALENESS") {
-            cfg.staleness_bound =
-                parse_duration(&v).unwrap_or_else(|e| panic!("bad IBIS_FAULTS_STALENESS: {e}"));
-        }
-        if let Ok(v) = std::env::var("IBIS_FAULTS_RETRY") {
-            cfg.retry_backoff =
-                parse_duration(&v).unwrap_or_else(|e| panic!("bad IBIS_FAULTS_RETRY: {e}"));
-        }
-        if let Ok(v) = std::env::var("IBIS_FAULTS_RETRY_LIMIT") {
-            cfg.retry_limit = v
-                .parse()
-                .unwrap_or_else(|_| panic!("bad IBIS_FAULTS_RETRY_LIMIT {v:?}"));
         }
         cfg
     }

@@ -83,20 +83,6 @@ impl TaskPlan {
             .sum()
     }
 
-    /// Total bytes moved by I/O steps (shuffle gathers excluded — their
-    /// volume is dynamic).
-    pub fn total_io_bytes(&self) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| match s {
-                Step::DiskIo { bytes, .. }
-                | Step::RemoteRead { bytes, .. }
-                | Step::HdfsWriteChunk { bytes, .. } => *bytes,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Bytes written to the given class.
     pub fn class_bytes(&self, want: IoClass, want_kind: IoKind) -> u64 {
         self.steps

@@ -124,14 +124,13 @@ mod tests {
     #[test]
     fn export_long_form() {
         let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("ctl_depth", Labels::on(0, 1));
-        let c = reg.counter("dispatch_total", Labels::on(0, 1).with_app(Some(3)));
         let mut sampler = Sampler::new(SimDuration::from_secs(1));
-        g.set(4.0);
-        c.add(2);
+        let flow = Labels::on(0, 1).with_app(Some(3));
+        reg.set_gauge("ctl_depth", Labels::on(0, 1), 4.0);
+        reg.set_gauge("sfq_flow_backlog_reqs", flow, 2.0);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(1), &reg);
-        g.set(5.5);
-        c.add(1);
+        reg.set_gauge("ctl_depth", Labels::on(0, 1), 5.5);
+        reg.set_gauge("sfq_flow_backlog_reqs", flow, 3.0);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(2), &reg);
         let cap = sampler.into_capture(reg.snapshot());
 
@@ -141,8 +140,8 @@ mod tests {
         assert_eq!(lines.len(), 5);
         assert!(lines.contains(&"ctl_depth,0,1,,1.0,4.0"));
         assert!(lines.contains(&"ctl_depth,0,1,,2.0,5.5"));
-        assert!(lines.contains(&"dispatch_total,0,1,3,1.0,2.0"));
-        assert!(lines.contains(&"dispatch_total,0,1,3,2.0,3.0"));
+        assert!(lines.contains(&"sfq_flow_backlog_reqs,0,1,3,1.0,2.0"));
+        assert!(lines.contains(&"sfq_flow_backlog_reqs,0,1,3,2.0,3.0"));
     }
 
     #[test]
@@ -191,9 +190,8 @@ mod tests {
     #[test]
     fn export_with_joins_extra_rows() {
         let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("ctl_depth", Labels::on(0, 1));
         let mut sampler = Sampler::new(SimDuration::from_secs(1));
-        g.set(4.0);
+        reg.set_gauge("ctl_depth", Labels::on(0, 1), 4.0);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(1), &reg);
         let cap = sampler.into_capture(reg.snapshot());
 

@@ -9,12 +9,13 @@
 //!
 //! The building blocks:
 //!
-//! * [`MetricsRegistry`] — a cheap instrument registry (monotonic counters,
-//!   gauges, fixed-bucket histograms behind atomic cells). Handles obtained
-//!   from a disabled registry are no-ops: one branch per operation, no
-//!   allocation, mirroring the `IBIS_OBS` zero-cost contract.
-//! * [`Sampler`] — snapshots every registered counter/gauge each
-//!   `sample_period` of *virtual* time into per-instrument [`Series`].
+//! * [`MetricsRegistry`] — the instrument registry: gauges and
+//!   fixed-bucket histograms stored inline, written only through
+//!   `set_gauge` and `observe`. The engine builds one only when sampling is
+//!   on; a run without it pays one branch.
+//! * [`Sampler`] — records every registered gauge (and each histogram's
+//!   observation count) each `sample_period` of *virtual* time into
+//!   per-instrument [`Series`].
 //! * [`convergence`] — diagnostics over a sampled ratio `L(k)/L_ref`:
 //!   settling time to a ±10 % band, overshoot, steady-state error, and
 //!   oscillation amplitude.
@@ -35,10 +36,7 @@ pub mod prometheus;
 pub mod registry;
 pub mod sampler;
 
-pub use registry::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Labels, MetricRow, MetricValue,
-    MetricsRegistry, Snapshot,
-};
+pub use registry::{HistogramSnapshot, Labels, MetricRow, MetricValue, MetricsRegistry, Snapshot};
 pub use sampler::{MetricsCapture, Sampler, Series, SeriesKey};
 
 use ibis_simcore::time::SimDuration;

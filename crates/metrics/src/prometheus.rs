@@ -319,22 +319,29 @@ mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
 
-    fn sample_registry() -> MetricsRegistry {
+    /// A registry snapshot with counter rows added after it, the way a
+    /// count that the registry does not hold enters the exposition.
+    fn sample_snapshot() -> Snapshot {
         let mut reg = MetricsRegistry::new();
-        reg.counter("dispatch_total", Labels::on(0, 0)).add(42);
-        reg.counter("dispatch_total", Labels::on(1, 0)).add(7);
-        reg.gauge("ctl_depth", Labels::on(0, 0)).set(3.5);
-        reg.gauge("sfq_vtime", Labels::on(0, 0).with_app(Some(2))).set(1.25e9);
-        let h = reg.histogram("io_latency_ms", Labels::on(0, 0), &[1.0, 10.0, 100.0]);
+        reg.set_gauge("ctl_depth", Labels::on(0, 0), 3.5);
+        reg.set_gauge("sfq_vtime", Labels::on(0, 0).with_app(Some(2)), 1.25e9);
         for v in [0.5, 5.0, 5.5, 50.0, 500.0] {
-            h.observe(v);
+            reg.observe("io_latency_ms", Labels::on(0, 0), &[1.0, 10.0, 100.0], v);
         }
-        reg
+        let mut snap = reg.snapshot();
+        for (node, v) in [(0, 42), (1, 7)] {
+            snap.rows.push(MetricRow {
+                name: "dispatch_total".to_string(),
+                labels: Labels::on(node, 0),
+                value: MetricValue::Counter(v),
+            });
+        }
+        snap
     }
 
     #[test]
     fn encode_shape() {
-        let text = encode(&sample_registry().snapshot());
+        let text = encode(&sample_snapshot());
         assert!(text.contains("# TYPE dispatch_total counter"));
         assert!(text.contains("dispatch_total{node=\"0\",dev=\"0\"} 42"));
         assert!(text.contains("# TYPE ctl_depth gauge"));
@@ -348,7 +355,7 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        let snap = sample_registry().snapshot();
+        let snap = sample_snapshot();
         let text = encode(&snap);
         let parsed = parse(&text).expect("parse");
         assert_eq!(parsed, snap);

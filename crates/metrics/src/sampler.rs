@@ -47,7 +47,7 @@ impl Series {
     }
 }
 
-/// Samples every scalar instrument in a registry on a fixed virtual-time
+/// Samples every instrument in a registry on a fixed virtual-time
 /// cadence.
 #[derive(Debug)]
 pub struct Sampler {
@@ -72,9 +72,9 @@ impl Sampler {
         self.samples_taken
     }
 
-    /// Record one point per scalar instrument at virtual time `now`.
-    /// Counters record their running total, gauges their latest value, and
-    /// histograms their observation count. Non-finite values are dropped.
+    /// Record one point per instrument at virtual time `now`: gauges
+    /// record their latest value, histograms their observation count.
+    /// Non-finite values are dropped.
     pub fn sample(&mut self, now: SimTime, registry: &MetricsRegistry) {
         self.samples_taken += 1;
         let series = &mut self.series;
@@ -111,7 +111,7 @@ pub struct MetricsCapture {
     pub sample_period: SimDuration,
     /// Number of sampling sweeps performed.
     pub samples_taken: u64,
-    /// One series per scalar instrument, in registration order.
+    /// One series per instrument, in registration order.
     pub series: Vec<Series>,
     /// End-of-run snapshot of every instrument.
     pub snapshot: Snapshot,
@@ -141,35 +141,32 @@ mod tests {
     #[test]
     fn sampler_tracks_growing_registry() {
         let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("depth", Labels::on(0, 0));
         let mut sampler = Sampler::new(SimDuration::from_secs(1));
 
-        g.set(4.0);
+        reg.set_gauge("depth", Labels::on(0, 0), 4.0);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(1), &reg);
 
         // a new instrument appears mid-run
-        let c = reg.counter("dispatches", Labels::on(0, 0));
-        c.add(10);
-        g.set(5.0);
+        reg.set_gauge("backlog", Labels::on(0, 0), 10.0);
+        reg.set_gauge("depth", Labels::on(0, 0), 5.0);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(2), &reg);
 
         let cap = sampler.into_capture(reg.snapshot());
         assert_eq!(cap.samples_taken, 2);
         let depth = cap.series_for("depth", Labels::on(0, 0)).unwrap();
         assert_eq!(depth.values(), vec![4.0, 5.0]);
-        let disp = cap.series_for("dispatches", Labels::on(0, 0)).unwrap();
-        assert_eq!(disp.values(), vec![10.0]);
+        let backlog = cap.series_for("backlog", Labels::on(0, 0)).unwrap();
+        assert_eq!(backlog.values(), vec![10.0]);
         assert_eq!(cap.total_points(), 3);
     }
 
     #[test]
     fn non_finite_values_are_dropped() {
         let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("lat", Labels::NONE);
         let mut sampler = Sampler::new(SimDuration::from_secs(1));
-        g.set(f64::NAN);
+        reg.set_gauge("lat", Labels::NONE, f64::NAN);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(1), &reg);
-        g.set(2.0);
+        reg.set_gauge("lat", Labels::NONE, 2.0);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(2), &reg);
         let cap = sampler.into_capture(reg.snapshot());
         let s = cap.series_for("lat", Labels::NONE).unwrap();
@@ -181,10 +178,9 @@ mod tests {
     #[test]
     fn histogram_series_records_count() {
         let mut reg = MetricsRegistry::new();
-        let h = reg.histogram("lat_ms", Labels::NONE, &[1.0, 10.0]);
         let mut sampler = Sampler::new(SimDuration::from_secs(1));
-        h.observe(0.5);
-        h.observe(5.0);
+        reg.observe("lat_ms", Labels::NONE, &[1.0, 10.0], 0.5);
+        reg.observe("lat_ms", Labels::NONE, &[1.0, 10.0], 5.0);
         sampler.sample(SimTime::ZERO + SimDuration::from_secs(1), &reg);
         let cap = sampler.into_capture(reg.snapshot());
         let s = cap.series_for("lat_ms", Labels::NONE).unwrap();

@@ -1,6 +1,7 @@
-//! Property tests for the Prometheus text encoder: any snapshot the
-//! registry can produce must survive `encode → parse → encode` with both
-//! structural equality and byte-identical re-encoding.
+//! Property tests for the Prometheus text encoder: any registry-shaped
+//! snapshot of counters, gauges and histograms must survive
+//! `encode → parse → encode` with both structural equality and
+//! byte-identical re-encoding.
 
 use ibis_metrics::prometheus::{encode, parse};
 use ibis_metrics::{HistogramSnapshot, Labels, MetricRow, MetricValue, Snapshot};

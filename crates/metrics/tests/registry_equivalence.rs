@@ -1,12 +1,11 @@
 //! The instrument registry finds `(name, labels)` through a hash index.
 //! Its behaviour must equal a registry that scans every instrument, kept
-//! here as the model: random get-or-create sequences over 50 names,
-//! random labels and all three kinds — through handles and through the
-//! handle-free `set_gauge`/`observe` — must share cells per identity,
-//! snapshot and sample in registration order, and panic on a kind
-//! mismatch without registering anything.
+//! here as the model: random get-or-create sequences of `set_gauge` and
+//! `observe` over 50 names and random labels must write one value per
+//! identity, snapshot and sample in registration order, and panic on a
+//! kind mismatch without registering anything.
 
-use ibis_metrics::{Counter, Gauge, Histogram, Labels, MetricValue, MetricsRegistry, Sampler};
+use ibis_metrics::{Labels, MetricValue, MetricsRegistry, Sampler};
 use ibis_simcore::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,13 +53,12 @@ fn quiet_mismatch_panics() {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Kind {
-    Counter,
     Gauge,
     Histogram,
 }
 
 /// The linear-scan model: registration order, kind and the scalar the
-/// sampler reads (counter total, last gauge write, observation count).
+/// sampler reads (last gauge write, observation count).
 #[derive(Default)]
 struct Model {
     entries: Vec<(&'static str, Labels, Kind, f64)>,
@@ -74,28 +72,12 @@ impl Model {
     }
 }
 
-enum Handle {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-impl Handle {
-    fn read(&self) -> f64 {
-        match self {
-            Handle::Counter(c) => c.get() as f64,
-            Handle::Gauge(g) => g.get(),
-            Handle::Histogram(h) => h.count() as f64,
-        }
-    }
-}
-
 proptest! {
     #[test]
     fn hash_index_behaves_like_a_linear_scan(
         ops in prop::collection::vec(
             (
-                (0u32..50, 0u32..16, prop::bool::ANY),
+                (0u32..50, 0u32..16),
                 (0u32..3, 0u32..2, 0u32..2),
                 (0u32..1000, 0u32..6, prop::bool::ANY),
             ),
@@ -108,32 +90,28 @@ proptest! {
         let mut sampler = Sampler::new(SimDuration::from_secs(1));
         // Expected series: (model index, points) in creation order.
         let mut series: Vec<(usize, Vec<(SimTime, f64)>)> = Vec::new();
-        let mut handles: Vec<(usize, Handle)> = Vec::new();
         let mut now = SimTime::ZERO;
-        for ((name_ix, kind_roll, via_handle), (node, dev, app), (x, sample_roll, alias)) in ops {
+        for ((name_ix, kind_roll), (node, dev, app), (x, sample_roll, alias)) in ops {
             let name = if alias { aliases()[name_ix as usize] } else { NAMES[name_ix as usize] };
             let labels = Labels {
                 node: node.checked_sub(1),
                 dev: dev.checked_sub(1).map(|d| d as u8),
                 app: app.checked_sub(1),
             };
-            // Mostly each name's own kind, sometimes another one.
-            let kind = match (name_ix + kind_roll / 15) % 3 {
-                0 => Kind::Counter,
-                1 => Kind::Gauge,
+            // Mostly each name's own kind, sometimes the other one.
+            let kind = match (name_ix + kind_roll / 15) % 2 {
+                0 => Kind::Gauge,
                 _ => Kind::Histogram,
             };
             let v = f64::from(x);
+            let write = |reg: &mut MetricsRegistry| match kind {
+                Kind::Gauge => reg.set_gauge(name, labels, v),
+                Kind::Histogram => reg.observe(name, labels, &BOUNDS, v),
+            };
             let existing = model.position(name, labels);
             if existing.is_some_and(|i| model.entries[i].2 != kind) {
                 let len = reg.len();
-                let r = catch_unwind(AssertUnwindSafe(|| match kind {
-                    Kind::Counter => drop(reg.counter(name, labels)),
-                    Kind::Gauge if via_handle => drop(reg.gauge(name, labels)),
-                    Kind::Gauge => reg.set_gauge(name, labels, v),
-                    Kind::Histogram if via_handle => drop(reg.histogram(name, labels, &BOUNDS)),
-                    Kind::Histogram => reg.observe(name, labels, &BOUNDS, v),
-                }));
+                let r = catch_unwind(AssertUnwindSafe(|| write(&mut reg)));
                 let err = r.expect_err("kind mismatch must panic");
                 let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
                 prop_assert!(msg.contains(MISMATCH), "unexpected panic {msg:?}");
@@ -144,33 +122,10 @@ proptest! {
                 model.entries.push((name, labels, kind, 0.0));
                 model.entries.len() - 1
             });
+            write(&mut reg);
             match kind {
-                Kind::Counter => {
-                    let c = reg.counter(name, labels);
-                    c.add(u64::from(x));
-                    model.entries[i].3 += v;
-                    handles.push((i, Handle::Counter(c)));
-                }
-                Kind::Gauge => {
-                    if via_handle {
-                        let g = reg.gauge(name, labels);
-                        g.set(v);
-                        handles.push((i, Handle::Gauge(g)));
-                    } else {
-                        reg.set_gauge(name, labels, v);
-                    }
-                    model.entries[i].3 = v;
-                }
-                Kind::Histogram => {
-                    if via_handle {
-                        let h = reg.histogram(name, labels, &BOUNDS);
-                        h.observe(v);
-                        handles.push((i, Handle::Histogram(h)));
-                    } else {
-                        reg.observe(name, labels, &BOUNDS, v);
-                    }
-                    model.entries[i].3 += 1.0;
-                }
+                Kind::Gauge => model.entries[i].3 = v,
+                Kind::Histogram => model.entries[i].3 += 1.0,
             }
             prop_assert_eq!(reg.len(), model.entries.len());
             if sample_roll == 0 {
@@ -185,19 +140,15 @@ proptest! {
             }
         }
 
-        // Every handle reads its identity's shared cell.
-        for (i, h) in &handles {
-            prop_assert_eq!(h.read(), model.entries[*i].3);
-        }
         // The snapshot lists instruments in registration order.
         let snap = reg.snapshot();
         prop_assert_eq!(snap.rows.len(), model.entries.len());
         for (row, e) in snap.rows.iter().zip(&model.entries) {
             prop_assert_eq!((row.name.as_str(), row.labels), (e.0, e.1));
             let (kind, scalar) = match &row.value {
-                MetricValue::Counter(c) => (Kind::Counter, *c as f64),
                 MetricValue::Gauge(g) => (Kind::Gauge, *g),
                 MetricValue::Histogram(h) => (Kind::Histogram, h.count as f64),
+                MetricValue::Counter(c) => panic!("the registry holds no counter, got {c}"),
             };
             prop_assert_eq!((kind, scalar), (e.2, e.3));
         }

@@ -12,7 +12,7 @@
 //!   the analysis passes' short integer and string keys.
 //! * [`rng::SimRng`] — a small, self-contained, seedable PRNG
 //!   (xoshiro256**) with the distributions the workload models need.
-//! * [`metrics`] — time series, histograms, CDFs and counters used to
+//! * [`metrics`] — time series, gauge traces, histograms and CDFs used to
 //!   produce every figure in the paper reproduction.
 //! * [`units`] — byte and rate helpers (`MIB`, [`units::transfer_time`], …).
 //!

@@ -43,7 +43,6 @@ pub struct PsLink {
     active: Vec<Transfer>,
     last_update: SimTime,
     epoch: u64,
-    bytes_done: u64,
 }
 
 /// Transfers are considered complete when less than half a byte remains
@@ -59,18 +58,12 @@ impl PsLink {
             active: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
-            bytes_done: 0,
         }
     }
 
     /// Number of in-flight transfers.
     pub fn active(&self) -> usize {
         self.active.len()
-    }
-
-    /// Total bytes fully delivered.
-    pub fn bytes_done(&self) -> u64 {
-        self.bytes_done
     }
 
     /// The link's rated capacity, bytes/sec.
@@ -116,16 +109,13 @@ impl PsLink {
         })
     }
 
-    /// Begins a transfer of `bytes` identified by `id`. Returns the timer
-    /// to arm (always `Some`: the new transfer is active). Any previously
-    /// armed timer is superseded.
-    pub fn start(&mut self, id: u64, bytes: u64, now: SimTime) -> LinkTimer {
-        self.start_weighted(id, bytes, 1.0, now)
-    }
-
-    /// Like [`PsLink::start`] but with a share weight — the network-layer
-    /// bandwidth control the paper defers to future work (§3).
-    pub fn start_weighted(&mut self, id: u64, bytes: u64, weight: f64, now: SimTime) -> LinkTimer {
+    /// Begins a transfer of `bytes` identified by `id`. It progresses at
+    /// `capacity · weight / Σweight` over the active transfers: equal
+    /// weights are TCP's egalitarian sharing, distinct ones the
+    /// network-layer bandwidth control the paper defers to future work
+    /// (§3). Returns the timer to arm (always `Some`: the new transfer is
+    /// active). Any previously armed timer is superseded.
+    pub fn start(&mut self, id: u64, bytes: u64, weight: f64, now: SimTime) -> LinkTimer {
         assert!(weight > 0.0, "transfer weight must be positive");
         self.advance(now);
         self.active.push(Transfer {
@@ -136,19 +126,12 @@ impl PsLink {
         self.next_timer(now).expect("just added a transfer")
     }
 
-    /// Timer callback. Returns the ids of transfers that completed and the
-    /// next timer to arm, if any transfers remain. A stale `epoch` returns
-    /// `(empty, None)` — the engine simply drops it.
-    pub fn on_timer(&mut self, now: SimTime, epoch: u64) -> (Vec<u64>, Option<LinkTimer>) {
-        let mut finished = Vec::new();
-        let timer = self.on_timer_into(now, epoch, &mut finished);
-        (finished, timer)
-    }
-
-    /// Allocation-free [`PsLink::on_timer`]: completed transfer ids are
-    /// appended to the caller-owned `finished` (not cleared first), so a
-    /// hot loop can reuse one buffer across timers.
-    pub fn on_timer_into(
+    /// Timer callback. Appends the ids of transfers that completed to
+    /// `finished` (not cleared first, so a hot loop can reuse one buffer
+    /// across timers) and returns the next timer to arm, if any transfers
+    /// remain. A stale `epoch` appends nothing and returns `None` — the
+    /// engine simply drops it.
+    pub fn on_timer(
         &mut self,
         now: SimTime,
         epoch: u64,
@@ -173,14 +156,6 @@ impl PsLink {
             self.next_timer(now)
         }
     }
-
-    /// Like [`PsLink::start`] but also counts `bytes` toward
-    /// [`PsLink::bytes_done`] (delivery is guaranteed in the fluid model,
-    /// so counting at admission is exact once the run drains).
-    pub fn start_counted(&mut self, id: u64, bytes: u64, now: SimTime) -> LinkTimer {
-        self.bytes_done += bytes;
-        self.start(id, bytes, now)
-    }
 }
 
 #[cfg(test)]
@@ -192,12 +167,11 @@ mod tests {
     /// Engine stub: runs the link until idle, returning (id, time) pairs.
     fn drain(link: &mut PsLink, mut timer: Option<LinkTimer>) -> Vec<(u64, SimTime)> {
         let mut done = Vec::new();
+        let mut finished = Vec::new();
         while let Some(t) = timer {
-            let (finished, next) = link.on_timer(t.at, t.epoch);
-            for id in finished {
-                done.push((id, t.at));
-            }
-            timer = next;
+            finished.clear();
+            timer = link.on_timer(t.at, t.epoch, &mut finished);
+            done.extend(finished.iter().map(|&id| (id, t.at)));
         }
         done
     }
@@ -205,7 +179,7 @@ mod tests {
     #[test]
     fn single_transfer_takes_bytes_over_capacity() {
         let mut link = PsLink::new(125e6); // GigE
-        let timer = link.start(1, 125 * MB, SimTime::ZERO);
+        let timer = link.start(1, 125 * MB, 1.0, SimTime::ZERO);
         let done = drain(&mut link, Some(timer));
         assert_eq!(done.len(), 1);
         let t = done[0].1.as_secs_f64();
@@ -215,8 +189,8 @@ mod tests {
     #[test]
     fn two_equal_transfers_share_capacity() {
         let mut link = PsLink::new(100e6);
-        link.start(1, 100 * MB, SimTime::ZERO);
-        let timer = link.start(2, 100 * MB, SimTime::ZERO);
+        link.start(1, 100 * MB, 1.0, SimTime::ZERO);
+        let timer = link.start(2, 100 * MB, 1.0, SimTime::ZERO);
         let done = drain(&mut link, Some(timer));
         assert_eq!(done.len(), 2);
         // Both finish together at 2 s (each got 50 MB/s).
@@ -228,10 +202,10 @@ mod tests {
     #[test]
     fn late_joiner_slows_the_first() {
         let mut link = PsLink::new(100e6);
-        let t1 = link.start(1, 100 * MB, SimTime::ZERO);
+        let t1 = link.start(1, 100 * MB, 1.0, SimTime::ZERO);
         // 0.5 s in, transfer 1 has 50 MB left; transfer 2 joins with 50 MB.
         let _stale = t1;
-        let timer = link.start(2, 50 * MB, SimTime::from_millis(500));
+        let timer = link.start(2, 50 * MB, 1.0, SimTime::from_millis(500));
         let done = drain(&mut link, Some(timer));
         assert_eq!(done.len(), 2);
         // Remaining 50+50 MB at 50 MB/s each → both done at 1.5 s.
@@ -243,19 +217,19 @@ mod tests {
     #[test]
     fn stale_timer_ignored() {
         let mut link = PsLink::new(100e6);
-        let t1 = link.start(1, 100 * MB, SimTime::ZERO);
-        let _t2 = link.start(2, 100 * MB, SimTime::ZERO); // supersedes t1
-        let (finished, next) = link.on_timer(t1.at, t1.epoch);
+        let t1 = link.start(1, 100 * MB, 1.0, SimTime::ZERO);
+        let _t2 = link.start(2, 100 * MB, 1.0, SimTime::ZERO); // supersedes t1
+        let mut finished = Vec::new();
+        assert!(link.on_timer(t1.at, t1.epoch, &mut finished).is_none());
         assert!(finished.is_empty());
-        assert!(next.is_none());
         assert_eq!(link.active(), 2);
     }
 
     #[test]
     fn unequal_sizes_finish_in_order() {
         let mut link = PsLink::new(100e6);
-        link.start(1, 10 * MB, SimTime::ZERO);
-        let timer = link.start(2, 100 * MB, SimTime::ZERO);
+        link.start(1, 10 * MB, 1.0, SimTime::ZERO);
+        let timer = link.start(2, 100 * MB, 1.0, SimTime::ZERO);
         let done = drain(&mut link, Some(timer));
         assert_eq!(done[0].0, 1);
         assert_eq!(done[1].0, 2);
@@ -268,18 +242,10 @@ mod tests {
     #[test]
     fn zero_byte_transfer_completes_immediately() {
         let mut link = PsLink::new(100e6);
-        let timer = link.start(1, 0, SimTime::ZERO);
+        let timer = link.start(1, 0, 1.0, SimTime::ZERO);
         let done = drain(&mut link, Some(timer));
         assert_eq!(done.len(), 1);
         assert!(done[0].1.as_secs_f64() < 1e-6);
-    }
-
-    #[test]
-    fn bytes_done_counts_admitted_bytes() {
-        let mut link = PsLink::new(100e6);
-        let timer = link.start_counted(1, 7 * MB, SimTime::ZERO);
-        drain(&mut link, Some(timer));
-        assert_eq!(link.bytes_done(), 7 * MB);
     }
 
     #[test]
@@ -287,8 +253,8 @@ mod tests {
         // weights 3:1 on equal sizes: the heavy flow finishes first, and
         // at that instant has delivered 3x the light flow's bytes.
         let mut link = PsLink::new(100e6);
-        link.start_weighted(1, 75 * MB, 3.0, SimTime::ZERO);
-        let timer = link.start_weighted(2, 75 * MB, 1.0, SimTime::ZERO);
+        link.start(1, 75 * MB, 3.0, SimTime::ZERO);
+        let timer = link.start(2, 75 * MB, 1.0, SimTime::ZERO);
         let done = drain(&mut link, Some(timer));
         assert_eq!(done[0].0, 1);
         // Flow 1 at 75 MB/s → done at 1.0 s; flow 2 then alone with
@@ -298,29 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn weight_one_matches_plain_start() {
-        let run = |weighted: bool| {
-            let mut link = PsLink::new(100e6);
-            let timer = if weighted {
-                link.start(1, 10 * MB, SimTime::ZERO);
-                link.start_weighted(2, 10 * MB, 1.0, SimTime::ZERO)
-            } else {
-                link.start(1, 10 * MB, SimTime::ZERO);
-                link.start(2, 10 * MB, SimTime::ZERO)
-            };
-            drain(&mut link, Some(timer))
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn throughput_conserved_under_churn() {
         // n staggered transfers: total bytes / makespan == capacity when the
         // link never idles.
         let mut link = PsLink::new(100e6);
         let mut timer = None;
         for i in 0..10 {
-            timer = Some(link.start(i, 50 * MB, SimTime::ZERO));
+            timer = Some(link.start(i, 50 * MB, 1.0, SimTime::ZERO));
         }
         let done = drain(&mut link, timer);
         let last = done.iter().map(|&(_, at)| at).max().unwrap();

@@ -116,26 +116,28 @@ proptest! {
         drive(DeviceModel::Ssd(Ssd::new(SsdConfig::default())), ops);
     }
 
-    /// The PS link delivers every transfer and conserves bytes.
+    /// The PS link completes every transfer exactly once.
     #[test]
     fn ps_link_conserves_transfers(sizes in prop::collection::vec(1u64..100_000_000, 1..60)) {
         let mut link = PsLink::new(100e6);
         let mut timer = None;
         for (i, &s) in sizes.iter().enumerate() {
-            timer = Some(link.start_counted(i as u64, s, SimTime::ZERO));
+            timer = Some(link.start(i as u64, s, 1.0, SimTime::ZERO));
         }
-        let mut done = 0;
+        let mut completions = vec![0u32; sizes.len()];
+        let mut finished = Vec::new();
         let mut last = SimTime::ZERO;
         while let Some(t) = timer {
-            let (finished, next) = link.on_timer(t.at, t.epoch);
+            finished.clear();
+            timer = link.on_timer(t.at, t.epoch, &mut finished);
             prop_assert!(t.at >= last);
             last = t.at;
-            done += finished.len();
-            timer = next;
+            for &id in &finished {
+                completions[id as usize] += 1;
+            }
         }
-        prop_assert_eq!(done, sizes.len());
+        prop_assert!(completions.iter().all(|&c| c == 1), "completions per id: {:?}", completions);
         prop_assert_eq!(link.active(), 0);
-        prop_assert_eq!(link.bytes_done(), sizes.iter().sum::<u64>());
         // Makespan at least total/capacity (can't beat the link rate).
         let min_secs = sizes.iter().sum::<u64>() as f64 / 100e6;
         prop_assert!(last.as_secs_f64() >= min_secs * 0.999, "{last} < {min_secs}");
@@ -153,6 +155,7 @@ proptest! {
             .collect();
         events.sort_by_key(|&(t, i)| (t, i));
         let mut timer: Option<ibis_storage::link::LinkTimer> = None;
+        let mut finished = Vec::new();
         let mut done = 0usize;
         let mut idx = 0usize;
         let mut now;
@@ -164,15 +167,15 @@ proptest! {
                     now = a;
                     let (_, i) = events[idx];
                     idx += 1;
-                    timer = Some(link.start(i as u64, arrivals[i].1, now));
+                    timer = Some(link.start(i as u64, arrivals[i].1, 1.0, now));
                 }
                 (Some(_), None) => unreachable!("guard above covers this"),
                 (_, Some(t)) => {
                     now = t;
                     let epoch = timer.take().unwrap().epoch;
-                    let (finished, next) = link.on_timer(now, epoch);
+                    finished.clear();
+                    timer = link.on_timer(now, epoch, &mut finished);
                     done += finished.len();
-                    timer = next;
                 }
                 (None, None) => break,
             }
