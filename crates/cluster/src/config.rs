@@ -128,14 +128,6 @@ pub struct ClusterConfig {
     /// write-heavy jobs (TeraGen) flood the storage under native
     /// scheduling; 1 = fully synchronous writes.
     pub hdfs_write_window: u32,
-    /// Read-ahead window: input/merge read chunks a task may have in
-    /// flight (HDFS client streaming + datanode readahead). At the default
-    /// of 1 reads are synchronous at the 4 MiB chunk level — Hadoop's
-    /// effective readahead is small relative to the chunk size. Larger
-    /// windows overlap reads with compute (the per-chunk read→compute
-    /// causality is relaxed to aggregate streaming behaviour; see
-    /// DESIGN.md) — the `ablate_write_window` sweep quantifies the effect.
-    pub read_window: u32,
     /// Profile the devices at start-up and use the measured knee latency
     /// as the SFQ(D2) reference (§4's offline profiling). When false, the
     /// references in the policy's controller config are used as-is.
@@ -150,15 +142,14 @@ pub struct ClusterConfig {
     /// branch per emission site and does not perturb results.
     pub obs: ibis_obs::ObsConfig,
     /// Metrics-sampler configuration (see `ibis-metrics`). Defaults to the
-    /// environment (`IBIS_METRICS=1` enables sampling, with an optional
-    /// `IBIS_METRICS_PERIOD_MS` cadence), so any experiment binary can
+    /// environment (`IBIS_METRICS=1` enables sampling), so any experiment
+    /// binary can
     /// export time-series telemetry without a config change; disabled, the
     /// engine schedules no sampling events and the hot paths are untouched.
     pub metrics: ibis_metrics::MetricsConfig,
     /// Fault-injection configuration (see `ibis-faults`). Defaults to the
     /// environment (`IBIS_FAULTS="broker@10+5;crash@20+30:n2"` injects a
-    /// schedule, `IBIS_FAULTS_SEED` varies probabilistic drops); with no
-    /// schedule the engine allocates no fault state, schedules no fault
+    /// schedule); with no schedule the engine allocates no fault state, schedules no fault
     /// events, and produces byte-identical results to a build without
     /// fault support.
     pub faults: ibis_faults::FaultsConfig,
@@ -195,7 +186,6 @@ impl Default for ClusterConfig {
             broker_tree: None,
             chunk: IO_CHUNK,
             hdfs_write_window: 16,
-            read_window: 1,
             auto_reference: true,
             trace_node: None,
             seed: 0x1b15,

@@ -171,6 +171,15 @@ const PIPELINE_WINDOW: u32 = 12;
 /// while the task keeps producing, so spill writes overlap compute.
 const INTERMEDIATE_WRITE_WINDOW: u32 = 2;
 
+/// Read-ahead window of a job that sets no `JobSpec::read_ahead`: input
+/// and merge read chunks a task may have in flight (HDFS client
+/// streaming + datanode readahead). At 1 reads are synchronous at the
+/// 4 MiB chunk level — Hadoop's effective readahead is small relative to
+/// the chunk size. Larger windows overlap reads with compute (the
+/// per-chunk read→compute causality is relaxed to aggregate streaming
+/// behaviour; see DESIGN.md).
+const READ_WINDOW: u32 = 1;
+
 /// Bin width of the throughput time series.
 const SERIES_BIN: SimDuration = SimDuration::from_secs(1);
 
@@ -278,8 +287,8 @@ struct RunningTask {
     /// In-flight async I/Os per category (reads, intermediate writes,
     /// HDFS writes).
     inflight: [u32; 3],
-    /// Effective read-ahead window for this task (job override or the
-    /// cluster default).
+    /// Effective read-ahead window for this task (job override or
+    /// `READ_WINDOW`).
     read_window: u32,
     /// The category whose full window paused this task, if any.
     blocked_on: Option<IoCat>,
@@ -1356,7 +1365,7 @@ impl Sim {
                         .job_mgr
                         .job(assignment.task.job)
                         .and_then(|j| j.spec.read_ahead)
-                        .unwrap_or(self.cfg.read_window);
+                        .unwrap_or(READ_WINDOW);
                     let slot = self.tasks.insert(RunningTask {
                         assignment,
                         node: n as u32,

@@ -67,7 +67,6 @@ fn scale_cluster(seed: u64, chaos: bool) -> ClusterConfig {
             latency: SimDuration::from_millis(2),
         },
         chunk: 2 * ibis_simcore::units::MIB,
-        read_window: 8,
         auto_reference: false,
         obs: ObsConfig::enabled(1 << 16),
         metrics: MetricsConfig::enabled(SimDuration::from_secs(20)),
@@ -96,9 +95,20 @@ fn flood(seed: u64) -> MixConfig {
     MixConfig::flood(seed, TENANTS, 2, SimDuration::from_secs(12))
 }
 
+/// Streams reads 8 chunks deep in every job that sets no read-ahead of
+/// its own (generated and trace-replayed specs set none).
+fn read_ahead_8(exp: &mut Experiment) {
+    for w in &mut exp.workloads {
+        if let Workload::Job(spec) = w {
+            spec.read_ahead.get_or_insert(8);
+        }
+    }
+}
+
 fn scale_experiment(seed: u64, chaos: bool) -> Experiment {
     let mut exp = Experiment::new(scale_cluster(seed, chaos));
     exp.add_mix(&flood(seed ^ 0x5eed));
+    read_ahead_8(&mut exp);
     exp
 }
 

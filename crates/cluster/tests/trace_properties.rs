@@ -32,7 +32,6 @@ fn cluster(seed: u64, chaos: Option<FaultSchedule>) -> ClusterConfig {
             latency: SimDuration::from_millis(2),
         },
         chunk: ibis_simcore::units::MIB,
-        read_window: 8,
         auto_reference: false,
         obs: ObsConfig::enabled(1 << 18),
         ..ClusterConfig::default()
@@ -84,6 +83,16 @@ fn multi_map_tenant(interarrival_ms: u64, jobs: u32) -> TenantSpec {
     )
 }
 
+/// Streams reads 8 chunks deep in every job that sets no read-ahead of
+/// its own (generated and trace-replayed specs set none).
+fn read_ahead_8(exp: &mut Experiment) {
+    for w in &mut exp.workloads {
+        if let Workload::Job(spec) = w {
+            spec.read_ahead.get_or_insert(8);
+        }
+    }
+}
+
 fn run(
     seed: u64,
     interarrival_ms: u64,
@@ -106,6 +115,7 @@ fn run(
     }
     let mut exp = Experiment::new(cluster(seed, schedule));
     exp.add_mix(&m);
+    read_ahead_8(&mut exp);
     exp.run()
 }
 

@@ -56,7 +56,6 @@ fn observed_cluster(seed: u64, chaos: bool) -> ClusterConfig {
             latency: SimDuration::from_millis(2),
         },
         chunk: ibis_simcore::units::MIB,
-        read_window: 8,
         auto_reference: false,
         obs: ObsConfig::enabled(1 << 18),
         metrics: MetricsConfig::enabled(SimDuration::from_secs(5)),
@@ -153,9 +152,20 @@ fn canonical_full(r: &RunReport) -> String {
     s
 }
 
+/// Streams reads 8 chunks deep in every job that sets no read-ahead of
+/// its own (generated and trace-replayed specs set none).
+fn read_ahead_8(exp: &mut Experiment) {
+    for w in &mut exp.workloads {
+        if let Workload::Job(spec) = w {
+            spec.read_ahead.get_or_insert(8);
+        }
+    }
+}
+
 fn open_experiment(seed: u64, chaos: bool) -> Experiment {
     let mut exp = Experiment::new(observed_cluster(seed, chaos));
     exp.add_mix(&open_mix(seed ^ 0x5eed));
+    read_ahead_8(&mut exp);
     exp
 }
 
@@ -223,6 +233,7 @@ fn chaos_trace_replay_is_deterministic() {
     let build = || {
         let mut exp = Experiment::new(observed_cluster(11, true));
         exp.add_trace(trace).expect("trace parses");
+        read_ahead_8(&mut exp);
         exp
     };
     let first = build().run();

@@ -731,21 +731,15 @@ impl FaultsConfig {
     /// * `IBIS_FAULTS` — unset/`0` disables; `1` enables with an empty
     ///   schedule (armed but inert); anything else is parsed by
     ///   [`FaultSchedule::parse`].
-    /// * `IBIS_FAULTS_SEED` — schedule seed (default 0xFA17).
     ///
-    /// The staleness bound and the retry policy keep their defaults; code
-    /// that needs others sets the fields.
+    /// The schedule seed is 0xFA17, and the staleness bound and the retry
+    /// policy keep their defaults; code that needs others sets the fields.
     ///
-    /// Malformed values panic: a chaos run silently falling back to
+    /// A malformed schedule panics: a chaos run silently falling back to
     /// fault-free would invalidate the experiment.
     pub fn from_env() -> Self {
         let mut cfg = FaultsConfig::default();
-        let seed = match std::env::var("IBIS_FAULTS_SEED") {
-            Ok(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("bad IBIS_FAULTS_SEED {v:?}")),
-            Err(_) => 0xFA17,
-        };
+        let seed = 0xFA17;
         cfg.schedule.seed = seed;
         match std::env::var("IBIS_FAULTS") {
             Ok(v) if v == "0" || v.is_empty() => {}

@@ -81,8 +81,8 @@ pub struct JobSpec {
     /// Per-task read-ahead window override (chunks in flight). Linux
     /// read-ahead scales with consumption rate, so fast sequential
     /// scanners keep several requests outstanding while slow (CPU-bound)
-    /// readers effectively run synchronously. `None` = the cluster's
-    /// `read_window` default.
+    /// readers effectively run synchronously. `None` = the engine's
+    /// default of 1 (synchronous reads).
     pub read_ahead: Option<u32>,
     /// Owning tenant in a multi-tenant mix. Jobs sharing a tenant share
     /// one IBIS I/O flow (one DSFQ weight, pooled service accounting) and

@@ -23,9 +23,9 @@
 //!   end-of-run snapshot (round-trip validated by proptest) and long-form
 //!   CSV of the sampled series for plotting.
 //!
-//! Enable sampling for a run with `IBIS_METRICS=1` (cadence override:
-//! `IBIS_METRICS_PERIOD_MS`) or programmatically via
-//! [`MetricsConfig::enabled`]; the capture lands on `RunReport::metrics`.
+//! Enable sampling for a run with `IBIS_METRICS=1`, or programmatically
+//! via [`MetricsConfig::enabled`] (which also sets the cadence); the
+//! capture lands on `RunReport::metrics`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,16 +67,10 @@ impl Default for MetricsConfig {
 
 impl MetricsConfig {
     /// Resolve the config from the environment: `IBIS_METRICS=1` enables
-    /// sampling, `IBIS_METRICS_PERIOD_MS=<n>` overrides the cadence.
+    /// sampling at the default cadence.
     pub fn from_env() -> Self {
         let enabled = std::env::var("IBIS_METRICS").is_ok_and(|v| v == "1" || v == "true");
-        let sample_period = std::env::var("IBIS_METRICS_PERIOD_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(SimDuration::from_millis)
-            .unwrap_or(DEFAULT_SAMPLE_PERIOD);
-        MetricsConfig { enabled, sample_period }
+        MetricsConfig { enabled, sample_period: DEFAULT_SAMPLE_PERIOD }
     }
 
     /// An enabled config with an explicit sampling cadence.

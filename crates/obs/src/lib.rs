@@ -29,9 +29,9 @@
 //!   per-app request lanes with depth/broker counter tracks for
 //!   `chrome://tracing` / Perfetto.
 //!
-//! Enable recording for any experiment binary with `IBIS_OBS=1`
-//! (capacity override: `IBIS_OBS_CAP=<events per node>`), or
-//! programmatically via [`ObsConfig::enabled`].
+//! Enable recording for any experiment binary with `IBIS_OBS=1`, or
+//! programmatically via [`ObsConfig::enabled`] (which also sets the
+//! per-node capacity).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -42,18 +42,13 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
-    /// Reads the environment: `IBIS_OBS=1` enables recording,
-    /// `IBIS_OBS_CAP=<events>` overrides the per-node capacity.
+    /// Reads the environment: `IBIS_OBS=1` enables recording at the
+    /// default per-node capacity.
     pub fn from_env() -> Self {
         let enabled = std::env::var("IBIS_OBS")
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on"))
             .unwrap_or(false);
-        let capacity = std::env::var("IBIS_OBS_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        ObsConfig { enabled, capacity }
+        ObsConfig { enabled, capacity: DEFAULT_CAPACITY }
     }
 
     /// An enabled config with the given per-node capacity.

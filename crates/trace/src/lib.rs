@@ -98,40 +98,6 @@ impl TraceReport {
         self.per_app.iter().find(|a| a.app == app)
     }
 
-    /// Renders the decomposition as Prometheus text-format gauges
-    /// (`ibis_latency_component_ms{app="…",component="…"}`), matching
-    /// the `ibis-metrics` exposition conventions. `names` maps app ids
-    /// to tenant names for an extra `tenant` label; unmapped apps get
-    /// the id alone.
-    pub fn prometheus(&self, names: &[(u32, &str)]) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let name_of = |app: u32| names.iter().find(|&&(a, _)| a == app).map(|&(_, n)| n);
-        out.push_str("# TYPE ibis_latency_component_ms gauge\n");
-        for a in &self.per_app {
-            for (i, comp) in COMPONENTS.iter().enumerate() {
-                let _ = write!(out, "ibis_latency_component_ms{{app=\"{}\"", a.app);
-                if let Some(n) = name_of(a.app) {
-                    let _ = write!(out, ",tenant=\"{n}\"");
-                }
-                let _ = writeln!(
-                    out,
-                    ",component=\"{comp}\"}} {}",
-                    a.components[i] as f64 / 1e6
-                );
-            }
-        }
-        out.push_str("# TYPE ibis_latency_measured_ms gauge\n");
-        for a in &self.per_app {
-            let _ = write!(out, "ibis_latency_measured_ms{{app=\"{}\"", a.app);
-            if let Some(n) = name_of(a.app) {
-                let _ = write!(out, ",tenant=\"{n}\"");
-            }
-            let _ = writeln!(out, "}} {}", a.measured_ns as f64 / 1e6);
-        }
-        out
-    }
-
     /// The decomposition as long-form rows `(metric, app, value)` with
     /// values in milliseconds — the shape the `ibis-metrics` CSV
     /// exporter joins onto its own series.
@@ -190,14 +156,11 @@ mod tests {
     }
 
     #[test]
-    fn assemble_exposes_app_lookup_and_exposition() {
+    fn assemble_exposes_app_lookup_and_csv_rows() {
         let rep = TraceReport::assemble(&tiny_recording());
         let a = rep.app(3).expect("app present");
         assert_eq!(a.measured_ns, 900);
         assert_eq!(a.swept_ns, a.components_sum_ns());
-        let prom = rep.prometheus(&[(3, "etl")]);
-        assert!(prom.contains("# TYPE ibis_latency_component_ms gauge"));
-        assert!(prom.contains("ibis_latency_component_ms{app=\"3\",tenant=\"etl\",component=\"other\"} 0.0009"));
         let rows = rep.csv_rows();
         assert!(rows.iter().any(|(m, app, v)| {
             m == "latency_measured_ms" && *app == 3 && (*v - 0.0009).abs() < 1e-12
