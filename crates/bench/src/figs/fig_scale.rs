@@ -13,13 +13,13 @@
 //! The **largest rung** additionally runs the ISSUE 10 acceptance
 //! scenario: the same tree run fault-free (calm) and under a mid-run
 //! aggregator crash plus a *disjoint-rack* control-plane partition,
-//! built by parsing the `IBIS_FAULTS` string [`RACK_FAULTS`] — the whole
+//! built by parsing the `IBIS_FAULTS` string `RACK_FAULTS` — the whole
 //! failure scenario is reproducible from that string alone. The chaos
 //! cell must pass the six-invariant audit (the five `ibis-obs`
 //! invariants, including rack-scoped recovery, plus the `ibis-trace`
 //! attribution sum) non-vacuously, and the *unaffected* racks must hold
 //! Jain fairness parity with the calm run over service delivered during
-//! the fault window (|Δ| ≤ [`JAIN_PARITY`]): a rack-local fault may not
+//! the fault window (|Δ| ≤ `JAIN_PARITY`): a rack-local fault may not
 //! move who gets served on the racks it never touched.
 //!
 //! Reported per size:

@@ -1,6 +1,6 @@
 //! The parallel experiment sweep engine.
 //!
-//! Every [`Experiment`](crate::config::Experiment) is an independent,
+//! Every [`Experiment`] is an independent,
 //! seed-deterministic simulation: it owns its RNGs, its metrics sinks,
 //! and its event queue, and shares no mutable state with any other run.
 //! That makes a *batch* of experiments embarrassingly parallel — and the

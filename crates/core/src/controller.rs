@@ -9,7 +9,7 @@
 //!
 //! `L(k)` is the average I/O latency observed in period `k`; `L_ref` is
 //! the reference latency from offline profiling
-//! ([`ibis_storage::profile_device`] in this workspace — see that module).
+//! (`ibis_storage::profile_device` in this workspace — see that module).
 //! When the device's read and write performance are asymmetric (SSDs),
 //! separate read/write references are blended by the observed read/write
 //! mix of the previous period, exactly as the paper describes.

@@ -23,7 +23,7 @@
 //!   so memory stays within `2 × nodes × capacity × 48 B` (plus 1,024
 //!   events) no matter how long the run. Finishing yields an immutable
 //!   [`Recording`].
-//! * **Consumers** — the fairness auditor ([`audit`]) replays a recording
+//! * **Consumers** — the fairness auditor ([`audit`](mod@audit)) replays a recording
 //!   and checks start-tag monotonicity, windowed proportional share, and
 //!   the DSFQ delay identity; the Chrome exporter ([`chrome`]) renders
 //!   per-app request lanes with depth/broker counter tracks for

@@ -11,8 +11,8 @@
 //!   fault stall, other — that **sum exactly to the swept total** (the
 //!   sweep is integer nanoseconds and every elementary interval lands in
 //!   exactly one bucket).
-//! * **Critical paths** ([`critical_path`]): the dependency chain that
-//!   bounds a DAG's makespan.
+//! * **Critical paths** ([`critical_path`](mod@critical_path)): the
+//!   dependency chain that bounds a DAG's makespan.
 //! * **Engine self-profile** ([`profile`]): simulator wall clock
 //!   attributed to event handlers, split by event kind.
 //!

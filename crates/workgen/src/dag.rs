@@ -145,7 +145,7 @@ impl DagSpec {
             .sum()
     }
 
-    /// Builds the timed dependency DAG for [`ibis_trace::critical_path`]
+    /// Builds the timed dependency DAG for [`ibis_trace::critical_path()`]
     /// from a finished run of the lowered chain: `times[i]` is stage
     /// *i*'s measured `[start_ns, end_ns)` interval (submission →
     /// completion of the job named `{dag}-{stage}`). The returned nodes
