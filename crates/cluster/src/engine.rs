@@ -366,8 +366,11 @@ struct TenantState {
     latency: Histogram,
 }
 
-/// Engine-side record of one application flow, dense by `AppId.0`.
-#[derive(Clone, Copy)]
+/// Engine-side record of one application flow, dense by `AppId.0`: its
+/// registration and its I/O ledger. The ledger is the run's one count of
+/// what each flow was served: `device_done` writes every completion here
+/// whichever scheduler was in place, so a node restart, which replaces
+/// the node's schedulers, loses none of it.
 struct FlowRecord {
     /// Live jobs on the flow. Broker flow state is retired only when the
     /// count returns to zero, so a tenant's pooled service totals survive
@@ -379,12 +382,44 @@ struct FlowRecord {
     /// and the recording — takes it from here, so a tenant whose jobs
     /// carry different weights still has one weight everywhere.
     weight: f64,
+    /// Storage bytes served to the flow.
+    served: u64,
+    /// Bytes read per `SERIES_BIN`; empty until a read completes.
+    read: TimeSeries,
+    /// Bytes written per `SERIES_BIN`; empty until a write completes.
+    write: TimeSeries,
+    /// Dispatch→complete latency of every completion, ns. Created on the
+    /// flow's first completion, so only flows with I/O allocate one; its
+    /// presence is what puts the flow in `RunReport::app_service`.
+    latency: Option<Histogram>,
 }
 
 impl Default for FlowRecord {
     /// An unregistered flow runs at the schedulers' default weight.
     fn default() -> Self {
-        FlowRecord { live: 0, weight: 1.0 }
+        FlowRecord {
+            live: 0,
+            weight: 1.0,
+            served: 0,
+            read: TimeSeries::new(SERIES_BIN),
+            write: TimeSeries::new(SERIES_BIN),
+            latency: None,
+        }
+    }
+}
+
+impl FlowRecord {
+    /// Counts one device completion.
+    fn io_done(&mut self, kind: IoKind, bytes: u64, latency: SimDuration, now: SimTime) {
+        self.served += bytes;
+        let series = match kind {
+            IoKind::Read => &mut self.read,
+            IoKind::Write => &mut self.write,
+        };
+        series.add(now, bytes as f64);
+        self.latency
+            .get_or_insert_with(Histogram::new)
+            .record(latency.as_nanos());
     }
 }
 
@@ -510,7 +545,11 @@ struct FaultState {
     /// A retry backoff chain is currently in flight (suppresses
     /// overlapping chains from consecutive dark sync rounds).
     retrying: bool,
+    /// Run totals. `degraded_entries` holds those of the schedulers a
+    /// restart replaced until `build_report` adds the survivors'.
     summary: FaultSummary,
+    /// Scheduling decisions of the schedulers a restart replaced.
+    retired_decisions: u64,
     /// Profiled SFQ(D2) references, kept to rebuild a restarted node's
     /// schedulers exactly as `Sim::new` built them.
     hdfs_refs: Option<ReferenceLatency>,
@@ -572,8 +611,8 @@ pub struct Sim {
     /// is registered at arrival; tenant jobs all map to the tenant's
     /// shared flow, tenant-less jobs to their own `JobId`-derived app.
     job_app: Vec<Option<AppId>>,
-    /// Live-job refcount and weight per application flow, dense by
-    /// `AppId.0`.
+    /// Live-job refcount, weight and I/O ledger per application flow,
+    /// dense by `AppId.0`.
     app_flows: Vec<FlowRecord>,
     /// Tenants in first-arrival order (deterministic: arrivals are
     /// totally ordered by the event queue).
@@ -609,9 +648,6 @@ pub struct Sim {
     /// Reused sink for finished link-transfer ids.
     link_scratch: Vec<u64>,
     // metrics
-    app_read: HashMap<AppId, TimeSeries>,
-    app_write: HashMap<AppId, TimeSeries>,
-    app_latency: HashMap<AppId, Histogram>,
     total_read: TimeSeries,
     total_write: TimeSeries,
     events: u64,
@@ -870,6 +906,7 @@ impl Sim {
                 last_mark: SimTime::ZERO,
                 retrying: false,
                 summary: FaultSummary::default(),
+                retired_decisions: 0,
                 hdfs_refs: hdfs_refs.clone(),
                 scratch_refs: scratch_refs.clone(),
             }
@@ -930,9 +967,6 @@ impl Sim {
             waiter_scratch: Vec::new(),
             started_scratch: Vec::new(),
             link_scratch: Vec::new(),
-            app_read: HashMap::new(),
-            app_write: HashMap::new(),
-            app_latency: HashMap::new(),
             total_read: TimeSeries::new(SERIES_BIN),
             total_write: TimeSeries::new(SERIES_BIN),
             events: 0,
@@ -1268,11 +1302,7 @@ impl Sim {
         }
         self.job_app[slot] = Some(app);
         self.job_tenant[slot] = tenant_idx;
-        let ai = app.0 as usize;
-        if self.app_flows.len() <= ai {
-            self.app_flows.resize(ai + 1, FlowRecord::default());
-        }
-        let flow = &mut self.app_flows[ai];
+        let flow = self.flow_mut(app);
         flow.live += 1;
         flow.weight = weight;
         self.set_app_weight(app, weight);
@@ -1959,6 +1989,7 @@ impl Sim {
         let latency = now - dispatched;
         let dq = &mut self.nodes[node as usize].devs[dev];
         dq.sched.on_complete(app, kind, bytes, latency, now);
+        self.flow_mut(app).io_done(kind, bytes, latency, now);
         if let Some(m) = self.metrics.as_mut() {
             m.registry.observe(
                 "io_latency_ms",
@@ -1972,10 +2003,6 @@ impl Sim {
         if self.recorder.is_some() {
             self.record_completion(node, dev, io.encode(), app, kind, bytes, latency, now);
         }
-        self.app_latency
-            .entry(app)
-            .or_default()
-            .record(latency.as_nanos());
         let mut started = std::mem::take(&mut self.started_scratch);
         // Re-borrow: `record_completion` above needed `&mut self`.
         let dq = &mut self.nodes[node as usize].devs[dev];
@@ -1997,20 +2024,8 @@ impl Sim {
 
         // Throughput accounting (storage bytes, as in the paper's figures).
         match kind {
-            IoKind::Read => {
-                self.total_read.add(now, bytes as f64);
-                self.app_read
-                    .entry(app)
-                    .or_insert_with(|| TimeSeries::new(SERIES_BIN))
-                    .add(now, bytes as f64);
-            }
-            IoKind::Write => {
-                self.total_write.add(now, bytes as f64);
-                self.app_write
-                    .entry(app)
-                    .or_insert_with(|| TimeSeries::new(SERIES_BIN))
-                    .add(now, bytes as f64);
-            }
+            IoKind::Read => self.total_read.add(now, bytes as f64),
+            IoKind::Write => self.total_write.add(now, bytes as f64),
         }
 
         self.dispatch_cont(cont, now);
@@ -2113,11 +2128,16 @@ impl Sim {
 
     /// I/O-service weight of an application flow, as registered.
     fn weight_of(&self, app: AppId) -> f64 {
-        self.app_flows
-            .get(app.0 as usize)
-            .copied()
-            .unwrap_or_default()
-            .weight
+        self.app_flows.get(app.0 as usize).map_or(1.0, |f| f.weight)
+    }
+
+    /// `app`'s flow record, created unregistered if no job made one.
+    fn flow_mut(&mut self, app: AppId) -> &mut FlowRecord {
+        let ai = app.0 as usize;
+        if self.app_flows.len() <= ai {
+            self.app_flows.resize_with(ai + 1, FlowRecord::default);
+        }
+        &mut self.app_flows[ai]
     }
 
     fn start_transfer(&mut self, to_node: u32, bytes: u64, cont: Cont, now: SimTime) {
@@ -2859,6 +2879,12 @@ impl Sim {
         fs.summary.restarts += 1;
         let bound = fs.staleness_bound;
         let (hdfs_refs, scratch_refs) = (fs.hdfs_refs.clone(), fs.scratch_refs.clone());
+        // The run totals keep what the schedulers about to be replaced
+        // counted.
+        for dq in &self.nodes[node as usize].devs {
+            fs.retired_decisions += dq.sched.stats().decisions;
+            fs.summary.degraded_entries += dq.sched.degraded_entries();
+        }
         self.namenode.set_node_up(NodeId(node));
         self.record_fault(node, 0, 4, 0, now);
 
@@ -3165,17 +3191,39 @@ impl Sim {
             })
             .collect();
 
-        let mut app_service: HashMap<AppId, u64> = HashMap::new();
-        let mut sched_decisions = 0;
+        // The per-flow ledger becomes the report's per-app maps: service
+        // and latency for every flow with a completion, a series for
+        // every flow with a completion of that kind.
+        let with_io = self
+            .app_flows
+            .iter()
+            .filter(|f| f.latency.is_some())
+            .count();
+        let mut app_service = HashMap::with_capacity(with_io);
+        let mut app_latency = HashMap::with_capacity(with_io);
+        let mut app_read = HashMap::with_capacity(with_io);
+        let mut app_write = HashMap::with_capacity(with_io);
+        for (i, flow) in std::mem::take(&mut self.app_flows).into_iter().enumerate() {
+            let Some(latency) = flow.latency else {
+                continue;
+            };
+            let app = AppId(i as u32);
+            app_service.insert(app, flow.served);
+            app_latency.insert(app, latency);
+            if !flow.read.is_empty() {
+                app_read.insert(app, flow.read);
+            }
+            if !flow.write.is_empty() {
+                app_write.insert(app, flow.write);
+            }
+        }
+
+        let mut sched_decisions = self.faults.as_ref().map_or(0, |fs| fs.retired_decisions);
         let mut depth_trace = None;
         let mut latency_trace = None;
-        for (n, node) in self.nodes.iter_mut().enumerate() {
-            for dq in &mut node.devs {
-                let stats = dq.sched.stats();
-                sched_decisions += stats.decisions;
-                for (app, bytes) in stats.service.iter() {
-                    *app_service.entry(app).or_insert(0) += bytes;
-                }
+        for (n, node) in self.nodes.iter().enumerate() {
+            for dq in &node.devs {
+                sched_decisions += dq.sched.stats().decisions;
             }
             if self.cfg.trace_node == Some(n as u32) {
                 if let Some(t) = node.devs[DEV_HDFS].sched.depth_trace() {
@@ -3194,12 +3242,12 @@ impl Sim {
 
         let faults = self.faults.as_ref().map(|fs| {
             let mut s = fs.summary;
-            s.degraded_entries = self
+            s.degraded_entries += self
                 .nodes
                 .iter()
                 .flat_map(|n| n.devs.iter())
                 .map(|dq| dq.sched.degraded_entries())
-                .sum();
+                .sum::<u64>();
             s
         });
 
@@ -3207,9 +3255,9 @@ impl Sim {
             jobs,
             queries,
             tenants,
-            app_read: self.app_read,
-            app_write: self.app_write,
-            app_latency: self.app_latency,
+            app_read,
+            app_write,
+            app_latency,
             total_read: Some(self.total_read),
             total_write: Some(self.total_write),
             app_service,
@@ -3801,6 +3849,40 @@ mod tests {
         let mut report = ibis_obs::audit(&rec, &ibis_obs::AuditConfig::default());
         assert!(report.passed(), "audit failed: {}", report.summary());
         assert!(report.degraded_marks > 0, "auditor saw the degraded spans");
+    }
+
+    /// A restart replaces the node's schedulers; the run's totals keep
+    /// the degraded entries (and decisions) the replaced ones made.
+    #[test]
+    fn restart_keeps_the_replaced_schedulers_degraded_entries() {
+        let mut cfg = tiny_cluster();
+        cfg.policy = Policy::SfqD2(SfqD2Config::default());
+        cfg.coordination = true;
+        cfg.obs = ibis_obs::ObsConfig::enabled(1 << 18);
+        let crash = SimTime::from_secs(10);
+        cfg.faults = ibis_faults::FaultsConfig {
+            enabled: true,
+            staleness_bound: SimDuration::from_secs(2),
+            schedule: FaultSchedule::new(1)
+                .broker_outage(SimTime::from_secs(3), SimDuration::from_secs(6))
+                .node_crash(1, crash, Some(SimDuration::from_secs(2))),
+            ..ibis_faults::FaultsConfig::default()
+        };
+        let mut exp = Experiment::new(cfg);
+        exp.add_job(teragen(2 * GIB).io_weight(4.0).max_slots(8));
+        exp.add_job(wordcount(2 * GIB).max_slots(8));
+        let r = exp.run();
+        let s = r.faults.expect("fault summary");
+        assert_eq!(s.restarts, 1);
+        let rec = r.recording.expect("recording");
+        assert_eq!(rec.dropped_total(), 0);
+        let entered = |e: &&ObsEvent| matches!(e.kind, EventKind::DegradedEnter { .. });
+        assert!(
+            rec.events().iter().filter(entered).any(|e| e.node == 1 && e.at < crash),
+            "n1's first schedulers degraded before the crash"
+        );
+        let recorded = rec.events().iter().filter(entered).count() as u64;
+        assert_eq!(s.degraded_entries, recorded);
     }
 
     #[test]

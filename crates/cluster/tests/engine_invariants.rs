@@ -4,8 +4,9 @@
 use ibis_cluster::prelude::*;
 use ibis_core::scheduler::Policy;
 use ibis_core::SfqD2Config;
+use ibis_faults::{FaultSchedule, FaultsConfig};
 use ibis_simcore::units::{GIB, MIB};
-use ibis_simcore::SimDuration;
+use ibis_simcore::{SimDuration, SimTime};
 use ibis_workloads::{facebook2009, terasort, wordcount, SwimConfig};
 
 fn ideal_cluster(policy: Policy) -> ClusterConfig {
@@ -28,23 +29,49 @@ fn ideal_cluster(policy: Policy) -> ClusterConfig {
     .with_coordination(coordinated)
 }
 
-/// The time-series totals and the scheduler service accounting must agree:
-/// both count every completed interposed I/O once.
+/// The time-series totals and the per-app service accounting must agree:
+/// both count every completed interposed I/O once — also when a node
+/// crashes and restarts mid-run, which replaces its schedulers.
 #[test]
 fn series_and_service_accounting_agree() {
     for policy in [Policy::Native, Policy::SfqD2(SfqD2Config::default())] {
-        let mut exp = Experiment::new(ideal_cluster(policy));
-        exp.add_job(terasort(GIB).max_slots(8));
-        exp.add_job(wordcount(GIB).max_slots(8));
-        let r = exp.run();
-        let series_total = r.total_read.as_ref().unwrap().total()
-            + r.total_write.as_ref().unwrap().total();
-        let service_total: u64 = r.app_service.values().sum();
-        let diff = (series_total - service_total as f64).abs();
-        assert!(
-            diff < 1.0,
-            "series {series_total} vs service {service_total}"
-        );
+        for restart in [false, true] {
+            let mut cfg = ideal_cluster(policy.clone());
+            if restart {
+                cfg.faults = FaultsConfig {
+                    enabled: true,
+                    schedule: FaultSchedule::new(1).node_crash(
+                        1,
+                        SimTime::from_secs(6),
+                        Some(SimDuration::from_secs(4)),
+                    ),
+                    ..FaultsConfig::default()
+                };
+            }
+            let mut exp = Experiment::new(cfg);
+            exp.add_job(terasort(GIB).max_slots(8));
+            exp.add_job(wordcount(GIB).max_slots(8));
+            let r = exp.run();
+            let restarts = r.faults.map_or(0, |s| s.restarts);
+            assert_eq!(restarts, u64::from(restart), "{}", policy.label());
+            let series_total = r.total_read.as_ref().unwrap().total()
+                + r.total_write.as_ref().unwrap().total();
+            let service_total: u64 = r.app_service.values().sum();
+            let diff = (series_total - service_total as f64).abs();
+            assert!(
+                diff < 1.0,
+                "{} restart={restart}: series {series_total} vs service {service_total}",
+                policy.label()
+            );
+            for (app, &served) in &r.app_service {
+                let series = [&r.app_read, &r.app_write]
+                    .iter()
+                    .filter_map(|m| m.get(app))
+                    .map(|s| s.total())
+                    .sum::<f64>();
+                assert!((series - served as f64).abs() < 1.0, "app {app:?}");
+            }
+        }
     }
 }
 

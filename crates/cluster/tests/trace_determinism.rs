@@ -204,7 +204,7 @@ fn traced_runs_are_pinned() {
         digests,
         [
             (0x8f15_fed2_99fd_038a, 0x91a4_3586_879f_e420),
-            (0xbbc5_5903_ecfe_10de, 0x9500_2180_f4db_035b),
+            (0xbde7_5448_aea0_1e27, 0x9500_2180_f4db_035b),
         ],
         "traced canon or trace moved"
     );

@@ -52,15 +52,14 @@ impl IoScheduler for Fifo {
 
     fn on_complete(
         &mut self,
-        app: AppId,
+        _app: AppId,
         _kind: IoKind,
-        bytes: u64,
+        _bytes: u64,
         _latency: SimDuration,
         _now: SimTime,
     ) {
         self.outstanding = self.outstanding.saturating_sub(1);
         self.stats.completed += 1;
-        self.stats.service.add(app, bytes);
     }
 
     fn on_tick(&mut self, _now: SimTime) {}
@@ -164,14 +163,13 @@ impl IoScheduler for CgroupWeight {
 
     fn on_complete(
         &mut self,
-        app: AppId,
+        _app: AppId,
         kind: IoKind,
         bytes: u64,
         latency: SimDuration,
         now: SimTime,
     ) {
         self.stats.completed += 1;
-        self.stats.service.add(app, bytes);
         // The inner scheduler only needs the slot freed; its per-flow
         // service bookkeeping is unused (cgroups do not coordinate).
         self.inner.on_complete(DAEMON_FLOW, kind, bytes, latency, now);
@@ -332,15 +330,14 @@ impl IoScheduler for CgroupThrottle {
 
     fn on_complete(
         &mut self,
-        app: AppId,
+        _app: AppId,
         _kind: IoKind,
-        bytes: u64,
+        _bytes: u64,
         _latency: SimDuration,
         _now: SimTime,
     ) {
         self.outstanding = self.outstanding.saturating_sub(1);
         self.stats.completed += 1;
-        self.stats.service.add(app, bytes);
     }
 
     fn on_tick(&mut self, _now: SimTime) {
@@ -415,12 +412,12 @@ mod tests {
         }
 
         #[test]
-        fn stats_count_service() {
+        fn stats_count_completions() {
             let mut s = Fifo::new();
             s.submit(persistent(0, A, 10), SimTime::ZERO);
             let r = s.pop_dispatch(SimTime::ZERO).unwrap();
             s.on_complete(r.app, r.kind, r.bytes, SimDuration::ZERO, SimTime::ZERO);
-            assert_eq!(s.stats().service.get(A), Some(10));
+            assert_eq!(s.stats().completed, 1);
             assert_eq!(s.outstanding(), 0);
         }
     }
@@ -496,18 +493,6 @@ mod tests {
             s.submit(persistent(1, A, 100), SimTime::ZERO);
             let r = s.pop_dispatch(SimTime::ZERO).unwrap();
             assert_eq!(r.app, A, "engine must see the real app id");
-        }
-
-        #[test]
-        fn service_attributed_to_real_apps() {
-            let mut s = CgroupWeight::new();
-            s.submit(persistent(1, A, 100), SimTime::ZERO);
-            s.submit(intermediate(2, B, 200), SimTime::ZERO);
-            while let Some(r) = s.pop_dispatch(SimTime::ZERO) {
-                s.on_complete(r.app, r.kind, r.bytes, SimDuration::ZERO, SimTime::ZERO);
-            }
-            assert_eq!(s.stats().service.get(A), Some(100));
-            assert_eq!(s.stats().service.get(B), Some(200));
         }
     }
 

@@ -62,7 +62,7 @@ pub use broker::{BrokerStats, HashReferenceBroker, SchedulingBroker, Staleness};
 pub use broker_tree::{BrokerTree, BrokerTreeConfig, Delivery, ReportOutcome};
 pub use controller::{ControllerConfig, DepthController};
 pub use request::{AppId, IoClass, IoKind, Request};
-pub use scheduler::{IoScheduler, Policy, SchedStats, ServiceMap};
+pub use scheduler::{IoScheduler, Policy, SchedStats};
 pub use sfq::{SfqConfig, SfqD};
 pub use sfqd2::{SfqD2, SfqD2Config};
 pub use strict::StrictPartition;

@@ -8,68 +8,11 @@ use crate::sfqd2::{SfqD2, SfqD2Config};
 use ibis_simcore::metrics::GaugeTrace;
 use ibis_simcore::{SimDuration, SimTime};
 
-/// Per-application service bytes, kept as a dense array instead of a
-/// `HashMap`. A device queue serves a handful of applications, so a linear
-/// scan over a contiguous `Vec<(AppId, u64)>` beats hashing on the
-/// completion path (`on_complete` runs once per I/O) and iterates in
-/// first-seen order without allocation.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceMap {
-    entries: Vec<(AppId, u64)>,
-}
-
-impl ServiceMap {
-    /// Adds `bytes` to `app`'s accumulated service.
-    pub fn add(&mut self, app: AppId, bytes: u64) {
-        for e in &mut self.entries {
-            if e.0 == app {
-                e.1 += bytes;
-                return;
-            }
-        }
-        self.entries.push((app, bytes));
-    }
-
-    /// Sets `app`'s accumulated service to `bytes` exactly.
-    pub fn insert(&mut self, app: AppId, bytes: u64) {
-        for e in &mut self.entries {
-            if e.0 == app {
-                e.1 = bytes;
-                return;
-            }
-        }
-        self.entries.push((app, bytes));
-    }
-
-    /// `app`'s accumulated service, if any was recorded.
-    pub fn get(&self, app: AppId) -> Option<u64> {
-        self.entries.iter().find(|e| e.0 == app).map(|e| e.1)
-    }
-
-    /// Iterates `(app, bytes)` pairs in first-seen order.
-    pub fn iter(&self) -> impl Iterator<Item = (AppId, u64)> + '_ {
-        self.entries.iter().copied()
-    }
-
-    /// Number of applications with recorded service.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no service has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total service across all applications, bytes.
-    pub fn total(&self) -> u64 {
-        self.entries.iter().map(|e| e.1).sum()
-    }
-}
-
 /// Counters every scheduler keeps. `decisions` approximates the scheduler
-/// CPU work for the Table 2 resource-overhead accounting; `service`
-/// accumulates the per-application bytes the broker aggregates.
+/// CPU work for the Table 2 resource-overhead accounting. Per-application
+/// service is not a scheduler counter: the broker's inputs come from
+/// [`IoScheduler::drain_service_report`], and the run's per-app totals
+/// from the engine's per-flow ledger, which outlives a node restart.
 #[derive(Debug, Clone, Default)]
 pub struct SchedStats {
     /// Requests accepted via `submit`.
@@ -81,15 +24,6 @@ pub struct SchedStats {
     /// Scheduling decisions taken (tag computations, queue scans,
     /// controller updates).
     pub decisions: u64,
-    /// Total bytes of I/O service delivered per application.
-    pub service: ServiceMap,
-}
-
-impl SchedStats {
-    /// Total service delivered across all applications, bytes.
-    pub fn total_service(&self) -> u64 {
-        self.service.total()
-    }
 }
 
 /// The interface between a datanode's interposition points and its
@@ -323,31 +257,5 @@ mod tests {
         assert!(Policy::SfqD { depth: 1 }.coordinates());
         assert!(!Policy::Native.coordinates());
         assert!(!Policy::CgroupWeight.coordinates());
-    }
-
-    #[test]
-    fn sched_stats_total_service() {
-        let mut s = SchedStats::default();
-        s.service.insert(AppId(1), 10);
-        s.service.insert(AppId(2), 32);
-        assert_eq!(s.total_service(), 42);
-    }
-
-    #[test]
-    fn service_map_accumulates_and_overwrites() {
-        let mut m = ServiceMap::default();
-        assert!(m.is_empty());
-        m.add(AppId(1), 10);
-        m.add(AppId(1), 5);
-        m.add(AppId(2), 7);
-        assert_eq!(m.get(AppId(1)), Some(15));
-        assert_eq!(m.get(AppId(3)), None);
-        m.insert(AppId(1), 2);
-        assert_eq!(m.get(AppId(1)), Some(2));
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.total(), 9);
-        // First-seen iteration order.
-        let pairs: Vec<_> = m.iter().collect();
-        assert_eq!(pairs, vec![(AppId(1), 2), (AppId(2), 7)]);
     }
 }

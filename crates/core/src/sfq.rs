@@ -407,7 +407,6 @@ impl IoScheduler for SfqD {
         self.outstanding = self.outstanding.saturating_sub(1);
         self.stats.completed += 1;
         self.stats.decisions += 1;
-        self.stats.service.add(app, bytes);
         let i = self.flows.intern(app);
         self.flows.credit(i, bytes);
     }
@@ -838,7 +837,6 @@ mod tests {
         assert_eq!(st.submitted, 1);
         assert_eq!(st.dispatched, 1);
         assert_eq!(st.completed, 1);
-        assert_eq!(st.service.get(A), Some(100));
     }
 
     #[test]

@@ -99,12 +99,11 @@ impl IoScheduler for StrictPartition {
         &mut self,
         app: AppId,
         _kind: IoKind,
-        bytes: u64,
+        _bytes: u64,
         _latency: SimDuration,
         _now: SimTime,
     ) {
         self.stats.completed += 1;
-        self.stats.service.add(app, bytes);
         if let Some(flow) = self.flows.get_mut(&app) {
             flow.outstanding = flow.outstanding.saturating_sub(1);
         }

@@ -48,7 +48,10 @@ impl ObsConfig {
         let enabled = std::env::var("IBIS_OBS")
             .map(|v| v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on"))
             .unwrap_or(false);
-        ObsConfig { enabled, capacity: DEFAULT_CAPACITY }
+        ObsConfig {
+            enabled,
+            capacity: DEFAULT_CAPACITY,
+        }
     }
 
     /// An enabled config with the given per-node capacity.

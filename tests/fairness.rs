@@ -102,7 +102,7 @@ fn work_conservation_under_ibis() {
 }
 
 #[test]
-fn total_service_accounting_matches_weights_under_saturation() {
+fn service_accounting_matches_weights_under_saturation() {
     // While both generators are backlogged everywhere, delivered service
     // should track the 3:1 weight ratio within tolerance. Compare service
     // up to the favoured job's completion via runtimes: the favoured job
