@@ -143,15 +143,15 @@ pub struct ClusterConfig {
     pub obs: ibis_obs::ObsConfig,
     /// Metrics-sampler configuration (see `ibis-metrics`). Defaults to the
     /// environment (`IBIS_METRICS=1` enables sampling), so any experiment
-    /// binary can
-    /// export time-series telemetry without a config change; disabled, the
-    /// engine schedules no sampling events and the hot paths are untouched.
+    /// binary can export time-series telemetry without a config change;
+    /// disabled, the engine schedules no sampling events and the hot paths
+    /// are untouched.
     pub metrics: ibis_metrics::MetricsConfig,
     /// Fault-injection configuration (see `ibis-faults`). Defaults to the
     /// environment (`IBIS_FAULTS="broker@10+5;crash@20+30:n2"` injects a
-    /// schedule); with no schedule the engine allocates no fault state, schedules no fault
-    /// events, and produces byte-identical results to a build without
-    /// fault support.
+    /// schedule); with no schedule the engine allocates no fault state,
+    /// schedules no fault events, and produces byte-identical results to a
+    /// build without fault support.
     pub faults: ibis_faults::FaultsConfig,
     /// Causal-tracing configuration (see `ibis-trace`). Defaults to the
     /// environment (`IBIS_TRACE=1` enables span assembly and the latency

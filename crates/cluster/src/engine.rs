@@ -3851,8 +3851,8 @@ mod tests {
         assert!(report.degraded_marks > 0, "auditor saw the degraded spans");
     }
 
-    /// A restart replaces the node's schedulers; the run's totals keep
-    /// the degraded entries (and decisions) the replaced ones made.
+    /// A restart replaces the node's schedulers; the run's degraded-entry
+    /// total still counts the entries the replaced ones made.
     #[test]
     fn restart_keeps_the_replaced_schedulers_degraded_entries() {
         let mut cfg = tiny_cluster();

@@ -738,9 +738,11 @@ impl FaultsConfig {
     /// A malformed schedule panics: a chaos run silently falling back to
     /// fault-free would invalidate the experiment.
     pub fn from_env() -> Self {
-        let mut cfg = FaultsConfig::default();
         let seed = 0xFA17;
-        cfg.schedule.seed = seed;
+        let mut cfg = FaultsConfig {
+            schedule: FaultSchedule::new(seed),
+            ..FaultsConfig::default()
+        };
         match std::env::var("IBIS_FAULTS") {
             Ok(v) if v == "0" || v.is_empty() => {}
             Ok(v) if v == "1" => cfg.enabled = true,
