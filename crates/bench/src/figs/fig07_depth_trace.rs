@@ -2,12 +2,18 @@
 //! on one datanode": the per-second depth and mean-latency traces of one
 //! node's HDFS scheduler during the WordCount-vs-TeraGen run, including
 //! the latency spikes caused by foreground write-back flushes.
+//!
+//! Both curves come from the metrics sampler. It samples once per
+//! controller period, on the same periodic lane as the scheduler ticks
+//! and after them, so each sample sees that instant's control update.
 
 use crate::experiments::{hdd_cluster, sfqd2, tg_half, wc_half};
 use crate::results::ResultSink;
 use crate::scale::ScaleProfile;
 use crate::table::Table;
 use ibis_cluster::prelude::*;
+use ibis_metrics::{Labels, MetricsCapture, MetricsConfig};
+use ibis_simcore::SimTime;
 
 /// Runs the figure.
 pub fn run(scale: ScaleProfile) -> ResultSink {
@@ -18,7 +24,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     );
 
     let mut cluster = hdd_cluster(sfqd2());
-    cluster.trace_node = Some(0);
+    let Policy::SfqD2(ctl) = &cluster.policy else {
+        unreachable!("Fig. 7 runs SFQ(D2)")
+    };
+    cluster.metrics = MetricsConfig::enabled(ctl.controller.period);
     // Make flush spikes land inside the (scaled) run.
     if scale == ScaleProfile::Quick {
         if let DeviceSpec::Hdd(cfg) = &mut cluster.hdfs_device {
@@ -30,7 +39,8 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     exp.add_job(tg_half(scale).io_weight(1.0));
     let r = exp.run();
 
-    let depth = r.depth_trace.as_ref().expect("depth trace recorded");
+    let cap = r.metrics.as_ref().expect("metrics sampled");
+    let (depth, latency) = controller_traces(cap);
     if let Some(refs) = r.reference_latencies_ms {
         println!(
             "profiled reference latency: read {:.1} ms, write {:.1} ms",
@@ -42,19 +52,13 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
 
     // Downsample the traces for terminal output, joining the latency
     // curve (Fig. 7 plots both).
-    let latency = r.latency_trace.as_ref();
-    let lat_at = |t: ibis_simcore::SimTime| -> Option<f64> {
-        latency.and_then(|l| {
-            l.samples()
-                .iter()
-                .find(|(lt, _)| *lt == t)
-                .map(|&(_, v)| v)
-        })
+    let lat_at = |t: SimTime| -> Option<f64> {
+        latency.iter().find(|(lt, _)| *lt == t).map(|&(_, v)| v)
     };
     let n = depth.len();
     let stride = (n / 60).max(1);
     let mut table = Table::new(&["t (s)", "D", "latency (ms)"]);
-    for &(t, d) in depth.samples().iter().step_by(stride) {
+    for &(t, d) in depth.iter().step_by(stride) {
         table.row(&[
             format!("{:.0}", t.as_secs_f64()),
             format!("{d:.0}"),
@@ -62,20 +66,16 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         ]);
     }
     table.print();
-    if let Some(l) = latency {
-        let peak = l.max().unwrap_or(0.0);
-        println!("latency: mean {:.0} ms, peak {:.0} ms (flush spikes)", l.mean(), peak);
-        sink.record("latency_mean_ms", l.mean());
+    if !latency.is_empty() {
+        let (mean, peak) = (mean(&latency), peak(&latency));
+        println!("latency: mean {mean:.0} ms, peak {peak:.0} ms (flush spikes)");
+        sink.record("latency_mean_ms", mean);
         sink.record("latency_peak_ms", peak);
     }
 
-    let mean_d = depth.mean();
-    let max_d = depth.max().unwrap_or(0.0);
-    let min_d = depth
-        .samples()
-        .iter()
-        .map(|&(_, d)| d)
-        .fold(f64::INFINITY, f64::min);
+    let mean_d = mean(&depth);
+    let max_d = peak(&depth);
+    let min_d = depth.iter().map(|&(_, d)| d).fold(f64::INFINITY, f64::min);
     println!("\nD: mean {mean_d:.1}, range [{min_d:.0}, {max_d:.0}] over {n} samples");
     sink.record("depth_mean", mean_d);
     sink.record("depth_min", min_d);
@@ -89,4 +89,46 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
          flush spikes.",
     );
     sink
+}
+
+/// Node 0's HDFS controller as Fig. 7 plots it: the depth the dispatcher
+/// uses at every sample (the controller's float, rounded as
+/// `DepthController::depth` rounds it), and the mean latency `L(k)` at
+/// the samples where a control update fired (a period without
+/// completions updates nothing).
+fn controller_traces(cap: &MetricsCapture) -> (Vec<(SimTime, f64)>, Vec<(SimTime, f64)>) {
+    let hdfs = Labels::on(0, 0);
+    let series = |name| &cap.series_for(name, hdfs).expect("controller sampled").points;
+    let depth = series("ctl_depth")
+        .iter()
+        .map(|&(t, d)| (t, d.round().max(1.0)))
+        .collect();
+    // `ctl_latency_ms` starts at the first update; every later sample
+    // has a point.
+    let mut latency_at = series("ctl_latency_ms").iter();
+    let mut updates = 0.0;
+    let mut latency = Vec::new();
+    for &(t, u) in series("ctl_updates") {
+        if u > updates {
+            let &(_, l) = latency_at
+                .find(|&&(lt, _)| lt == t)
+                .expect("an update sets L(k)");
+            latency.push((t, l));
+        }
+        updates = u;
+    }
+    (depth, latency)
+}
+
+/// Unweighted mean of the sampled values, 0 if empty.
+fn mean(trace: &[(SimTime, f64)]) -> f64 {
+    if trace.is_empty() {
+        return 0.0;
+    }
+    trace.iter().map(|&(_, v)| v).sum::<f64>() / trace.len() as f64
+}
+
+/// Largest sampled value, 0 if empty.
+fn peak(trace: &[(SimTime, f64)]) -> f64 {
+    trace.iter().map(|&(_, v)| v).fold(0.0, f64::max)
 }

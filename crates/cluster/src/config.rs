@@ -132,8 +132,6 @@ pub struct ClusterConfig {
     /// as the SFQ(D2) reference (§4's offline profiling). When false, the
     /// references in the policy's controller config are used as-is.
     pub auto_reference: bool,
-    /// Record the Fig. 7 depth/latency trace on this node's HDFS device.
-    pub trace_node: Option<u32>,
     /// Master RNG seed.
     pub seed: u64,
     /// Flight-recorder configuration (see `ibis-obs`). Defaults to the
@@ -187,7 +185,6 @@ impl Default for ClusterConfig {
             chunk: IO_CHUNK,
             hdfs_write_window: 16,
             auto_reference: true,
-            trace_node: None,
             seed: 0x1b15,
             obs: ibis_obs::ObsConfig::from_env(),
             metrics: ibis_metrics::MetricsConfig::from_env(),

@@ -560,22 +560,12 @@ struct FaultState {
 /// into an SFQ(D2) controller config. Free function (not a closure in
 /// `Sim::new`) because a node restart rebuilds its schedulers the same
 /// way mid-run.
-fn build_sched(
-    policy: &Policy,
-    refs: &Option<ReferenceLatency>,
-    trace: bool,
-) -> Box<dyn IoScheduler + Send> {
+fn build_sched(policy: &Policy, refs: &Option<ReferenceLatency>) -> Box<dyn IoScheduler + Send> {
     match (policy, refs) {
         (Policy::SfqD2(c), Some(r)) => {
             let mut c2: SfqD2Config = c.clone();
             c2.controller.ref_read = r.read;
             c2.controller.ref_write = r.write;
-            c2.trace = trace;
-            Policy::SfqD2(c2).build()
-        }
-        (Policy::SfqD2(c), None) => {
-            let mut c2 = c.clone();
-            c2.trace = trace;
             Policy::SfqD2(c2).build()
         }
         _ => policy.build(),
@@ -714,23 +704,20 @@ impl Sim {
         };
 
         let mut nodes: Vec<Node> = (0..cfg.nodes)
-            .map(|n| {
-                let trace = cfg.trace_node == Some(n);
-                Node {
-                    free_cores: cfg.cores_per_node,
-                    free_mem: cfg.memory_per_node,
-                    devs: [
-                        DeviceQueue {
-                            device: cfg.hdfs_device.build(n as u64),
-                            sched: build_sched(&cfg.policy, &hdfs_refs, trace),
-                        },
-                        DeviceQueue {
-                            device: cfg.scratch_device.build(1000 + n as u64),
-                            sched: build_sched(&cfg.policy, &scratch_refs, false),
-                        },
-                    ],
-                    rx: PsLink::new(cfg.nic_bw),
-                }
+            .map(|n| Node {
+                free_cores: cfg.cores_per_node,
+                free_mem: cfg.memory_per_node,
+                devs: [
+                    DeviceQueue {
+                        device: cfg.hdfs_device.build(n as u64),
+                        sched: build_sched(&cfg.policy, &hdfs_refs),
+                    },
+                    DeviceQueue {
+                        device: cfg.scratch_device.build(1000 + n as u64),
+                        sched: build_sched(&cfg.policy, &scratch_refs),
+                    },
+                ],
+                rx: PsLink::new(cfg.nic_bw),
             })
             .collect();
         if recorder.is_some() {
@@ -2888,15 +2875,14 @@ impl Sim {
         self.namenode.set_node_up(NodeId(node));
         self.record_fault(node, 0, 4, 0, now);
 
-        let trace = self.cfg.trace_node == Some(node);
         let n = &mut self.nodes[node as usize];
         n.devs[0] = DeviceQueue {
             device: self.cfg.hdfs_device.build(node as u64),
-            sched: build_sched(&self.cfg.policy, &hdfs_refs, trace),
+            sched: build_sched(&self.cfg.policy, &hdfs_refs),
         };
         n.devs[1] = DeviceQueue {
             device: self.cfg.scratch_device.build(1000 + node as u64),
-            sched: build_sched(&self.cfg.policy, &scratch_refs, false),
+            sched: build_sched(&self.cfg.policy, &scratch_refs),
         };
         n.free_cores = self.cfg.cores_per_node;
         n.free_mem = self.cfg.memory_per_node;
@@ -3219,19 +3205,9 @@ impl Sim {
         }
 
         let mut sched_decisions = self.faults.as_ref().map_or(0, |fs| fs.retired_decisions);
-        let mut depth_trace = None;
-        let mut latency_trace = None;
-        for (n, node) in self.nodes.iter().enumerate() {
+        for node in &self.nodes {
             for dq in &node.devs {
                 sched_decisions += dq.sched.stats().decisions;
-            }
-            if self.cfg.trace_node == Some(n as u32) {
-                if let Some(t) = node.devs[DEV_HDFS].sched.depth_trace() {
-                    depth_trace = Some(t.clone());
-                }
-                if let Some(t) = node.devs[DEV_HDFS].sched.latency_trace() {
-                    latency_trace = Some(t.clone());
-                }
             }
         }
 
@@ -3261,8 +3237,6 @@ impl Sim {
             total_read: Some(self.total_read),
             total_write: Some(self.total_write),
             app_service,
-            depth_trace,
-            latency_trace,
             broker: {
                 let mut s = self.coord[0].stats();
                 s.merge(&self.coord[1].stats());
@@ -3455,16 +3429,18 @@ mod tests {
     }
 
     #[test]
-    fn sfqd2_run_produces_depth_trace() {
+    fn sfqd2_run_samples_controller_depth() {
         let mut cfg = tiny_cluster();
         cfg.policy = Policy::SfqD2(SfqD2Config::default());
-        cfg.trace_node = Some(0);
-        cfg.auto_reference = false;
+        cfg.metrics = ibis_metrics::MetricsConfig::enabled(SimDuration::from_secs(1));
         let mut exp = Experiment::new(cfg);
         exp.add_job(teragen(GIB));
-        let r = exp.run();
-        let trace = r.depth_trace.expect("trace recorded");
-        assert!(!trace.is_empty());
+        let cap = exp.run().metrics.expect("metrics captured");
+        let depth = cap
+            .series_for("ctl_depth", Labels::on(0, DEV_HDFS as u8))
+            .expect("depth series");
+        assert!(!depth.points.is_empty());
+        assert_eq!(depth.points.len() as u64, cap.samples_taken);
     }
 
     #[test]

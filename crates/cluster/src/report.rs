@@ -2,7 +2,7 @@
 
 use ibis_core::broker::BrokerStats;
 use ibis_core::AppId;
-use ibis_simcore::metrics::{GaugeTrace, Histogram, TimeSeries};
+use ibis_simcore::metrics::{Histogram, TimeSeries};
 use ibis_simcore::{QueueStats, SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -150,10 +150,6 @@ pub struct RunReport {
     /// numbers: isolation shows up as a bounded tail for the protected
     /// application.
     pub app_latency: HashMap<AppId, Histogram>,
-    /// Fig. 7: depth trace of the traced node's HDFS scheduler.
-    pub depth_trace: Option<GaugeTrace>,
-    /// Fig. 7: per-period mean latency (ms) of the traced scheduler.
-    pub latency_trace: Option<GaugeTrace>,
     /// Broker overhead counters (zeros when coordination is off).
     pub broker: BrokerStats,
     /// Total scheduling decisions across all schedulers (Table 2 proxy).

@@ -5,7 +5,6 @@ use crate::baselines::{CgroupThrottle, CgroupWeight, Fifo};
 use crate::request::{AppId, IoKind, Request};
 use crate::sfq::{SfqConfig, SfqD};
 use crate::sfqd2::{SfqD2, SfqD2Config};
-use ibis_simcore::metrics::GaugeTrace;
 use ibis_simcore::{SimDuration, SimTime};
 
 /// Counters every scheduler keeps. `decisions` approximates the scheduler
@@ -91,17 +90,6 @@ pub trait IoScheduler {
 
     /// Running counters.
     fn stats(&self) -> &SchedStats;
-
-    /// The SFQ(D2) depth trace (Fig. 7), if this scheduler keeps one.
-    fn depth_trace(&self) -> Option<&GaugeTrace> {
-        None
-    }
-
-    /// The SFQ(D2) per-period mean-latency trace in milliseconds (Fig. 7's
-    /// second curve), if kept.
-    fn latency_trace(&self) -> Option<&GaugeTrace> {
-        None
-    }
 
     /// Turns flight-recorder event emission on or off. Schedulers without
     /// emit sites ignore it (the engine then records only device-level

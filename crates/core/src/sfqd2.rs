@@ -2,15 +2,15 @@
 //! scheduler (§4): an [`SfqD`] dispatcher whose depth bound is retuned
 //! every control period by a [`DepthController`].
 //!
-//! The composition also keeps the depth and latency traces used to
-//! reproduce Fig. 7 ("Adaptation of D by SFQ(D2) based on the observed I/O
-//! latency on one datanode").
+//! Fig. 7 ("Adaptation of D by SFQ(D2) based on the observed I/O latency
+//! on one datanode") reads the controller through
+//! [`IoScheduler::sample_metrics`]: the metrics sampler records `ctl_depth`
+//! and `ctl_latency_ms` after each same-instant controller update.
 
 use crate::controller::{ControllerConfig, DepthController};
 use crate::request::{AppId, IoKind, Request};
 use crate::scheduler::{IoScheduler, SchedStats};
 use crate::sfq::{SfqConfig, SfqD};
-use ibis_simcore::metrics::GaugeTrace;
 use ibis_simcore::{SimDuration, SimTime};
 
 /// Configuration for [`SfqD2`].
@@ -20,7 +20,9 @@ pub struct SfqD2Config {
     pub controller: ControllerConfig,
     /// DSFQ delay cap, as in [`SfqConfig::delay_cap`].
     pub delay_cap: Option<u64>,
-    /// Record the Fig. 7 depth/latency traces (small memory cost).
+    /// Inert: nothing reads it. Fig. 7 reads the metrics sampler's
+    /// controller series; the field stays only because the repo
+    /// benchmark's scheduler replay still clears it.
     pub trace: bool,
 }
 
@@ -28,12 +30,6 @@ pub struct SfqD2Config {
 pub struct SfqD2 {
     inner: SfqD,
     controller: DepthController,
-    depth_trace: GaugeTrace,
-    latency_trace: GaugeTrace,
-    trace: bool,
-    // per-period latency accumulation for the latency trace
-    period_lat: SimDuration,
-    period_n: u64,
 }
 
 impl SfqD2 {
@@ -44,15 +40,7 @@ impl SfqD2 {
             depth: controller.depth(),
             delay_cap: cfg.delay_cap,
         });
-        SfqD2 {
-            inner,
-            controller,
-            depth_trace: GaugeTrace::new(),
-            latency_trace: GaugeTrace::new(),
-            trace: cfg.trace,
-            period_lat: SimDuration::ZERO,
-            period_n: 0,
-        }
+        SfqD2 { inner, controller }
     }
 
     /// The controller, for inspection.
@@ -88,10 +76,6 @@ impl IoScheduler for SfqD2 {
         now: SimTime,
     ) {
         self.controller.observe(kind.is_read(), latency);
-        if self.trace {
-            self.period_lat += latency;
-            self.period_n += 1;
-        }
         self.inner.on_complete(app, kind, bytes, latency, now);
     }
 
@@ -101,16 +85,6 @@ impl IoScheduler for SfqD2 {
             self.inner
                 .obs_buf_mut()
                 .push(now, ibis_obs::EventKind::DepthAdjusted { depth: new_depth });
-        }
-        if self.trace {
-            self.depth_trace.record(now, self.controller.depth() as f64);
-            if self.period_n > 0 {
-                let mean_ms =
-                    (self.period_lat / self.period_n).as_nanos() as f64 / 1e6;
-                self.latency_trace.record(now, mean_ms);
-            }
-            self.period_lat = SimDuration::ZERO;
-            self.period_n = 0;
         }
     }
 
@@ -150,14 +124,6 @@ impl IoScheduler for SfqD2 {
         self.inner.degraded_entries()
     }
 
-    fn depth_trace(&self) -> Option<&GaugeTrace> {
-        self.trace.then_some(&self.depth_trace)
-    }
-
-    fn latency_trace(&self) -> Option<&GaugeTrace> {
-        self.trace.then_some(&self.latency_trace)
-    }
-
     fn set_recording(&mut self, on: bool) {
         self.inner.set_recording(on);
     }
@@ -190,15 +156,14 @@ mod tests {
 
     const A: AppId = AppId(1);
 
-    fn traced() -> SfqD2 {
+    fn controlled() -> SfqD2 {
         SfqD2::new(SfqD2Config {
             controller: ControllerConfig {
                 gain_per_us: 1e-5,
                 ..ControllerConfig::default()
             }
             .with_reference(SimDuration::from_millis(50)),
-            delay_cap: None,
-            trace: true,
+            ..SfqD2Config::default()
         })
     }
 
@@ -231,13 +196,13 @@ mod tests {
     fn depth_converges_toward_reference_latency() {
         // per-request 25 ms at depth d → latency 25·d ms; reference 50 ms
         // → equilibrium depth = 2.
-        let mut s = traced();
+        let mut s = controlled();
         run_closed_loop(&mut s, 120, SimDuration::from_millis(25));
         let d = s.controller().depth();
         assert!(
             (1..=3).contains(&d),
-            "depth {d} did not converge toward 2 (trace: {:?})",
-            s.depth_trace().unwrap().samples().last()
+            "depth {d} did not converge toward 2 (D = {})",
+            s.controller().depth_f64()
         );
     }
 
@@ -245,24 +210,9 @@ mod tests {
     fn depth_rises_when_device_is_fast() {
         // 2 ms per request: even at D=12 latency stays at 24 ms < 50 ms →
         // controller pushes to d_max.
-        let mut s = traced();
+        let mut s = controlled();
         run_closed_loop(&mut s, 200, SimDuration::from_millis(2));
         assert_eq!(s.controller().depth(), 12);
-    }
-
-    #[test]
-    fn traces_recorded_per_tick() {
-        let mut s = traced();
-        run_closed_loop(&mut s, 5, SimDuration::from_millis(10));
-        let dt = s.depth_trace().unwrap();
-        assert!(dt.len() >= 40, "depth trace too short: {}", dt.len());
-        assert!(!s.latency_trace().unwrap().is_empty());
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let s = SfqD2::new(SfqD2Config::default());
-        assert!(s.depth_trace().is_none());
     }
 
     #[test]
@@ -290,7 +240,7 @@ mod tests {
     #[test]
     fn sample_metrics_exposes_controller_state() {
         use ibis_metrics::Sample;
-        let mut s = traced();
+        let mut s = controlled();
         run_closed_loop(&mut s, 10, SimDuration::from_millis(25));
         let mut out = Vec::new();
         s.sample_metrics(SimTime::from_secs(10), &mut out);
@@ -318,7 +268,7 @@ mod tests {
         };
         use ibis_metrics::Sample;
 
-        let mut s = traced();
+        let mut s = controlled();
         let mut id = 0u64;
         let mut lat_points: Vec<(f64, f64, f64)> = Vec::new();
         let mut depths: Vec<f64> = Vec::new();

@@ -81,65 +81,6 @@ impl TimeSeries {
     }
 }
 
-/// A sampled instantaneous value over time (scheduler depth D, observed
-/// latency) — Fig. 7's two curves are `GaugeTrace`s.
-#[derive(Debug, Clone, Default)]
-pub struct GaugeTrace {
-    samples: Vec<(SimTime, f64)>,
-}
-
-impl GaugeTrace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        GaugeTrace::default()
-    }
-
-    /// Records `value` at instant `at`. Instants must be non-decreasing.
-    pub fn record(&mut self, at: SimTime, value: f64) {
-        debug_assert!(
-            self.samples.last().is_none_or(|&(t, _)| t <= at),
-            "gauge samples must be recorded in time order"
-        );
-        self.samples.push((at, value));
-    }
-
-    /// All samples in recording order.
-    pub fn samples(&self) -> &[(SimTime, f64)] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// True if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The most recent sample value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.samples.last().map(|&(_, v)| v)
-    }
-
-    /// Mean of the sampled values (unweighted), 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().map(|&(_, v)| v).sum::<f64>() / self.samples.len() as f64
-    }
-
-    /// Largest sampled value, if any.
-    pub fn max(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .map(|&(_, v)| v)
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,25 +121,5 @@ mod tests {
         assert!(ts.is_empty());
         assert_eq!(ts.mean_rate(), 0.0);
         assert_eq!(ts.peak_rate(), 0.0);
-    }
-
-    #[test]
-    fn gauge_trace_basic() {
-        let mut g = GaugeTrace::new();
-        g.record(SimTime::from_secs(1), 4.0);
-        g.record(SimTime::from_secs(2), 8.0);
-        assert_eq!(g.len(), 2);
-        assert_eq!(g.last(), Some(8.0));
-        assert_eq!(g.mean(), 6.0);
-        assert_eq!(g.max(), Some(8.0));
-    }
-
-    #[test]
-    fn gauge_trace_empty() {
-        let g = GaugeTrace::new();
-        assert!(g.is_empty());
-        assert_eq!(g.last(), None);
-        assert_eq!(g.mean(), 0.0);
-        assert_eq!(g.max(), None);
     }
 }

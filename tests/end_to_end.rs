@@ -169,14 +169,17 @@ fn depth_trace_stays_within_controller_bounds() {
     let mut cfg = ClusterConfig::default()
         .with_policy(Policy::SfqD2(SfqD2Config::default()))
         .with_coordination(true);
-    cfg.trace_node = Some(0);
+    cfg.metrics = ibis::metrics::MetricsConfig::enabled(SimDuration::from_secs(1));
     let mut exp = Experiment::new(cfg);
     exp.add_job(wordcount(GIB).max_slots(24).io_weight(32.0));
     exp.add_job(teragen(8 * GIB).max_slots(24));
     let r = exp.run();
-    let trace = r.depth_trace.expect("trace");
-    assert!(!trace.is_empty());
-    for &(_, d) in trace.samples() {
+    let cap = r.metrics.expect("metrics");
+    let depth = cap
+        .series_for("ctl_depth", ibis::metrics::Labels::on(0, 0))
+        .expect("node 0's HDFS controller sampled");
+    assert!(!depth.points.is_empty());
+    for &(_, d) in &depth.points {
         assert!((1.0..=12.0).contains(&d), "D={d} out of [1,12]");
     }
 }
