@@ -65,21 +65,21 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         t.print();
         let peak_read = points.iter().map(|p| p.1).fold(0.0, f64::max);
         let peak_write = points.iter().map(|p| p.2).fold(0.0, f64::max);
-        let total_read = report.total_read.as_ref().map_or(0.0, |s| s.total());
-        let total_write = report.total_write.as_ref().map_or(0.0, |s| s.total());
+        let read_bytes = report.bytes_read() as f64;
+        let written_bytes = report.bytes_written() as f64;
         println!(
             "  runtime {:.1}s; peak read {peak_read:.0} MB/s, peak write \
              {peak_write:.0} MB/s; volume read {:.1} GB written {:.1} GB\n",
             report.jobs[0].runtime.as_secs_f64(),
-            total_read / 1e9,
-            total_write / 1e9,
+            read_bytes / 1e9,
+            written_bytes / 1e9,
         );
         let key = name.to_lowercase();
         sink.record(&format!("{key}_runtime_s"), report.jobs[0].runtime.as_secs_f64());
         sink.record(&format!("{key}_peak_read_mbs"), peak_read);
         sink.record(&format!("{key}_peak_write_mbs"), peak_write);
-        sink.record(&format!("{key}_read_gb"), total_read / 1e9);
-        sink.record(&format!("{key}_write_gb"), total_write / 1e9);
+        sink.record(&format!("{key}_read_gb"), read_bytes / 1e9);
+        sink.record(&format!("{key}_write_gb"), written_bytes / 1e9);
     }
 
     // The paper's qualitative claims.

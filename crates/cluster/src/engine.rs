@@ -637,9 +637,6 @@ pub struct Sim {
     started_scratch: Vec<ibis_storage::Started>,
     /// Reused sink for finished link-transfer ids.
     link_scratch: Vec<u64>,
-    // metrics
-    total_read: TimeSeries,
-    total_write: TimeSeries,
     events: u64,
     reference_ms: Option<[f64; 4]>,
     finished: bool,
@@ -954,8 +951,6 @@ impl Sim {
             waiter_scratch: Vec::new(),
             started_scratch: Vec::new(),
             link_scratch: Vec::new(),
-            total_read: TimeSeries::new(SERIES_BIN),
-            total_write: TimeSeries::new(SERIES_BIN),
             events: 0,
             reference_ms,
             finished: false,
@@ -2008,13 +2003,6 @@ impl Sim {
         started.clear();
         self.started_scratch = started;
         self.pump_dispatch(node, dev, now);
-
-        // Throughput accounting (storage bytes, as in the paper's figures).
-        match kind {
-            IoKind::Read => self.total_read.add(now, bytes as f64),
-            IoKind::Write => self.total_write.add(now, bytes as f64),
-        }
-
         self.dispatch_cont(cont, now);
     }
 
@@ -3234,8 +3222,6 @@ impl Sim {
             app_read,
             app_write,
             app_latency,
-            total_read: Some(self.total_read),
-            total_write: Some(self.total_write),
             app_service,
             broker: {
                 let mut s = self.coord[0].stats();
@@ -3295,7 +3281,7 @@ mod tests {
         assert_eq!(r.jobs.len(), 1);
         assert_eq!(r.jobs[0].name, "TeraGen");
         // 2 GiB × 3 replicas of persistent writes.
-        let written = r.total_write.as_ref().unwrap().total();
+        let written = r.bytes_written() as f64;
         assert!(
             (written - (6 * GIB) as f64).abs() < (64 * MIB) as f64,
             "replicated write volume {written}"
@@ -3315,8 +3301,8 @@ mod tests {
         assert!(job.reduce_phase.as_secs_f64() > 0.0);
         // Reads: 2 GiB input + merge re-reads; writes: spills + merge +
         // 3× replicated output.
-        let read = r.total_read.as_ref().unwrap().total();
-        let written = r.total_write.as_ref().unwrap().total();
+        let read = r.bytes_read() as f64;
+        let written = r.bytes_written() as f64;
         assert!(read > (3 * GIB) as f64, "reads {read}");
         assert!(written > (9 * GIB) as f64, "writes {written}");
     }
@@ -3330,7 +3316,7 @@ mod tests {
         assert!(job.runtime.as_secs_f64() > 0.0);
         // Persistent writes ≈ input × 0.25 × 0.05 × 3 replicas ≈ 38 MiB.
         // Intermediate adds ~256 MiB of spills; total far below TeraSort.
-        let written = r.total_write.as_ref().unwrap().total();
+        let written = r.bytes_written() as f64;
         assert!(written < GIB as f64, "wordcount wrote {written}");
     }
 

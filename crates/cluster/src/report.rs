@@ -138,10 +138,6 @@ pub struct RunReport {
     pub app_read: HashMap<AppId, TimeSeries>,
     /// Cluster-wide write throughput per application.
     pub app_write: HashMap<AppId, TimeSeries>,
-    /// Total cluster read throughput.
-    pub total_read: Option<TimeSeries>,
-    /// Total cluster write throughput.
-    pub total_write: Option<TimeSeries>,
     /// Total bytes of I/O service delivered per application (all nodes,
     /// all classes).
     pub app_service: HashMap<AppId, u64>,
@@ -212,6 +208,17 @@ impl RunReport {
     /// The summary for a query by name.
     pub fn query(&self, name: &str) -> Option<&QuerySummary> {
         self.queries.iter().find(|q| q.name == name)
+    }
+
+    /// Bytes the devices read, over every application's read series.
+    /// Bins hold whole byte counts, so the sum is exact.
+    pub fn bytes_read(&self) -> u64 {
+        self.app_read.values().map(|s| s.total() as u64).sum()
+    }
+
+    /// Bytes the devices wrote, over every application's write series.
+    pub fn bytes_written(&self) -> u64 {
+        self.app_write.values().map(|s| s.total() as u64).sum()
     }
 
     /// The summary for a tenant by name.

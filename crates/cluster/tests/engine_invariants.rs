@@ -54,13 +54,11 @@ fn series_and_service_accounting_agree() {
             let r = exp.run();
             let restarts = r.faults.map_or(0, |s| s.restarts);
             assert_eq!(restarts, u64::from(restart), "{}", policy.label());
-            let series_total = r.total_read.as_ref().unwrap().total()
-                + r.total_write.as_ref().unwrap().total();
             let service_total: u64 = r.app_service.values().sum();
-            let diff = (series_total - service_total as f64).abs();
-            assert!(
-                diff < 1.0,
-                "{} restart={restart}: series {series_total} vs service {service_total}",
+            assert_eq!(
+                r.bytes_read() + r.bytes_written(),
+                service_total,
+                "{} restart={restart}",
                 policy.label()
             );
             for (app, &served) in &r.app_service {

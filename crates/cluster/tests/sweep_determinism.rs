@@ -87,10 +87,8 @@ fn canonical(r: &RunReport) -> String {
     let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
     service.sort_unstable();
     writeln!(s, "service {service:?}").unwrap();
-    let total = |t: &Option<ibis_simcore::metrics::TimeSeries>| {
-        t.as_ref().map_or(0, |t| t.total().to_bits())
-    };
-    writeln!(s, "reads {:#x} writes {:#x}", total(&r.total_read), total(&r.total_write)).unwrap();
+    let bits = |bytes: u64| (bytes as f64).to_bits();
+    writeln!(s, "reads {:#x} writes {:#x}", bits(r.bytes_read()), bits(r.bytes_written())).unwrap();
     let mut lat: Vec<(u32, Option<u64>)> = r
         .app_latency
         .iter()

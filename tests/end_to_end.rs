@@ -91,7 +91,7 @@ fn byte_conservation_for_teragen() {
     let mut exp = Experiment::new(fast_cluster());
     exp.add_job(teragen(GIB));
     let r = exp.run();
-    let written = r.total_write.as_ref().unwrap().total();
+    let written = r.bytes_written() as f64;
     let expected = (3 * GIB) as f64;
     assert!(
         (written - expected).abs() < (8 * MIB) as f64,
