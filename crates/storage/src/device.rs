@@ -7,32 +7,6 @@ use ibis_simcore::units::transfer_time;
 use ibis_simcore::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// Which family of model a device is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceKind {
-    /// Positional rotating disk ([`crate::Hdd`]).
-    Hdd,
-    /// Flash device ([`crate::Ssd`]).
-    Ssd,
-    /// Idealised constant-rate device ([`Ideal`]), used in unit tests and
-    /// as a "storage is never the bottleneck" control.
-    Ideal,
-}
-
-/// Running totals every device keeps; the cluster reports and Table 2
-/// accounting read these.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DeviceStats {
-    /// Bytes read from the medium (including cache-absorbed reads).
-    pub bytes_read: u64,
-    /// Bytes written to the medium or its cache.
-    pub bytes_written: u64,
-    /// Number of completed requests.
-    pub completed: u64,
-    /// Accumulated busy time (some service in progress).
-    pub busy: SimDuration,
-}
-
 /// A passive storage device: the engine calls [`Device::submit`] when the
 /// IBIS scheduler dispatches a request and [`Device::on_complete`] when a
 /// previously returned [`Started`] event fires. Any call may start queued
@@ -56,12 +30,6 @@ pub trait Device {
     fn outstanding(&self) -> usize {
         self.in_service() + self.queued()
     }
-
-    /// The model family.
-    fn kind(&self) -> DeviceKind;
-
-    /// Running totals.
-    fn stats(&self) -> DeviceStats;
 }
 
 /// An idealised device: unlimited internal concurrency, fixed per-request
@@ -75,8 +43,6 @@ pub struct Ideal {
     /// Fixed per-request latency.
     pub latency: SimDuration,
     in_service: usize,
-    stats: DeviceStats,
-    busy_since: Option<SimTime>,
 }
 
 impl Ideal {
@@ -87,22 +53,13 @@ impl Ideal {
             bandwidth,
             latency,
             in_service: 0,
-            stats: DeviceStats::default(),
-            busy_since: None,
         }
     }
 }
 
 impl Device for Ideal {
     fn submit(&mut self, req: DeviceRequest, now: SimTime, out: &mut Vec<Started>) {
-        if self.in_service == 0 {
-            self.busy_since = Some(now);
-        }
         self.in_service += 1;
-        match req.kind {
-            crate::IoKind::Read => self.stats.bytes_read += req.bytes,
-            crate::IoKind::Write => self.stats.bytes_written += req.bytes,
-        }
         let service = self.latency + transfer_time(req.bytes, self.bandwidth);
         out.push(Started {
             id: req.id,
@@ -110,15 +67,9 @@ impl Device for Ideal {
         });
     }
 
-    fn on_complete(&mut self, _id: u64, now: SimTime, _out: &mut Vec<Started>) {
+    fn on_complete(&mut self, _id: u64, _now: SimTime, _out: &mut Vec<Started>) {
         debug_assert!(self.in_service > 0, "completion without service");
         self.in_service -= 1;
-        self.stats.completed += 1;
-        if self.in_service == 0 {
-            if let Some(since) = self.busy_since.take() {
-                self.stats.busy += now - since;
-            }
-        }
     }
 
     fn in_service(&self) -> usize {
@@ -127,14 +78,6 @@ impl Device for Ideal {
 
     fn queued(&self) -> usize {
         0
-    }
-
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Ideal
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.stats
     }
 }
 
@@ -179,22 +122,6 @@ impl Device for DeviceModel {
             DeviceModel::Hdd(d) => d.queued(),
             DeviceModel::Ssd(d) => d.queued(),
             DeviceModel::Ideal(d) => d.queued(),
-        }
-    }
-
-    fn kind(&self) -> DeviceKind {
-        match self {
-            DeviceModel::Hdd(d) => d.kind(),
-            DeviceModel::Ssd(d) => d.kind(),
-            DeviceModel::Ideal(d) => d.kind(),
-        }
-    }
-
-    fn stats(&self) -> DeviceStats {
-        match self {
-            DeviceModel::Hdd(d) => d.stats(),
-            DeviceModel::Ssd(d) => d.stats(),
-            DeviceModel::Ideal(d) => d.stats(),
         }
     }
 }
@@ -271,20 +198,6 @@ mod tests {
         // all complete at the same instant: no queueing
         let t0 = out[0].complete_at;
         assert!(out.iter().all(|s| s.complete_at == t0));
-    }
-
-    #[test]
-    fn ideal_stats_track_bytes_and_busy() {
-        let mut d = Ideal::new(1e6, SimDuration::ZERO);
-        let mut out = Vec::new();
-        d.submit(req(1, IoKind::Read, 1_000_000), SimTime::ZERO, &mut out);
-        let done = out[0].complete_at;
-        d.on_complete(1, done, &mut out);
-        let s = d.stats();
-        assert_eq!(s.bytes_read, 1_000_000);
-        assert_eq!(s.bytes_written, 0);
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.busy, SimDuration::from_secs(1));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!    the flusher coalesces them into large sequential extents, so writes
 //!    carry no per-request seek cost (only reads are positional).
 
-use crate::device::{Device, DeviceKind, DeviceStats, InternalQueue};
+use crate::device::{Device, InternalQueue};
 use crate::request::{DeviceRequest, IoKind, Started};
 use ibis_simcore::rng::SimRng;
 use ibis_simcore::units::{transfer_time, MIB};
@@ -99,8 +99,6 @@ pub struct Hdd {
     dirty: u64,
     last_drain: SimTime,
     next_flush: SimTime,
-    stats: DeviceStats,
-    busy_since: Option<SimTime>,
 }
 
 impl Hdd {
@@ -128,8 +126,6 @@ impl Hdd {
             dirty: 0,
             last_drain: SimTime::ZERO,
             next_flush: first_flush,
-            stats: DeviceStats::default(),
-            busy_since: None,
         }
     }
 
@@ -210,10 +206,6 @@ impl Hdd {
     }
 
     fn start(&mut self, req: DeviceRequest, now: SimTime, out: &mut Vec<Started>) {
-        match req.kind {
-            IoKind::Read => self.stats.bytes_read += req.bytes,
-            IoKind::Write => self.stats.bytes_written += req.bytes,
-        }
         let service = self.service_time(&req, now);
         self.in_service = Some(req.id);
         out.push(Started {
@@ -241,7 +233,6 @@ impl Hdd {
 impl Device for Hdd {
     fn submit(&mut self, req: DeviceRequest, now: SimTime, out: &mut Vec<Started>) {
         if self.in_service.is_none() {
-            self.busy_since = Some(now);
             self.batch_run = 0;
             self.start(req, now, out);
         } else {
@@ -252,11 +243,8 @@ impl Device for Hdd {
     fn on_complete(&mut self, id: u64, now: SimTime, out: &mut Vec<Started>) {
         debug_assert_eq!(self.in_service, Some(id), "completion id mismatch");
         self.in_service = None;
-        self.stats.completed += 1;
         if let Some(req) = self.select_next() {
             self.start(req, now, out);
-        } else if let Some(since) = self.busy_since.take() {
-            self.stats.busy += now - since;
         }
     }
 
@@ -266,14 +254,6 @@ impl Device for Hdd {
 
     fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Hdd
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.stats
     }
 }
 
@@ -457,17 +437,6 @@ mod tests {
         }
         assert_eq!(d.in_service(), 1);
         assert_eq!(d.queued(), 7);
-    }
-
-    #[test]
-    fn stats_accumulate() {
-        let mut d = Hdd::new(quiet_cfg());
-        run_serial(&mut d, vec![read(1, 1, MIB), write(2, 1, MIB)]);
-        let s = d.stats();
-        assert_eq!(s.bytes_read, MIB);
-        assert_eq!(s.bytes_written, MIB);
-        assert_eq!(s.completed, 2);
-        assert!(s.busy > SimDuration::ZERO);
     }
 
     #[test]

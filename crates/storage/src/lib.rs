@@ -33,7 +33,7 @@ pub mod profile;
 pub mod request;
 pub mod ssd;
 
-pub use device::{Device, DeviceKind, DeviceModel};
+pub use device::{Device, DeviceModel};
 pub use hdd::{Hdd, HddConfig};
 pub use link::PsLink;
 pub use profile::{profile_device, ReferenceLatency};

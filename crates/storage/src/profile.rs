@@ -409,12 +409,4 @@ mod tests {
             }
         }
     }
-
-    #[test]
-    fn profiling_does_not_mutate_input_device() {
-        let dev = quiet_hdd();
-        let before = dev.stats().completed;
-        let _ = profile_device(&dev, 4, MIB);
-        assert_eq!(dev.stats().completed, before);
-    }
 }

@@ -15,7 +15,7 @@
 //! 4. **Optional GC stalls** — after `gc_interval_bytes` of writes the next
 //!    write pays `gc_pause`, adding the tail-latency noise real flash shows.
 
-use crate::device::{Device, DeviceKind, DeviceStats, InternalQueue};
+use crate::device::{Device, InternalQueue};
 use crate::request::{DeviceRequest, IoKind, Started};
 use ibis_simcore::rng::SimRng;
 use ibis_simcore::units::{transfer_time, GIB};
@@ -68,8 +68,6 @@ pub struct Ssd {
     in_service: Vec<u64>,
     queue: InternalQueue,
     written_since_gc: u64,
-    stats: DeviceStats,
-    busy_since: Option<SimTime>,
 }
 
 impl Ssd {
@@ -83,8 +81,6 @@ impl Ssd {
             in_service: Vec::new(),
             queue: InternalQueue::default(),
             written_since_gc: 0,
-            stats: DeviceStats::default(),
-            busy_since: None,
         }
     }
 
@@ -118,10 +114,6 @@ impl Ssd {
     }
 
     fn start(&mut self, req: DeviceRequest, now: SimTime, out: &mut Vec<Started>) {
-        match req.kind {
-            IoKind::Read => self.stats.bytes_read += req.bytes,
-            IoKind::Write => self.stats.bytes_written += req.bytes,
-        }
         let service = self.service_time(&req);
         self.in_service.push(req.id);
         out.push(Started {
@@ -133,9 +125,6 @@ impl Ssd {
 
 impl Device for Ssd {
     fn submit(&mut self, req: DeviceRequest, now: SimTime, out: &mut Vec<Started>) {
-        if self.in_service.is_empty() {
-            self.busy_since = Some(now);
-        }
         if (self.in_service.len() as u32) < self.cfg.ways {
             self.start(req, now, out);
         } else {
@@ -150,13 +139,8 @@ impl Device for Ssd {
             .position(|&x| x == id)
             .expect("completion id not in service");
         self.in_service.swap_remove(pos);
-        self.stats.completed += 1;
         if let Some(next) = self.queue.pop_front() {
             self.start(next, now, out);
-        } else if self.in_service.is_empty() {
-            if let Some(since) = self.busy_since.take() {
-                self.stats.busy += now - since;
-            }
         }
     }
 
@@ -166,14 +150,6 @@ impl Device for Ssd {
 
     fn queued(&self) -> usize {
         self.queue.len()
-    }
-
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Ssd
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.stats
     }
 }
 
@@ -307,17 +283,5 @@ mod tests {
             s2.as_secs_f64() > s1.as_secs_f64() + 0.030,
             "second write should carry the GC pause: {s1} vs {s2}"
         );
-    }
-
-    #[test]
-    fn stats_and_kind() {
-        let mut d = Ssd::new(quiet_cfg());
-        let mut out = Vec::new();
-        d.submit(read(1, MIB), SimTime::ZERO, &mut out);
-        d.on_complete(1, out[0].complete_at, &mut Vec::new());
-        assert_eq!(d.kind(), DeviceKind::Ssd);
-        let s = d.stats();
-        assert_eq!(s.bytes_read, MIB);
-        assert_eq!(s.completed, 1);
     }
 }
