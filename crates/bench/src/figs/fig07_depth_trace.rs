@@ -91,12 +91,15 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     sink
 }
 
+/// `(instant, value)` points of one curve.
+type Trace = Vec<(SimTime, f64)>;
+
 /// Node 0's HDFS controller as Fig. 7 plots it: the depth the dispatcher
 /// uses at every sample (the controller's float, rounded as
 /// `DepthController::depth` rounds it), and the mean latency `L(k)` at
 /// the samples where a control update fired (a period without
 /// completions updates nothing).
-fn controller_traces(cap: &MetricsCapture) -> (Vec<(SimTime, f64)>, Vec<(SimTime, f64)>) {
+fn controller_traces(cap: &MetricsCapture) -> (Trace, Trace) {
     let hdfs = Labels::on(0, 0);
     let series = |name| &cap.series_for(name, hdfs).expect("controller sampled").points;
     let depth = series("ctl_depth")
