@@ -2857,7 +2857,7 @@ impl Sim {
         // The run totals keep what the schedulers about to be replaced
         // counted.
         for dq in &self.nodes[node as usize].devs {
-            fs.retired_decisions += dq.sched.stats().decisions;
+            fs.retired_decisions += dq.sched.decisions();
             fs.summary.degraded_entries += dq.sched.degraded_entries();
         }
         self.namenode.set_node_up(NodeId(node));
@@ -3195,7 +3195,7 @@ impl Sim {
         let mut sched_decisions = self.faults.as_ref().map_or(0, |fs| fs.retired_decisions);
         for node in &self.nodes {
             for dq in &node.devs {
-                sched_decisions += dq.sched.stats().decisions;
+                sched_decisions += dq.sched.decisions();
             }
         }
 

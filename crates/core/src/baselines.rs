@@ -13,7 +13,7 @@
 //!   (throttle mode).
 
 use crate::request::{AppId, IoClass, IoKind, Request};
-use crate::scheduler::{IoScheduler, SchedStats};
+use crate::scheduler::IoScheduler;
 use crate::sfq::{SfqConfig, SfqD};
 use ibis_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -23,7 +23,6 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 pub struct Fifo {
     queue: VecDeque<Request>,
     outstanding: usize,
-    stats: SchedStats,
 }
 
 impl Fifo {
@@ -39,14 +38,12 @@ impl IoScheduler for Fifo {
     }
 
     fn submit(&mut self, req: Request, _now: SimTime) {
-        self.stats.submitted += 1;
         self.queue.push_back(req);
     }
 
     fn pop_dispatch(&mut self, _now: SimTime) -> Option<Request> {
         let req = self.queue.pop_front()?;
         self.outstanding += 1;
-        self.stats.dispatched += 1;
         Some(req)
     }
 
@@ -59,7 +56,6 @@ impl IoScheduler for Fifo {
         _now: SimTime,
     ) {
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.stats.completed += 1;
     }
 
     fn on_tick(&mut self, _now: SimTime) {}
@@ -77,10 +73,6 @@ impl IoScheduler for Fifo {
     }
 
     fn apply_global_service(&mut self, _totals: &[(AppId, u64)], _now: SimTime) {}
-
-    fn stats(&self) -> &SchedStats {
-        &self.stats
-    }
 }
 
 /// Dispatch depth used by the cgroup-weight emulation: blkio proportional
@@ -102,7 +94,6 @@ pub struct CgroupWeight {
     /// caller always sees real ids even though the inner scheduler works on
     /// remapped flows.
     in_flight_class: HashMap<u64, AppId>,
-    stats: SchedStats,
 }
 
 impl Default for CgroupWeight {
@@ -122,7 +113,6 @@ impl CgroupWeight {
         CgroupWeight {
             inner,
             in_flight_class: HashMap::new(),
-            stats: SchedStats::default(),
         }
     }
 
@@ -142,7 +132,6 @@ impl IoScheduler for CgroupWeight {
     }
 
     fn submit(&mut self, req: Request, now: SimTime) {
-        self.stats.submitted += 1;
         let flow = Self::flow_of(&req);
         let mut remapped = req;
         remapped.app = flow;
@@ -152,7 +141,6 @@ impl IoScheduler for CgroupWeight {
 
     fn pop_dispatch(&mut self, now: SimTime) -> Option<Request> {
         let mut req = self.inner.pop_dispatch(now)?;
-        self.stats.dispatched += 1;
         // Restore the real application id for the engine; the mapping is
         // no longer needed after dispatch.
         if let Some(real) = self.in_flight_class.remove(&req.id) {
@@ -169,7 +157,6 @@ impl IoScheduler for CgroupWeight {
         latency: SimDuration,
         now: SimTime,
     ) {
-        self.stats.completed += 1;
         // The inner scheduler only needs the slot freed; its per-flow
         // service bookkeeping is unused (cgroups do not coordinate).
         self.inner.on_complete(DAEMON_FLOW, kind, bytes, latency, now);
@@ -190,10 +177,6 @@ impl IoScheduler for CgroupWeight {
     }
 
     fn apply_global_service(&mut self, _totals: &[(AppId, u64)], _now: SimTime) {}
-
-    fn stats(&self) -> &SchedStats {
-        &self.stats
-    }
 }
 
 /// Fraction of a capped application's intermediate-read bytes that
@@ -250,7 +233,6 @@ pub struct CgroupThrottle {
     throttled: BTreeMap<AppId, VecDeque<Request>>,
     buckets: HashMap<AppId, Bucket>,
     outstanding: usize,
-    stats: SchedStats,
 }
 
 impl Default for CgroupThrottle {
@@ -268,7 +250,6 @@ impl CgroupThrottle {
             throttled: BTreeMap::new(),
             buckets: HashMap::new(),
             outstanding: 0,
-            stats: SchedStats::default(),
         }
     }
 
@@ -298,7 +279,6 @@ impl IoScheduler for CgroupThrottle {
     }
 
     fn submit(&mut self, req: Request, _now: SimTime) {
-        self.stats.submitted += 1;
         if self.is_throttled(&req) {
             self.throttled.get_mut(&req.app).expect("cap exists").push_back(req);
         } else {
@@ -309,7 +289,6 @@ impl IoScheduler for CgroupThrottle {
     fn pop_dispatch(&mut self, now: SimTime) -> Option<Request> {
         if let Some(req) = self.main.pop_front() {
             self.outstanding += 1;
-            self.stats.dispatched += 1;
             return Some(req);
         }
         for (app, queue) in self.throttled.iter_mut() {
@@ -321,7 +300,6 @@ impl IoScheduler for CgroupThrottle {
                 bucket.tokens -= cost;
                 let req = queue.pop_front().expect("head exists");
                 self.outstanding += 1;
-                self.stats.dispatched += 1;
                 return Some(req);
             }
         }
@@ -337,7 +315,6 @@ impl IoScheduler for CgroupThrottle {
         _now: SimTime,
     ) {
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.stats.completed += 1;
     }
 
     fn on_tick(&mut self, _now: SimTime) {
@@ -360,10 +337,6 @@ impl IoScheduler for CgroupThrottle {
     }
 
     fn apply_global_service(&mut self, _totals: &[(AppId, u64)], _now: SimTime) {}
-
-    fn stats(&self) -> &SchedStats {
-        &self.stats
-    }
 }
 
 #[cfg(test)]
@@ -412,12 +385,12 @@ mod tests {
         }
 
         #[test]
-        fn stats_count_completions() {
+        fn completion_frees_the_slot() {
             let mut s = Fifo::new();
             s.submit(persistent(0, A, 10), SimTime::ZERO);
             let r = s.pop_dispatch(SimTime::ZERO).unwrap();
+            assert_eq!(s.outstanding(), 1);
             s.on_complete(r.app, r.kind, r.bytes, SimDuration::ZERO, SimTime::ZERO);
-            assert_eq!(s.stats().completed, 1);
             assert_eq!(s.outstanding(), 0);
         }
     }

@@ -7,24 +7,6 @@ use crate::sfq::{SfqConfig, SfqD};
 use crate::sfqd2::{SfqD2, SfqD2Config};
 use ibis_simcore::{SimDuration, SimTime};
 
-/// Counters every scheduler keeps. `decisions` approximates the scheduler
-/// CPU work for the Table 2 resource-overhead accounting. Per-application
-/// service is not a scheduler counter: the broker's inputs come from
-/// [`IoScheduler::drain_service_report`], and the run's per-app totals
-/// from the engine's per-flow ledger, which outlives a node restart.
-#[derive(Debug, Clone, Default)]
-pub struct SchedStats {
-    /// Requests accepted via `submit`.
-    pub submitted: u64,
-    /// Requests handed to the device via `pop_dispatch`.
-    pub dispatched: u64,
-    /// Requests acknowledged via `on_complete`.
-    pub completed: u64,
-    /// Scheduling decisions taken (tag computations, queue scans,
-    /// controller updates).
-    pub decisions: u64,
-}
-
 /// The interface between a datanode's interposition points and its
 /// scheduler. The engine's contract:
 ///
@@ -88,8 +70,16 @@ pub trait IoScheduler {
     /// coordination support ignore it.
     fn apply_global_service(&mut self, totals: &[(AppId, u64)], now: SimTime);
 
-    /// Running counters.
-    fn stats(&self) -> &SchedStats;
+    /// Scheduling decisions taken so far (tag computations, queue
+    /// scans): the scheduler CPU work behind Table 2's resource-overhead
+    /// accounting. Schedulers that make no per-request decision count
+    /// none. Per-application service is not a scheduler counter: the
+    /// broker's inputs come from [`IoScheduler::drain_service_report`],
+    /// and the run's per-app totals from the engine's per-flow ledger,
+    /// which outlives a node restart.
+    fn decisions(&self) -> u64 {
+        0
+    }
 
     /// Turns flight-recorder event emission on or off. Schedulers without
     /// emit sites ignore it (the engine then records only device-level

@@ -23,7 +23,7 @@
 
 use crate::broker::Staleness;
 use crate::request::{AppId, IoKind, Request};
-use crate::scheduler::{IoScheduler, SchedStats};
+use crate::scheduler::IoScheduler;
 use ibis_obs::{EventBuf, EventKind};
 use ibis_simcore::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -221,7 +221,8 @@ pub struct SfqD {
     vtime: f64,
     outstanding: u32,
     next_seq: u64,
-    stats: SchedStats,
+    /// Scheduling decisions, for [`IoScheduler::decisions`].
+    decisions: u64,
     /// Flight-recorder emissions; one branch per site when disabled.
     obs: EventBuf,
     /// Virtual time of the last broker sync applied, for staleness
@@ -252,7 +253,7 @@ impl SfqD {
             vtime: 0.0,
             outstanding: 0,
             next_seq: 0,
-            stats: SchedStats::default(),
+            decisions: 0,
             obs: EventBuf::new(),
             last_sync: None,
             degraded: false,
@@ -372,8 +373,7 @@ impl IoScheduler for SfqD {
             flow: fi as u32,
             req,
         });
-        self.stats.submitted += 1;
-        self.stats.decisions += 1;
+        self.decisions += 1;
     }
 
     fn pop_dispatch(&mut self, now: SimTime) -> Option<Request> {
@@ -387,8 +387,7 @@ impl IoScheduler for SfqD {
         let flow = &mut self.flows.flows[entry.flow as usize];
         flow.backlog -= 1;
         flow.backlog_bytes -= entry.req.bytes;
-        self.stats.dispatched += 1;
-        self.stats.decisions += 1;
+        self.decisions += 1;
         if self.obs.enabled() {
             self.obs_dispatched(now, entry.req.id, entry.req.app.0, entry.start);
         }
@@ -405,8 +404,7 @@ impl IoScheduler for SfqD {
     ) {
         debug_assert!(self.outstanding > 0, "completion without dispatch");
         self.outstanding = self.outstanding.saturating_sub(1);
-        self.stats.completed += 1;
-        self.stats.decisions += 1;
+        self.decisions += 1;
         let i = self.flows.intern(app);
         self.flows.credit(i, bytes);
     }
@@ -443,11 +441,11 @@ impl IoScheduler for SfqD {
             }
         }
         self.last_sync = Some(now);
-        self.stats.decisions += 1;
+        self.decisions += 1;
     }
 
-    fn stats(&self) -> &SchedStats {
-        &self.stats
+    fn decisions(&self) -> u64 {
+        self.decisions
     }
 
     fn update_staleness(&mut self, now: SimTime, bound: SimDuration) {
@@ -825,7 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_lifecycle() {
+    fn decisions_count_each_lifecycle_step_and_sync() {
         let mut s = SfqD::new(SfqConfig::default());
         s.submit(
             Request::new(0, A, IoKind::Write, 100).with_class(IoClass::Intermediate),
@@ -833,10 +831,9 @@ mod tests {
         );
         let r = s.pop_dispatch(SimTime::ZERO).unwrap();
         s.on_complete(r.app, r.kind, r.bytes, SimDuration::from_millis(5), SimTime::ZERO);
-        let st = s.stats();
-        assert_eq!(st.submitted, 1);
-        assert_eq!(st.dispatched, 1);
-        assert_eq!(st.completed, 1);
+        assert_eq!(s.decisions(), 3);
+        s.apply_global_service(&[(A, 100)], SimTime::ZERO);
+        assert_eq!(s.decisions(), 4);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::controller::{ControllerConfig, DepthController};
 use crate::request::{AppId, IoKind, Request};
-use crate::scheduler::{IoScheduler, SchedStats};
+use crate::scheduler::IoScheduler;
 use crate::sfq::{SfqConfig, SfqD};
 use ibis_simcore::{SimDuration, SimTime};
 
@@ -108,8 +108,8 @@ impl IoScheduler for SfqD2 {
         self.inner.apply_global_service(totals, now);
     }
 
-    fn stats(&self) -> &SchedStats {
-        self.inner.stats()
+    fn decisions(&self) -> u64 {
+        self.inner.decisions()
     }
 
     fn update_staleness(&mut self, now: SimTime, bound: SimDuration) {
@@ -225,7 +225,7 @@ mod tests {
         assert_eq!(r.id, 0);
         assert_eq!(s.outstanding(), 1);
         s.on_complete(r.app, r.kind, r.bytes, SimDuration::from_millis(1), SimTime::ZERO);
-        assert_eq!(s.stats().completed, 1);
+        assert_eq!(s.outstanding(), 0);
         let mut rep = Vec::new();
         s.drain_service_report(&mut rep);
         assert_eq!(rep, vec![(A, 100)]);

@@ -13,7 +13,7 @@
 //! exactly that trade-off.
 
 use crate::request::{AppId, IoKind, Request};
-use crate::scheduler::{IoScheduler, SchedStats};
+use crate::scheduler::IoScheduler;
 use ibis_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -29,7 +29,8 @@ struct Flow {
 pub struct StrictPartition {
     depth: u32,
     flows: BTreeMap<AppId, Flow>,
-    stats: SchedStats,
+    /// Dispatch decisions, for [`IoScheduler::decisions`].
+    decisions: u64,
     /// Round-robin cursor for scanning eligible flows deterministically.
     cursor: u32,
 }
@@ -41,7 +42,7 @@ impl StrictPartition {
         StrictPartition {
             depth,
             flows: BTreeMap::new(),
-            stats: SchedStats::default(),
+            decisions: 0,
             cursor: 0,
         }
     }
@@ -64,7 +65,6 @@ impl IoScheduler for StrictPartition {
     }
 
     fn submit(&mut self, req: Request, _now: SimTime) {
-        self.stats.submitted += 1;
         let flow = self.flows.entry(req.app).or_insert_with(|| Flow {
             weight: 1.0,
             ..Flow::default()
@@ -86,8 +86,7 @@ impl IoScheduler for StrictPartition {
                 if let Some(req) = flow.queue.pop_front() {
                     flow.outstanding += 1;
                     self.cursor = ((self.cursor as usize + i + 1) % apps.len()) as u32;
-                    self.stats.dispatched += 1;
-                    self.stats.decisions += 1;
+                    self.decisions += 1;
                     return Some(req);
                 }
             }
@@ -103,7 +102,6 @@ impl IoScheduler for StrictPartition {
         _latency: SimDuration,
         _now: SimTime,
     ) {
-        self.stats.completed += 1;
         if let Some(flow) = self.flows.get_mut(&app) {
             flow.outstanding = flow.outstanding.saturating_sub(1);
         }
@@ -125,8 +123,8 @@ impl IoScheduler for StrictPartition {
 
     fn apply_global_service(&mut self, _totals: &[(AppId, u64)], _now: SimTime) {}
 
-    fn stats(&self) -> &SchedStats {
-        &self.stats
+    fn decisions(&self) -> u64 {
+        self.decisions
     }
 }
 
