@@ -57,7 +57,6 @@ pub fn run(out: &str, base: Option<&Baseline>) -> Verdict {
     let off_ns_per_event = off_secs * 1e9 / events as f64;
     let on_ns_per_event = on_secs * 1e9 / events as f64;
     let overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
-    let spans: usize = trace.forest.jobs.iter().map(|j| j.requests.len()).sum();
 
     let mut w = json::bench_writer("trace");
     w.string(Some("scale"), ScaleProfile::from_env().label());
@@ -71,14 +70,13 @@ pub fn run(out: &str, base: Option<&Baseline>) -> Verdict {
     w.number(Some("events"), events as f64);
     w.number(Some("secs"), on_secs);
     w.number(Some("ns_per_event"), on_ns_per_event);
-    w.number(Some("request_spans"), spans as f64);
     w.close();
     w.number(Some("overhead_pct"), overhead_pct);
     json::write_bench(w, out);
 
     eprintln!(
         "[bench trace] {out}: off {off_secs:.2}s ({off_ns_per_event:.0} ns/event), on \
-         {on_secs:.2}s ({on_ns_per_event:.0} ns/event, {spans} request spans), overhead \
+         {on_secs:.2}s ({on_ns_per_event:.0} ns/event), overhead \
          {overhead_pct:+.1}% over {events} events"
     );
     base.map_or(Ok(Vec::new()), |b| {

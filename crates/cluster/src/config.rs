@@ -220,8 +220,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables causal tracing (builder style): span trees, the latency
-    /// attribution report, and the engine self-profile on the report.
+    /// Enables causal tracing (builder style): the latency attribution
+    /// report and the engine self-profile on the report.
     pub fn with_trace(mut self) -> Self {
         self.trace = ibis_trace::TraceConfig::on();
         self

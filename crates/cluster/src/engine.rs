@@ -688,12 +688,12 @@ impl Sim {
             (None, None)
         };
 
-        // Tracing assembles spans from the same event stream, so it runs
-        // the recorder too (internally when obs is off: the recording is
-        // then consumed by assembly and never published, keeping reports
+        // Tracing attributes latency from the same event stream, so it
+        // runs the recorder too (internally when obs is off: the recording
+        // is then consumed by assembly and never published, keeping reports
         // byte-identical with tracing on or off). The internal recorder
-        // never evicts — a truncated stream would silently assemble a
-        // partial forest — and costs O(events) like the forest itself.
+        // never evicts — a truncated stream would silently attribute only
+        // its suffix — and costs O(events) like the attribution sweep.
         let mut recorder = match (cfg.obs.enabled, cfg.trace.enabled) {
             (true, _) => Some(FlightRecorder::new(cfg.nodes, cfg.obs.capacity)),
             (false, true) => Some(FlightRecorder::new(cfg.nodes, usize::MAX)),
@@ -3543,11 +3543,10 @@ mod tests {
     #[test]
     fn trace_spans_cover_jobs_and_requests() {
         let mut cfg = tiny_cluster();
-        cfg.trace = ibis_trace::TraceConfig::on();
+        cfg.obs = ibis_obs::ObsConfig::enabled(usize::MAX);
         let mut exp = Experiment::new(cfg);
         exp.add_job(teragen(GIB));
-        let r = exp.run();
-        let forest = r.trace.expect("trace").forest;
+        let forest = ibis_trace::build_forest(&exp.run().recording.expect("recording"));
         assert_eq!(forest.jobs.len(), 1);
         let tree = &forest.jobs[0];
         assert!(!tree.tasks.is_empty(), "task spans recorded");

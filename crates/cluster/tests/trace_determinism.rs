@@ -125,9 +125,10 @@ fn canonical(r: &RunReport, with_recording: bool) -> String {
 }
 
 /// Canonical text of the assembled trace itself: the attribution table
-/// and the span forest shape.
+/// and the shape of the span forest built from the run's recording.
 fn canonical_trace(r: &RunReport) -> String {
     let t = r.trace.as_ref().expect("trace assembled");
+    let forest = ibis_trace::build_forest(r.recording.as_ref().expect("recording enabled"));
     let mut s = String::new();
     for a in &t.per_app {
         writeln!(
@@ -140,11 +141,11 @@ fn canonical_trace(r: &RunReport) -> String {
     writeln!(
         s,
         "forest jobs={} unattached={}",
-        t.forest.jobs.len(),
-        t.forest.unattached.len()
+        forest.jobs.len(),
+        forest.unattached.len()
     )
     .unwrap();
-    for j in &t.forest.jobs {
+    for j in &forest.jobs {
         writeln!(
             s,
             "tree job={} app={} tasks={} reqs={} lat={}",
@@ -224,7 +225,7 @@ fn traced_chaos_run_spans_stay_well_formed() {
 
 /// Tracing with observability off assembles from the whole event stream:
 /// the internal recorder must not inherit `obs.capacity`, or a ring sized
-/// for observability would silently truncate the forest and zero the
+/// for observability would silently truncate the recording and zero the
 /// attribution. A 16-event ring setting must give the same trace as an
 /// observed run whose ring never evicts; a bounded observed ring shows
 /// its loss in `dropped_events`.
@@ -240,8 +241,7 @@ fn trace_only_run_ignores_the_obs_ring_capacity() {
         capacity: 16,
     });
     let unbounded = trace(ObsConfig::enabled(usize::MAX));
-    assert_eq!(unbounded.forest.jobs.len(), 3);
-    assert_eq!(trace_only.forest, unbounded.forest);
+    assert_eq!(unbounded.per_app.len(), 3);
     assert_eq!(trace_only.per_app, unbounded.per_app);
     assert_eq!(trace_only.dropped_events, 0);
     assert_eq!(unbounded.dropped_events, 0);
@@ -284,7 +284,8 @@ fn output_digests(r: &RunReport) -> [u64; 4] {
 
     let t = r.trace.as_ref().expect("trace assembled");
     let mut h = Fnv::default();
-    write!(h, "{:?} {:?} {}", t.per_app, t.forest, t.dropped_events).unwrap();
+    let forest = ibis_trace::build_forest(rec);
+    write!(h, "{:?} {:?} {}", t.per_app, forest, t.dropped_events).unwrap();
     let trace = h.0;
 
     let mut h = Fnv::default();

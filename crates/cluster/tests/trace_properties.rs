@@ -147,7 +147,8 @@ fn assert_trace_invariants(r: &RunReport, chaos: bool) {
     // Task attribution equals the rule applied request by request: the
     // unique task of the job running on the request's node at its queue
     // instant, none when zero or several match.
-    for job in &trace.forest.jobs {
+    let forest = ibis_trace::build_forest(rec);
+    for job in &forest.jobs {
         for req in &job.requests {
             assert_eq!(
                 req.task,
@@ -159,7 +160,7 @@ fn assert_trace_invariants(r: &RunReport, chaos: bool) {
             );
         }
     }
-    assert!(trace.forest.unattached.iter().all(|r| r.task.is_none()));
+    assert!(forest.unattached.iter().all(|r| r.task.is_none()));
 }
 
 /// The task-attribution rule as a scan over every task of the job.

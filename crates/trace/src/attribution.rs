@@ -211,11 +211,7 @@ fn own_edge(kind: &EventKind) -> bool {
 /// dropped and negative counts clamp to zero, so the decomposition stays
 /// a partition of whatever latency the surviving events describe.
 pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
-    sweep(rec, &Requests::build(rec))
-}
-
-/// [`attribute`] over the recording's request table.
-pub(crate) fn sweep(rec: &Recording, reqs: &Requests) -> Vec<AppAttribution> {
+    let reqs = Requests::build(rec);
     let events = rec.events();
     let mut apps = Apps::default();
     let mut devs = Devices::default();

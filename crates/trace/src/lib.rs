@@ -44,7 +44,8 @@ pub const SUM_REL_TOL: f64 = 1e-9;
 /// Tracing configuration, carried inside the cluster config.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceConfig {
-    /// Assemble span trees and the attribution report after the run.
+    /// Assemble the attribution report after the run (span trees are
+    /// built on request from a recording, see [`build_forest`]).
     /// Off by default; when on with observability off, the engine runs
     /// an internal recorder whose events feed assembly only (the
     /// recording is not published), so results stay byte-identical.
@@ -66,29 +67,25 @@ impl TraceConfig {
     }
 }
 
-/// The assembled trace: attribution per application plus the span
-/// forest. Apps are raw flow ids; consumers with tenant tables (the
-/// cluster report carries one) join names on the app id.
+/// The assembled trace: attribution per application. Apps are raw flow
+/// ids; consumers with tenant tables (the cluster report carries one)
+/// join names on the app id. Span trees are built on request, from the
+/// recording, by [`build_forest`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceReport {
     /// Per-application latency decomposition, sorted by app id.
     pub per_app: Vec<AppAttribution>,
-    /// Per-job span trees.
-    pub forest: SpanForest,
     /// Events the recording lost to ring eviction. Non-zero only when a
-    /// bounded observability ring fed assembly; the forest and the
-    /// decomposition then describe the surviving suffix only.
+    /// bounded observability ring fed assembly; the decomposition then
+    /// describes the surviving suffix only.
     pub dropped_events: u64,
 }
 
 impl TraceReport {
-    /// Assembles attribution and span trees from a finished recording,
-    /// matching its request lifecycles once for both.
+    /// Assembles the attribution from a finished recording.
     pub fn assemble(rec: &Recording) -> TraceReport {
-        let requests = request::Requests::build(rec);
         TraceReport {
-            per_app: attribution::sweep(rec, &requests),
-            forest: span::assemble(rec, &requests),
+            per_app: attribute(rec),
             dropped_events: rec.dropped_total(),
         }
     }

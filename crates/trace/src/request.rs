@@ -1,5 +1,5 @@
-//! The request table: every request lifecycle of a recording, matched
-//! once and shared by span assembly and attribution.
+//! The request table: every request lifecycle of a recording, matched in
+//! one pass. Span assembly and attribution each build one.
 //!
 //! A request's `IoQueued` opens it and the next `Completed` with the
 //! same `(node, dev, io)` closes it; a later `IoQueued` with that key

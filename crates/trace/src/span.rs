@@ -103,11 +103,7 @@ pub struct SpanForest {
 
 /// Assembles the span forest from `rec`.
 pub fn build_forest(rec: &Recording) -> SpanForest {
-    assemble(rec, &Requests::build(rec))
-}
-
-/// [`build_forest`] over the recording's request table.
-pub(crate) fn assemble(rec: &Recording, requests: &Requests) -> SpanForest {
+    let requests = Requests::build(rec);
     // Closed task and job lifecycles.
     // Open tasks are keyed by node too: a crash closes the aborted run on
     // its (down) node at the instant the re-run may open on another, and
