@@ -20,7 +20,7 @@
 //!   read at the map's node + ingress transfer at the reducer), resumed as
 //!   further maps finish.
 
-use crate::config::{ClusterConfig, Experiment, Workload};
+use crate::config::{ClusterConfig, DeviceSpec, Experiment, Workload};
 use crate::report::{AssignStats, FaultSummary, JobSummary, QuerySummary, RunReport};
 use ibis_core::scheduler::{IoScheduler, Policy};
 use ibis_core::slab::{ChainKey, CompKey, IoKey, Slab, SlabKey, TaskKey, XferKey};
@@ -550,26 +550,41 @@ struct FaultState {
     summary: FaultSummary,
     /// Scheduling decisions of the schedulers a restart replaced.
     retired_decisions: u64,
-    /// Profiled SFQ(D2) references, kept to rebuild a restarted node's
-    /// schedulers exactly as `Sim::new` built them.
-    hdfs_refs: Option<ReferenceLatency>,
-    scratch_refs: Option<ReferenceLatency>,
 }
 
-/// Builds one device scheduler, splicing profiled reference latencies
-/// into an SFQ(D2) controller config. Free function (not a closure in
-/// `Sim::new`) because a node restart rebuilds its schedulers the same
-/// way mid-run.
-fn build_sched(policy: &Policy, refs: &Option<ReferenceLatency>) -> Box<dyn IoScheduler + Send> {
-    match (policy, refs) {
-        (Policy::SfqD2(c), Some(r)) => {
-            let mut c2: SfqD2Config = c.clone();
-            c2.controller.ref_read = r.read;
-            c2.controller.ref_write = r.write;
-            Policy::SfqD2(c2).build()
+/// Builds node `n`'s two device queues: fresh devices seeded per node
+/// (HDFS salt `n`, scratch salt `1000 + n`) under fresh schedulers, each
+/// SFQ(D2) controller given its device class's profiled reference
+/// latencies. `Sim::new` builds every node with it, and a node restart
+/// rebuilds one the same way mid-run.
+fn device_queues(
+    cfg: &ClusterConfig,
+    refs: &[Option<ReferenceLatency>; 2],
+    n: u32,
+    recording: bool,
+) -> [DeviceQueue; 2] {
+    let queue = |dev: usize, spec: &DeviceSpec, salt: u64| {
+        let mut sched = match (&cfg.policy, &refs[dev]) {
+            (Policy::SfqD2(c), Some(r)) => {
+                let mut c: SfqD2Config = c.clone();
+                c.controller.ref_read = r.read;
+                c.controller.ref_write = r.write;
+                Policy::SfqD2(c).build()
+            }
+            (policy, _) => policy.build(),
+        };
+        if recording {
+            sched.set_recording(true);
         }
-        _ => policy.build(),
-    }
+        DeviceQueue {
+            device: spec.build(salt),
+            sched,
+        }
+    };
+    [
+        queue(DEV_HDFS, &cfg.hdfs_device, u64::from(n)),
+        queue(DEV_SCRATCH, &cfg.scratch_device, 1000 + u64::from(n)),
+    ]
 }
 
 /// The simulator. Construct with [`Sim::new`], run with [`Sim::run`].
@@ -638,7 +653,10 @@ pub struct Sim {
     /// Reused sink for finished link-transfer ids.
     link_scratch: Vec<u64>,
     events: u64,
-    reference_ms: Option<[f64; 4]>,
+    /// Profiled SFQ(D2) reference latencies per device class, indexed
+    /// like `Node::devs`; `None` unless SFQ(D2) runs with
+    /// `auto_reference`.
+    refs: [Option<ReferenceLatency>; 2],
     finished: bool,
     last_event_time: SimTime,
     /// Flight recorder (None unless `cfg.obs.enabled`). Scheduler-side
@@ -671,21 +689,13 @@ impl Sim {
 
         // §4 offline profiling: derive reference latencies per device type
         // when running SFQ(D2) with auto_reference.
-        let mut reference_ms = None;
-        let (hdfs_refs, scratch_refs) = if cfg.auto_reference
-            && matches!(cfg.policy, Policy::SfqD2(_))
-        {
-            let h = profile_device(&cfg.hdfs_device.build(u64::MAX), 4, cfg.chunk);
-            let s = profile_device(&cfg.scratch_device.build(u64::MAX - 1), 4, cfg.chunk);
-            reference_ms = Some([
-                h.read.as_nanos() as f64 / 1e6,
-                h.write.as_nanos() as f64 / 1e6,
-                s.read.as_nanos() as f64 / 1e6,
-                s.write.as_nanos() as f64 / 1e6,
-            ]);
-            (Some(h), Some(s))
+        let refs = if cfg.auto_reference && matches!(cfg.policy, Policy::SfqD2(_)) {
+            [
+                Some(profile_device(&cfg.hdfs_device.build(u64::MAX), 4, cfg.chunk)),
+                Some(profile_device(&cfg.scratch_device.build(u64::MAX - 1), 4, cfg.chunk)),
+            ]
         } else {
-            (None, None)
+            [None, None]
         };
 
         // Tracing attributes latency from the same event stream, so it
@@ -700,30 +710,14 @@ impl Sim {
             (false, false) => None,
         };
 
-        let mut nodes: Vec<Node> = (0..cfg.nodes)
+        let nodes: Vec<Node> = (0..cfg.nodes)
             .map(|n| Node {
                 free_cores: cfg.cores_per_node,
                 free_mem: cfg.memory_per_node,
-                devs: [
-                    DeviceQueue {
-                        device: cfg.hdfs_device.build(n as u64),
-                        sched: build_sched(&cfg.policy, &hdfs_refs),
-                    },
-                    DeviceQueue {
-                        device: cfg.scratch_device.build(1000 + n as u64),
-                        sched: build_sched(&cfg.policy, &scratch_refs),
-                    },
-                ],
+                devs: device_queues(&cfg, &refs, n, recorder.is_some()),
                 rx: PsLink::new(cfg.nic_bw),
             })
             .collect();
-        if recorder.is_some() {
-            for node in &mut nodes {
-                for dq in &mut node.devs {
-                    dq.sched.set_recording(true);
-                }
-            }
-        }
 
         let mut namenode = Namenode::new(NamenodeConfig {
             nodes: cfg.nodes,
@@ -891,8 +885,6 @@ impl Sim {
                 retrying: false,
                 summary: FaultSummary::default(),
                 retired_decisions: 0,
-                hdfs_refs: hdfs_refs.clone(),
-                scratch_refs: scratch_refs.clone(),
             }
         });
 
@@ -952,7 +944,7 @@ impl Sim {
             started_scratch: Vec::new(),
             link_scratch: Vec::new(),
             events: 0,
-            reference_ms,
+            refs,
             finished: false,
             last_event_time: SimTime::ZERO,
             profile,
@@ -2853,7 +2845,6 @@ impl Sim {
         fs.node_up[node as usize] = true;
         fs.summary.restarts += 1;
         let bound = fs.staleness_bound;
-        let (hdfs_refs, scratch_refs) = (fs.hdfs_refs.clone(), fs.scratch_refs.clone());
         // The run totals keep what the schedulers about to be replaced
         // counted.
         for dq in &self.nodes[node as usize].devs {
@@ -2863,22 +2854,11 @@ impl Sim {
         self.namenode.set_node_up(NodeId(node));
         self.record_fault(node, 0, 4, 0, now);
 
+        let devs = device_queues(&self.cfg, &self.refs, node, self.recorder.is_some());
         let n = &mut self.nodes[node as usize];
-        n.devs[0] = DeviceQueue {
-            device: self.cfg.hdfs_device.build(node as u64),
-            sched: build_sched(&self.cfg.policy, &hdfs_refs),
-        };
-        n.devs[1] = DeviceQueue {
-            device: self.cfg.scratch_device.build(1000 + node as u64),
-            sched: build_sched(&self.cfg.policy, &scratch_refs),
-        };
+        n.devs = devs;
         n.free_cores = self.cfg.cores_per_node;
         n.free_mem = self.cfg.memory_per_node;
-        if self.recorder.is_some() {
-            for dq in &mut self.nodes[node as usize].devs {
-                dq.sched.set_recording(true);
-            }
-        }
         // Live applications' weights must survive the restart: each live
         // job re-applies its flow's registered weight (tenant repeats are
         // idempotent: same app, same weight).
@@ -3234,7 +3214,12 @@ impl Sim {
             events: self.events,
             assign: self.assign,
             queue: self.queue.stats(),
-            reference_latencies_ms: self.reference_ms,
+            reference_latencies_ms: match &self.refs {
+                [Some(h), Some(s)] => {
+                    Some([h.read, h.write, s.read, s.write].map(|d| d.as_nanos() as f64 / 1e6))
+                }
+                _ => None,
+            },
             recording,
             metrics,
             faults,
@@ -3249,7 +3234,6 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DeviceSpec;
     use ibis_simcore::units::{GIB, MIB};
     use ibis_workloads::{teragen, terasort, wordcount};
 
