@@ -3571,6 +3571,61 @@ mod tests {
         assert!(cap.series_named("broker_sync_age_s").next().is_some());
     }
 
+    /// Each metrics sample follows that instant's controller update: the
+    /// sampler shares the scheduler ticks' periodic lane and was queued
+    /// after them. So node 0's sampled HDFS depth, rounded as the
+    /// dispatcher rounds it, is the depth of the last `DepthAdjusted` on
+    /// that device at or before the sample (`d_init` before the first).
+    /// Fig. 7 reads its depth curve this way.
+    #[test]
+    fn sampler_observes_each_same_instant_controller_tick() {
+        let mut cfg = tiny_cluster();
+        cfg.hdfs_device = DeviceSpec::default_hdd();
+        // A steep gain, so the rounded depth moves at many updates.
+        let controller = ibis_core::ControllerConfig {
+            gain_per_us: 1e-4,
+            ..Default::default()
+        };
+        cfg.policy = Policy::SfqD2(SfqD2Config {
+            controller,
+            ..SfqD2Config::default()
+        });
+        cfg.obs = ibis_obs::ObsConfig::enabled(usize::MAX);
+        cfg.metrics = ibis_metrics::MetricsConfig::enabled(SimDuration::from_secs(1));
+        let mut exp = Experiment::new(cfg);
+        exp.add_job(teragen(GIB));
+        exp.add_job(wordcount(GIB));
+        let r = exp.run();
+        let rec = r.recording.expect("recording");
+        let mut adjusted = rec
+            .events()
+            .iter()
+            .filter(|e| e.node == 0 && e.dev == DEV_HDFS as u8)
+            .filter_map(|e| match e.kind {
+                EventKind::DepthAdjusted { depth } => Some((e.at, depth)),
+                _ => None,
+            })
+            .peekable();
+        let cap = r.metrics.expect("metrics");
+        let sampled = cap
+            .series_for("ctl_depth", Labels::on(0, DEV_HDFS as u8))
+            .expect("depth series");
+        let mut depth = ibis_core::DepthController::new(Default::default()).depth();
+        // Samples whose instant's update changed the depth: the ones a
+        // sample taken before the ticks would get wrong.
+        let mut moved = 0;
+        for &(t, d) in &sampled.points {
+            while let Some((_, next)) = adjusted.next_if(|&(at, _)| at <= t) {
+                if next != depth && adjusted.peek().is_none_or(|&(at, _)| at > t) {
+                    moved += 1;
+                }
+                depth = next;
+            }
+            assert_eq!(d.round().max(1.0) as u32, depth, "sample at {t}");
+        }
+        assert!(moved > 0, "no sampled instant moved the depth");
+    }
+
     #[test]
     fn metrics_do_not_perturb_results() {
         let run = |metrics: ibis_metrics::MetricsConfig| {
