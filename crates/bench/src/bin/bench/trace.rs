@@ -3,9 +3,10 @@
 //! costs the engine, and — the hard requirement — that the trace-*off*
 //! path still runs at the untraced event rate.
 //!
-//! One scenario, [`arrival_run`], run with tracing off and with tracing
-//! on. The metrics are ns of wall clock per simulation event for each
-//! mode, and the relative overhead of the traced run. The two reports
+//! One scenario, [`arrival_run`], run [`RUNS`] times with tracing off
+//! and with tracing on, interleaved. The metrics are ns of wall clock
+//! per simulation event for each mode, as the median with its quartiles,
+//! and the relative overhead of the traced run's median. The two reports
 //! must agree on event count and makespan (tracing is non-perturbing by
 //! construction; the integration tests assert byte-identity, this record
 //! spot-checks it).
@@ -23,6 +24,19 @@ use ibis_trace::TraceConfig;
 /// The untraced arrival-run record the trace-off cost is also held to.
 const WORKLOADS_BASELINE: &str = "BENCH_workloads.json";
 
+/// Timed runs per mode. One run lasts 0.01–0.03 s, so one scheduling
+/// hiccup can double a single reading; the median of seven moves only
+/// when four runs do.
+const RUNS: usize = 7;
+
+/// First quartile, median and third quartile of seven timings, by the
+/// exclusive method: the 2nd, 4th and 6th fastest.
+fn quartiles(mut secs: Vec<f64>) -> [f64; 3] {
+    secs.sort_by(f64::total_cmp);
+    let n = secs.len() + 1;
+    [n / 4, n / 2, 3 * n / 4].map(|rank| secs[rank - 1])
+}
+
 /// The trace-off cost limit against the trace baseline and, when given,
 /// the workloads baseline's arrival run; both are wall-clock.
 fn gate(off_ns: f64, base: &Baseline, workloads: Option<&Baseline>) -> Verdict {
@@ -38,10 +52,20 @@ fn gate(off_ns: f64, base: &Baseline, workloads: Option<&Baseline>) -> Verdict {
 
 /// Measures the record into `out` and gates against `base`.
 pub fn run(out: &str, base: Option<&Baseline>) -> Verdict {
-    eprintln!("[bench trace] open-system run, tracing off: {ARRIVAL_JOBS} burst arrivals ...");
-    let (off, off_secs) = arrival_run(TraceConfig::default());
-    eprintln!("[bench trace] open-system run, tracing on ...");
-    let (on, on_secs) = arrival_run(TraceConfig::on());
+    eprintln!(
+        "[bench trace] open-system run, {ARRIVAL_JOBS} burst arrivals: \
+         {RUNS} × tracing off, then on ..."
+    );
+    let (mut off_runs, mut on_runs) = (Vec::with_capacity(RUNS), Vec::with_capacity(RUNS));
+    let mut last = None;
+    for _ in 0..RUNS {
+        let (off, off_secs) = arrival_run(TraceConfig::default());
+        let (on, on_secs) = arrival_run(TraceConfig::on());
+        off_runs.push(off_secs);
+        on_runs.push(on_secs);
+        last = Some((off, on));
+    }
+    let (off, on) = last.expect("RUNS > 0");
 
     // Non-perturbation spot-check: same simulation either way.
     assert_eq!(off.events, on.events, "tracing changed the event count");
@@ -54,30 +78,44 @@ pub fn run(out: &str, base: Option<&Baseline>) -> Verdict {
     );
 
     let events = off.events;
-    let off_ns_per_event = off_secs * 1e9 / events as f64;
-    let on_ns_per_event = on_secs * 1e9 / events as f64;
+    let ns_per_event = |secs: f64| secs * 1e9 / events as f64;
+    let [off_q1, off_secs, off_q3] = quartiles(off_runs);
+    let [on_q1, on_secs, on_q3] = quartiles(on_runs);
+    let off_ns_per_event = ns_per_event(off_secs);
+    let on_ns_per_event = ns_per_event(on_secs);
     let overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
 
     let mut w = json::bench_writer("trace");
     w.string(Some("scale"), ScaleProfile::from_env().label());
-    w.open_object(Some("trace_off"));
-    w.number(Some("jobs"), f64::from(ARRIVAL_JOBS));
-    w.number(Some("events"), events as f64);
-    w.number(Some("secs"), off_secs);
-    w.number(Some("ns_per_event"), off_ns_per_event);
-    w.close();
-    w.open_object(Some("trace_on"));
-    w.number(Some("events"), events as f64);
-    w.number(Some("secs"), on_secs);
-    w.number(Some("ns_per_event"), on_ns_per_event);
-    w.close();
+    w.number(Some("runs"), RUNS as f64);
+    for (mode, [q1, secs, q3]) in [
+        ("trace_off", [off_q1, off_secs, off_q3]),
+        ("trace_on", [on_q1, on_secs, on_q3]),
+    ] {
+        w.open_object(Some(mode));
+        if mode == "trace_off" {
+            w.number(Some("jobs"), f64::from(ARRIVAL_JOBS));
+        }
+        w.number(Some("events"), events as f64);
+        w.number(Some("secs"), secs);
+        w.number(Some("secs_q1"), q1);
+        w.number(Some("secs_q3"), q3);
+        w.number(Some("ns_per_event"), ns_per_event(secs));
+        w.number(Some("ns_per_event_q1"), ns_per_event(q1));
+        w.number(Some("ns_per_event_q3"), ns_per_event(q3));
+        w.close();
+    }
     w.number(Some("overhead_pct"), overhead_pct);
     json::write_bench(w, out);
 
     eprintln!(
-        "[bench trace] {out}: off {off_secs:.2}s ({off_ns_per_event:.0} ns/event), on \
-         {on_secs:.2}s ({on_ns_per_event:.0} ns/event), overhead \
-         {overhead_pct:+.1}% over {events} events"
+        "[bench trace] {out}: medians of {RUNS}: off {off_secs:.3}s ({off_ns_per_event:.0} \
+         ns/event, quartiles {:.0}–{:.0}), on {on_secs:.3}s ({on_ns_per_event:.0} ns/event, \
+         quartiles {:.0}–{:.0}), overhead {overhead_pct:+.1}% over {events} events",
+        ns_per_event(off_q1),
+        ns_per_event(off_q3),
+        ns_per_event(on_q1),
+        ns_per_event(on_q3),
     );
     base.map_or(Ok(Vec::new()), |b| {
         gate(
@@ -128,5 +166,11 @@ mod tests {
         }
         let (base, workloads) = records("debug");
         assert_eq!(gate(1e12, &base, Some(&workloads)), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn quartiles_of_seven_are_the_2nd_4th_and_6th_fastest() {
+        let secs = vec![7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0];
+        assert_eq!(quartiles(secs), [2.0, 4.0, 6.0]);
     }
 }
