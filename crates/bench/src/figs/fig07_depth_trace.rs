@@ -52,9 +52,8 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
 
     // Downsample the traces for terminal output, joining the latency
     // curve (Fig. 7 plots both).
-    let lat_at = |t: SimTime| -> Option<f64> {
-        latency.iter().find(|(lt, _)| *lt == t).map(|&(_, v)| v)
-    };
+    let lat_at =
+        |t: SimTime| -> Option<f64> { latency.iter().find(|(lt, _)| *lt == t).map(|&(_, v)| v) };
     let n = depth.len();
     let stride = (n / 60).max(1);
     let mut table = Table::new(&["t (s)", "D", "latency (ms)"]);
@@ -101,7 +100,11 @@ type Trace = Vec<(SimTime, f64)>;
 /// completions updates nothing).
 fn controller_traces(cap: &MetricsCapture) -> (Trace, Trace) {
     let hdfs = Labels::on(0, 0);
-    let series = |name| &cap.series_for(name, hdfs).expect("controller sampled").points;
+    let series = |name| {
+        &cap.series_for(name, hdfs)
+            .expect("controller sampled")
+            .points
+    };
     let depth = series("ctl_depth")
         .iter()
         .map(|&(t, d)| (t, d.round().max(1.0)))

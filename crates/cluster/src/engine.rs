@@ -690,9 +690,11 @@ impl Sim {
         // §4 offline profiling: derive reference latencies per device type
         // when running SFQ(D2) with auto_reference.
         let refs = if cfg.auto_reference && matches!(cfg.policy, Policy::SfqD2(_)) {
+            let profile =
+                |spec: &DeviceSpec, salt| Some(profile_device(&spec.build(salt), 4, cfg.chunk));
             [
-                Some(profile_device(&cfg.hdfs_device.build(u64::MAX), 4, cfg.chunk)),
-                Some(profile_device(&cfg.scratch_device.build(u64::MAX - 1), 4, cfg.chunk)),
+                profile(&cfg.hdfs_device, u64::MAX),
+                profile(&cfg.scratch_device, u64::MAX - 1),
             ]
         } else {
             [None, None]

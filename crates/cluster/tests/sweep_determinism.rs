@@ -88,7 +88,13 @@ fn canonical(r: &RunReport) -> String {
     service.sort_unstable();
     writeln!(s, "service {service:?}").unwrap();
     let bits = |bytes: u64| (bytes as f64).to_bits();
-    writeln!(s, "reads {:#x} writes {:#x}", bits(r.bytes_read()), bits(r.bytes_written())).unwrap();
+    writeln!(
+        s,
+        "reads {:#x} writes {:#x}",
+        bits(r.bytes_read()),
+        bits(r.bytes_written())
+    )
+    .unwrap();
     let mut lat: Vec<(u32, Option<u64>)> = r
         .app_latency
         .iter()
