@@ -15,8 +15,9 @@
 //!   scratch disk), the HDFS replication pipeline, shuffle pulls,
 //!   controller ticks, and broker syncs.
 //! * [`report`] — [`report::RunReport`]: per-job runtimes and phase
-//!   breakdowns, per-application throughput time series, Fig. 7 traces,
-//!   broker overhead counters, and device statistics.
+//!   breakdowns, per-application service, throughput series and latency
+//!   histograms, broker overhead and scheduler decision counters, and the
+//!   optional recording, metrics capture, trace and fault summary.
 //! * [`autotune`] — the §9 future-work loop: search the I/O-weight knob
 //!   for a target slowdown.
 //! * [`sweep`] — the parallel experiment sweep engine: fans independent

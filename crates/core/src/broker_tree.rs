@@ -669,9 +669,11 @@ impl BrokerTree {
 
     /// True when `node`'s link holds unacknowledged protocol state — a
     /// lost or held message, or a pre-restart epoch. On a real wire this
-    /// is exactly "cumulative ack < last sent seq" as seen by the sender;
-    /// the engine forces a (possibly empty) report from such nodes at the
-    /// next exchange, which triggers the snapshot resync.
+    /// is exactly "cumulative ack < last sent seq" as seen by the sender.
+    /// The engine does not consult it: under a fault schedule every
+    /// reachable scheduler reports at every exchange, empty reports
+    /// included (heartbeats), and the next report from such a node
+    /// triggers the snapshot resync. Tests use it to observe link state.
     pub fn needs_contact(&self, node: u32) -> bool {
         self.proto.as_ref().is_some_and(|p| {
             p.nodes.get(node as usize).is_some_and(|l| {

@@ -13,8 +13,8 @@
 //! * [`controller`] — the integral feedback controller of §4 that turns
 //!   SFQ(D) into **SFQ(D2)** by steering the observed I/O latency toward a
 //!   profiled reference latency: `D(k+1) = D(k) + K · (L_ref − L(k))`.
-//! * [`sfqd2`] — the composition of the two, plus the depth trace used to
-//!   reproduce Fig. 7.
+//! * [`sfqd2`] — the composition of the two, whose controller state Fig. 7
+//!   reads through the metrics sampler.
 //! * [`baselines`] — native FIFO (no I/O management) and the cgroups
 //!   blkio-style weight/throttle schedulers YARN could be extended with
 //!   (§7.4), which can only differentiate *intermediate* I/Os.

@@ -72,8 +72,8 @@ pub trait IoScheduler {
 
     /// Scheduling decisions taken so far (tag computations, queue
     /// scans): the scheduler CPU work behind Table 2's resource-overhead
-    /// accounting. Schedulers that make no per-request decision count
-    /// none. Per-application service is not a scheduler counter: the
+    /// accounting. A scheduler that keeps no count reports 0, the
+    /// default. Per-application service is not a scheduler counter: the
     /// broker's inputs come from [`IoScheduler::drain_service_report`],
     /// and the run's per-app totals from the engine's per-flow ledger,
     /// which outlives a node restart.
