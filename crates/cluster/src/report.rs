@@ -179,8 +179,7 @@ pub struct RunReport {
     /// The causal trace, when tracing was enabled (`ClusterConfig::trace`):
     /// per-app latency attribution (components sum exactly to the swept
     /// total). Join tenant names via [`RunReport::tenants`] or
-    /// [`RunReport::tenant_breakdown`]. Per-job span trees come from
-    /// `ibis_trace::build_forest` over [`RunReport::recording`].
+    /// [`RunReport::tenant_breakdown`].
     pub trace: Option<ibis_trace::TraceReport>,
     /// Wall-clock self-profile of the engine's phases, when tracing was
     /// enabled. Like `wall_secs`, excluded from the determinism canon.

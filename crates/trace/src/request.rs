@@ -1,5 +1,5 @@
 //! The request table: every request lifecycle of a recording, matched in
-//! one pass. Span assembly and attribution each build one.
+//! one pass. Attribution builds one.
 //!
 //! A request's `IoQueued` opens it and the next `Completed` with the
 //! same `(node, dev, io)` closes it; a later `IoQueued` with that key
@@ -8,7 +8,6 @@
 //! holds event positions only, so building it touches little memory;
 //! consumers read the fields they need from the recording.
 
-use crate::span::RequestSpan;
 use ibis_obs::{EventKind, ObsEvent, Recording};
 use ibis_simcore::hash::{FxHashMap, FxHashSet};
 
@@ -142,36 +141,5 @@ impl<'a> Requests<'a> {
             unreachable!("an orphan's position holds its completion event");
         };
         (app, c.at.as_nanos().saturating_sub(latency_ns))
-    }
-
-    /// The span of a matched request (no task yet).
-    pub fn span(&self, r: Request) -> RequestSpan {
-        let c = &self.events[r.done as usize];
-        let EventKind::Completed {
-            io,
-            app,
-            bytes,
-            write,
-            latency_ns,
-        } = c.kind
-        else {
-            unreachable!("a matched request's position holds its completion event");
-        };
-        let (node, dev, t) = (c.node, c.dev, c.at.as_nanos());
-        let queued_ns = self.queued_ns(r);
-        let dispatched_ns = t.saturating_sub(latency_ns).max(queued_ns);
-        RequestSpan {
-            io,
-            node,
-            dev,
-            app,
-            queued_ns,
-            dispatched_ns,
-            completed_ns: t.max(dispatched_ns),
-            bytes,
-            write,
-            delayed: self.delayed(node, dev, app, queued_ns),
-            task: None,
-        }
     }
 }

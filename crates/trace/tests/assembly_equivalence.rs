@@ -1,19 +1,16 @@
-//! Attribution and span assembly walk the recording in its own order,
-//! merged with the matched requests' queue and service-start instants,
-//! and attach requests to jobs with a forward merge. Their output must
-//! equal the sort-based assembly kept here as the model: attribution
-//! that collects every edge, stably sorts the list by instant and sweeps
-//! it, and a forest that sorts job arrivals, request queue instants and
-//! job completions into one mark list (with the task rule as a scan over
-//! the job's tasks). Random recordings of jobs (some sharing an app),
-//! tasks (some re-run after a crash), requests (some re-queued, left in
-//! flight or completed under another app), delay charges, degraded
-//! episodes and node down/up markers pass through bounded recorders, so
-//! truncated streams with orphaned completions are covered too.
+//! Attribution walks the recording in its own order, merged with the
+//! matched requests' queue and service-start instants. Its output must
+//! equal the sort-based attribution kept here as the model: one that
+//! collects every edge, stably sorts the list by instant and sweeps it.
+//! Random recordings of jobs (some sharing an app), tasks (some re-run
+//! after a crash), requests (some re-queued, left in flight or completed
+//! under another app), delay charges, degraded episodes and node
+//! down/up markers pass through bounded recorders, so truncated streams
+//! with orphaned completions are covered too.
 
 use ibis_obs::{EventKind, FlightRecorder, ObsEvent, Recording, RecordingMeta};
 use ibis_simcore::SimTime;
-use ibis_trace::{attribute, build_forest, AppAttribution, RequestSpan, SpanForest, TraceReport};
+use ibis_trace::{attribute, AppAttribution, TraceReport};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -426,155 +423,6 @@ fn model_attribute(rec: &Recording) -> Vec<AppAttribution> {
         .collect()
 }
 
-/// The model of `build_forest`: jobs, requests and tasks matched in one
-/// pass, then one sorted list of job opens, request queue instants and
-/// job closes decides each request's job.
-fn model_forest(rec: &Recording) -> SpanForest {
-    use ibis_trace::{JobTree, TaskSpan};
-    let mut delayed_at = HashSet::new();
-    for ev in rec.events() {
-        if let EventKind::DelayApplied { app, .. } = ev.kind {
-            delayed_at.insert((ev.node, ev.dev, app, ev.at.as_nanos()));
-        }
-    }
-    let mut req_open: HashMap<(u32, u8, u64), u64> = HashMap::new();
-    let mut task_open: HashMap<(u32, u32, u32), u64> = HashMap::new();
-    let mut job_open: HashMap<u32, u64> = HashMap::new();
-    let mut requests: Vec<RequestSpan> = Vec::new();
-    let mut tasks: Vec<(u32, TaskSpan)> = Vec::new();
-    let mut jobs: Vec<JobTree> = Vec::new();
-    for ev in rec.events() {
-        let (node, dev, t) = (ev.node, ev.dev, ev.at.as_nanos());
-        match ev.kind {
-            EventKind::IoQueued { io, .. } => {
-                req_open.insert((node, dev, io), t);
-            }
-            EventKind::Completed {
-                io,
-                app,
-                bytes,
-                write,
-                latency_ns,
-            } => {
-                if let Some(queued) = req_open.remove(&(node, dev, io)) {
-                    let dispatched = t.saturating_sub(latency_ns).max(queued);
-                    requests.push(RequestSpan {
-                        io,
-                        node,
-                        dev,
-                        app,
-                        queued_ns: queued,
-                        dispatched_ns: dispatched,
-                        completed_ns: t.max(dispatched),
-                        bytes,
-                        write,
-                        delayed: delayed_at.contains(&(node, dev, app, queued)),
-                        task: None,
-                    });
-                }
-            }
-            EventKind::TaskStarted { job, task, .. } => {
-                task_open.insert((job, task, node), t);
-            }
-            EventKind::TaskFinished { job, task } => {
-                if let Some(start) = task_open.remove(&(job, task, node)) {
-                    let end_ns = t.max(start);
-                    tasks.push((
-                        job,
-                        TaskSpan {
-                            task,
-                            node,
-                            start_ns: start,
-                            end_ns,
-                        },
-                    ));
-                }
-            }
-            EventKind::JobArrived { job, .. } => {
-                job_open.insert(job, t);
-            }
-            EventKind::JobCompleted { job, app, .. } => {
-                if let Some(arrived) = job_open.remove(&job) {
-                    jobs.push(JobTree {
-                        job,
-                        app,
-                        arrived_ns: arrived,
-                        completed_ns: t.max(arrived),
-                        tasks: Vec::new(),
-                        requests: Vec::new(),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    jobs.sort_by_key(|j| (j.arrived_ns, j.job));
-    let by_job: HashMap<u32, usize> = jobs.iter().enumerate().map(|(i, j)| (j.job, i)).collect();
-    for (job, span) in tasks {
-        if let Some(&i) = by_job.get(&job) {
-            jobs[i].tasks.push(span);
-        }
-    }
-    for j in &mut jobs {
-        j.tasks.sort_by_key(|t| (t.start_ns, t.task));
-    }
-
-    // (instant, rank: open 0 / request 1 / close 2, index).
-    let mut marks: Vec<(u64, u8, usize)> = Vec::new();
-    for (i, j) in jobs.iter().enumerate() {
-        marks.push((j.arrived_ns, 0, i));
-        marks.push((j.completed_ns, 2, i));
-    }
-    for (i, r) in requests.iter().enumerate() {
-        marks.push((r.queued_ns, 1, i));
-    }
-    marks.sort();
-    let mut open: HashMap<u32, BTreeMap<(u64, u32), usize>> = HashMap::new();
-    let mut owner = vec![None; requests.len()];
-    for (_, rank, i) in marks {
-        match rank {
-            0 => {
-                open.entry(jobs[i].app)
-                    .or_default()
-                    .insert((jobs[i].arrived_ns, jobs[i].job), i);
-            }
-            2 => {
-                open.entry(jobs[i].app)
-                    .or_default()
-                    .remove(&(jobs[i].arrived_ns, jobs[i].job));
-            }
-            _ => {
-                owner[i] = open
-                    .get(&requests[i].app)
-                    .and_then(|m| m.values().next().copied())
-            }
-        }
-    }
-    let mut unattached = Vec::new();
-    for (i, r) in requests.into_iter().enumerate() {
-        match owner[i] {
-            Some(j) => jobs[j].requests.push(r),
-            None => unattached.push(r),
-        }
-    }
-    for j in &mut jobs {
-        j.requests
-            .sort_by_key(|r| (r.queued_ns, r.node, r.dev, r.io));
-        for k in 0..j.requests.len() {
-            let r = &j.requests[k];
-            let mut hits = j.tasks.iter().filter(|t| {
-                t.node == r.node && t.start_ns <= r.queued_ns && r.queued_ns < t.end_ns
-            });
-            let task = match (hits.next(), hits.next()) {
-                (Some(t), None) => Some(t.task),
-                _ => None,
-            };
-            j.requests[k].task = task;
-        }
-    }
-    SpanForest { jobs, unattached }
-}
-
 fn capacity() -> impl Strategy<Value = usize> {
     prop_oneof![1 => 2usize..64, 1 => Just(usize::MAX)]
 }
@@ -584,12 +432,6 @@ proptest! {
     fn attribution_matches_the_sorted_edge_sweep(seed in 0u64..u64::MAX, capacity in capacity()) {
         let rec = recording(seed, capacity);
         prop_assert_eq!(attribute(&rec), model_attribute(&rec), "seed {} capacity {}", seed, capacity);
-    }
-
-    #[test]
-    fn forest_matches_the_sorted_mark_sweep(seed in 0u64..u64::MAX, capacity in capacity()) {
-        let rec = recording(seed, capacity);
-        prop_assert_eq!(build_forest(&rec), model_forest(&rec), "seed {} capacity {}", seed, capacity);
     }
 
     #[test]
