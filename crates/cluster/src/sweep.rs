@@ -11,8 +11,8 @@
 //! pool and returns results **in submission order**. Because each run is
 //! deterministic and self-contained, the reports are byte-identical to
 //! what the serial loop produces, at any thread count — the only shared
-//! state is the work-distribution cursor and the progress counter, which
-//! sequence *scheduling*, never *results*. The determinism test in
+//! state is the work-distribution cursor, which sequences *scheduling*,
+//! never *results*. The determinism test in
 //! `tests/sweep_determinism.rs` enforces this at two widths.
 //!
 //! Width selection: `IBIS_JOBS` if set (clamped to ≥ 1), else
@@ -86,7 +86,6 @@ impl SweepRunner {
             inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let progress = Progress::new(n);
 
         let workers = self.jobs.min(n);
         std::thread::scope(|scope| {
@@ -103,7 +102,6 @@ impl SweepRunner {
                         .expect("each sweep input is claimed exactly once");
                     let out = f(idx, input);
                     *slots[idx].lock().expect("sweep result lock") = Some(out);
-                    progress.finished(idx);
                 });
             }
         });
@@ -123,55 +121,15 @@ impl SweepRunner {
         self.map(experiments, |_, exp| exp.run())
     }
 
-    /// Runs a batch of labeled experiment thunks, returning the
-    /// `(label, report)` pairs in batch order. The labels feed the
-    /// progress line; the thunks let callers capture per-run
-    /// post-processing without materialising `Experiment`s up front.
+    /// Runs a batch of thunks, returning their outputs in batch order.
+    /// The thunks let callers capture per-run post-processing without
+    /// materialising `Experiment`s up front.
     pub fn run_thunks<T, F>(&self, thunks: Vec<F>) -> Vec<T>
     where
         T: Send,
         F: FnOnce() -> T + Send,
     {
-        let thunks: Vec<Mutex<Option<F>>> =
-            thunks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        self.map(thunks, |_, thunk| {
-            let t = thunk
-                .into_inner()
-                .expect("sweep thunk lock")
-                .expect("each thunk runs exactly once");
-            t()
-        })
-    }
-}
-
-/// The accounting sink: the one piece of shared mutable state in a sweep,
-/// guarded by a [`Mutex`]. It tracks completions and (when
-/// `IBIS_SWEEP_PROGRESS=1`) prints a progress line; it never influences
-/// scheduling or results.
-struct Progress {
-    state: Mutex<ProgressState>,
-    verbose: bool,
-}
-
-struct ProgressState {
-    done: usize,
-    total: usize,
-}
-
-impl Progress {
-    fn new(total: usize) -> Self {
-        Progress {
-            state: Mutex::new(ProgressState { done: 0, total }),
-            verbose: std::env::var("IBIS_SWEEP_PROGRESS").is_ok_and(|v| v == "1"),
-        }
-    }
-
-    fn finished(&self, idx: usize) {
-        let mut s = self.state.lock().expect("progress lock");
-        s.done += 1;
-        if self.verbose {
-            eprintln!("[sweep {}/{} done (run #{idx})]", s.done, s.total);
-        }
+        self.map(thunks, |_, t| t())
     }
 }
 
