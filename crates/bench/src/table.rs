@@ -23,12 +23,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of display-able values.
-    pub fn rowf(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Renders the table.
     pub fn render(&self) -> String {
         let ncols = self.header.len();

@@ -56,7 +56,9 @@ fn report_covered_by_a_resync_snapshot_is_not_applied_again() {
     assert!(round(&mut t, 6, &[], Delivery::Ok));
     assert_eq!(t.total(A), Some(15));
     assert_eq!(t.total(B), Some(1));
-    assert!(!t.needs_contact(0));
+    // Nothing is left unacknowledged: the next report lands in order.
+    assert!(!round(&mut t, 7, &[], Delivery::Ok));
+    assert_eq!((t.total(A), t.total(B)), (Some(15), Some(1)));
 }
 
 #[test]
@@ -87,5 +89,7 @@ fn held_report_from_a_retired_generation_is_not_applied() {
     // retired, keeps the held report's bytes.
     assert_eq!(t.total(A), Some(256));
     assert_eq!(t.total(B), Some(5));
-    assert!(!t.needs_contact(0));
+    // Nothing is left unacknowledged: the next report lands in order.
+    assert!(!round(&mut t, 4, &[], Delivery::Ok));
+    assert_eq!((t.total(A), t.total(B)), (Some(256), Some(5)));
 }
