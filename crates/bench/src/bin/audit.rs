@@ -193,7 +193,10 @@ fn json_scenario(
         let violations = report.violations_of(inv);
         w.open_object(None);
         w.string(Some("invariant"), &inv.to_string());
-        w.value(Some("passed"), if violations == 0 { "true" } else { "false" });
+        w.value(
+            Some("passed"),
+            if violations == 0 { "true" } else { "false" },
+        );
         w.number(Some("checked"), checked as f64);
         w.number(Some("violations"), violations as f64);
         w.close();
@@ -204,7 +207,11 @@ fn json_scenario(
     w.string(Some("invariant"), "attribution-sums");
     w.value(
         Some("passed"),
-        if attribution.violations == 0 { "true" } else { "false" },
+        if attribution.violations == 0 {
+            "true"
+        } else {
+            "false"
+        },
     );
     w.number(Some("checked"), attribution.checked as f64);
     w.number(Some("violations"), attribution.violations as f64);
@@ -345,7 +352,10 @@ fn main() {
             &format!("{}_degraded_marks", s.name),
             report.degraded_marks as f64,
         );
-        sink.record(&format!("{}_rack_checks", s.name), report.rack_checks as f64);
+        sink.record(
+            &format!("{}_rack_checks", s.name),
+            report.rack_checks as f64,
+        );
         sink.record(
             &format!("{}_attribution_checked", s.name),
             attribution.checked as f64,

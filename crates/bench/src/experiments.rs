@@ -155,7 +155,12 @@ mod tests {
             ..hdd_cluster(sfqd2())
         };
         let off = pinned(on);
-        let enabled = (off.obs.enabled, off.metrics.enabled, off.faults.enabled, off.trace.enabled);
+        let enabled = (
+            off.obs.enabled,
+            off.metrics.enabled,
+            off.faults.enabled,
+            off.trace.enabled,
+        );
         assert_eq!(enabled, (false, false, false, false));
         assert!(off.coordination, "pinning keeps every other field");
     }

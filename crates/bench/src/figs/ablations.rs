@@ -113,7 +113,10 @@ pub fn sync_period(scale: ScaleProfile) -> ResultSink {
             format!("{:.1}", r.broker.payload_bytes as f64 / 1e3),
         ]);
         sink.record(&format!("p{period_ms}_slowdown_pct"), sd);
-        sink.record(&format!("p{period_ms}_broker_kb"), r.broker.payload_bytes as f64 / 1e3);
+        sink.record(
+            &format!("p{period_ms}_broker_kb"),
+            r.broker.payload_bytes as f64 / 1e3,
+        );
     }
     t.print();
     sink.note(
@@ -135,7 +138,10 @@ pub fn delay_cap(scale: ScaleProfile) -> ResultSink {
     ];
     let mut thunks: Vec<RunThunk> = vec![wc_alone(scale)];
     for (_, cap) in CAPS {
-        thunks.push(contended(scale, hdd_cluster(d2_policy(|c| c.delay_cap = cap))));
+        thunks.push(contended(
+            scale,
+            hdd_cluster(d2_policy(|c| c.delay_cap = cap)),
+        ));
     }
     let mut reports = SweepRunner::from_env().run_thunks(thunks).into_iter();
     let base = wc_secs(&reports.next().expect("baseline"));
@@ -149,10 +155,7 @@ pub fn delay_cap(scale: ScaleProfile) -> ResultSink {
             format!("{sd:+.0}%"),
             format!("{:.0}", r.runtime_secs("TeraGen").expect("tg")),
         ]);
-        sink.record(
-            &format!("cap_{}_slowdown_pct", label.replace(' ', "_")),
-            sd,
-        );
+        sink.record(&format!("cap_{}_slowdown_pct", label.replace(' ', "_")), sd);
     }
     t.print();
     sink.note(
@@ -286,7 +289,10 @@ pub fn network_control(scale: ScaleProfile) -> ResultSink {
             format!("{sd:+.0}%"),
             format!("{:.0}", r.runtime_secs("TeraGen").expect("tg")),
         ]);
-        let key = label.to_lowercase().replace([' ', '-', '+'], "_").replace("__", "_");
+        let key = label
+            .to_lowercase()
+            .replace([' ', '-', '+'], "_")
+            .replace("__", "_");
         sink.record(&format!("{key}_slowdown_pct"), sd);
     }
     t.print();

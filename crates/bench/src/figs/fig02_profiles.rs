@@ -75,7 +75,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
             written_bytes / 1e9,
         );
         let key = name.to_lowercase();
-        sink.record(&format!("{key}_runtime_s"), report.jobs[0].runtime.as_secs_f64());
+        sink.record(
+            &format!("{key}_runtime_s"),
+            report.jobs[0].runtime.as_secs_f64(),
+        );
         sink.record(&format!("{key}_peak_read_mbs"), peak_read);
         sink.record(&format!("{key}_peak_write_mbs"), peak_write);
         sink.record(&format!("{key}_read_gb"), read_bytes / 1e9);

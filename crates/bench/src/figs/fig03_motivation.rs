@@ -24,7 +24,10 @@ fn wc_phases(r: &RunReport) -> (f64, f64, f64) {
 /// Runs the figure for both storage setups.
 pub fn run(scale: ScaleProfile) -> ResultSink {
     let mut sink = ResultSink::new("fig03_motivation", scale.label());
-    println!("Fig. 3 — WordCount under contention on native Hadoop ({})\n", scale.label());
+    println!(
+        "Fig. 3 — WordCount under contention on native Hadoop ({})\n",
+        scale.label()
+    );
 
     let setups = [
         ("HDD", hdd_cluster(Policy::Native)),
@@ -55,7 +58,13 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     let mut reports = SweepRunner::from_env().run_thunks(thunks).into_iter();
 
     for (setup, _) in setups {
-        let mut table = Table::new(&["co-runner", "wc runtime (s)", "map (s)", "reduce (s)", "slowdown"]);
+        let mut table = Table::new(&[
+            "co-runner",
+            "wc runtime (s)",
+            "map (s)",
+            "reduce (s)",
+            "slowdown",
+        ]);
         let (base, bmap, bred) = wc_phases(&reports.next().expect("baseline report"));
         table.row(&[
             "— (alone)".into(),
@@ -77,7 +86,11 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
                 format!("{sd:+.0}%"),
             ]);
             sink.record(
-                &format!("{}_{}_slowdown_pct", setup.to_lowercase(), name.to_lowercase()),
+                &format!(
+                    "{}_{}_slowdown_pct",
+                    setup.to_lowercase(),
+                    name.to_lowercase()
+                ),
                 sd,
             );
         }

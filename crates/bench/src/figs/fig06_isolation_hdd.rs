@@ -45,9 +45,11 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     );
 
     let configs: Vec<(String, Policy)> = std::iter::once(("Native".to_string(), Policy::Native))
-        .chain([12u32, 8, 4, 2].into_iter().map(|d| {
-            (format!("SFQ(D={d})"), Policy::SfqD { depth: d })
-        }))
+        .chain(
+            [12u32, 8, 4, 2]
+                .into_iter()
+                .map(|d| (format!("SFQ(D={d})"), Policy::SfqD { depth: d })),
+        )
         .chain(std::iter::once(("SFQ(D2)".to_string(), sfqd2())))
         .collect();
 
@@ -129,8 +131,14 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         slowdown_pct(d2_21.wc_runtime, base),
         slowdown_pct(dd_21.wc_runtime, base)
     );
-    sink.record("ratio21_sfqd2_slowdown_pct", slowdown_pct(dd_21.wc_runtime, base));
-    sink.record("ratio21_sfqd2_static_slowdown_pct", slowdown_pct(d2_21.wc_runtime, base));
+    sink.record(
+        "ratio21_sfqd2_slowdown_pct",
+        slowdown_pct(dd_21.wc_runtime, base),
+    );
+    sink.record(
+        "ratio21_sfqd2_static_slowdown_pct",
+        slowdown_pct(d2_21.wc_runtime, base),
+    );
 
     sink.note(
         "Paper: Native +107%; SFQ(D=12) +86%, (D=8) +52%, (D=4) +14%, \

@@ -41,12 +41,7 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         .expect("wc finished");
     sink.record("wc_alone_s", base);
 
-    let mut table = Table::new(&[
-        "config",
-        "wc runtime (s)",
-        "slowdown",
-        "total thr (MB/s)",
-    ]);
+    let mut table = Table::new(&["config", "wc runtime (s)", "slowdown", "total thr (MB/s)"]);
     table.row(&[
         "wc alone".into(),
         format!("{base:.1}"),

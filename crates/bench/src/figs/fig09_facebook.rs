@@ -78,7 +78,12 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     let mut interfered = cdfs.next().expect("interfered case");
     let mut isolated = cdfs.next().expect("isolated case");
 
-    let mut table = Table::new(&["percentile", "Standalone (s)", "Interfered (s)", "SFQ(D2) (s)"]);
+    let mut table = Table::new(&[
+        "percentile",
+        "Standalone (s)",
+        "Interfered (s)",
+        "SFQ(D2) (s)",
+    ]);
     for q in [0.1, 0.25, 0.5, 0.75, 0.9, 1.0] {
         table.row(&[
             format!("p{:.0}", q * 100.0),

@@ -6,7 +6,9 @@
 //! (a) relative performance of each query w.r.t. its standalone runtime;
 //! (b) the average relative performance of the query/TeraSort pair.
 
-use crate::experiments::{hdd_cluster, relative_perf, run_thunk, sfqd2, ts_half, volumes, RunThunk};
+use crate::experiments::{
+    hdd_cluster, relative_perf, run_thunk, sfqd2, ts_half, volumes, RunThunk,
+};
 use crate::results::ResultSink;
 use crate::scale::ScaleProfile;
 use crate::table::Table;
@@ -119,7 +121,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         for (label, _) in &configs {
             let r = reports.next().expect("contended report");
             let qr = relative_perf(
-                r.query(&query.name).expect("query finished").runtime.as_secs_f64(),
+                r.query(&query.name)
+                    .expect("query finished")
+                    .runtime
+                    .as_secs_f64(),
                 q_base,
             );
             let tr = relative_perf(

@@ -142,7 +142,12 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
 
     let (fs_ratio, fs_sd) = best_fs.expect("fs sweep ran");
     let ((ib_fs, ib_io), ib_sd) = best_ibis.expect("ibis sweep ran");
-    println!("\nbest FS-only   (FS {fs_ratio:.0}:1):            TS {:+.0}%  TG {:+.0}%  avg {:.0}%", fs_sd.0, fs_sd.1, (fs_sd.0 + fs_sd.1) / 2.0);
+    println!(
+        "\nbest FS-only   (FS {fs_ratio:.0}:1):            TS {:+.0}%  TG {:+.0}%  avg {:.0}%",
+        fs_sd.0,
+        fs_sd.1,
+        (fs_sd.0 + fs_sd.1) / 2.0
+    );
     println!(
         "best FS + IBIS (FS {ib_fs:.0}:1, IBIS {ib_io:.0}:1): TS {:+.0}%  TG {:+.0}%  avg {:.0}%",
         ib_sd.0,

@@ -38,9 +38,7 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     // independent standalone simulations.
     let runs: Vec<(ibis_mapreduce::JobSpec, Policy)> = benchmarks
         .iter()
-        .flat_map(|(_, spec)| {
-            [(spec.clone(), Policy::Native), (spec.clone(), sfqd2())]
-        })
+        .flat_map(|(_, spec)| [(spec.clone(), Policy::Native), (spec.clone(), sfqd2())])
         .collect();
     let mut runtimes = run_alone(runs).into_iter();
 

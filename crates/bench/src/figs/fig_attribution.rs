@@ -40,7 +40,8 @@ fn traced_cluster(policy: Policy) -> ClusterConfig {
 
 fn run_case(label: &'static str, policy: Policy, text: &str) -> (&'static str, RunReport) {
     let mut exp = Experiment::new(traced_cluster(policy));
-    exp.add_trace(text).expect("fig_attribution: trace must parse");
+    exp.add_trace(text)
+        .expect("fig_attribution: trace must parse");
     (label, exp.run())
 }
 
@@ -117,7 +118,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
 
     // Joined long-form CSV: the sampled series plus the per-tenant
     // decomposition, one schema.
-    let (_, sfq) = cases.iter().find(|(l, _)| *l == "sfqd2").expect("sfqd2 case");
+    let (_, sfq) = cases
+        .iter()
+        .find(|(l, _)| *l == "sfqd2")
+        .expect("sfqd2 case");
     let trace = sfq.trace.as_ref().expect("trace assembled");
     let makespan = sfq.makespan.as_secs_f64();
     let extra: Vec<ExtraRow> = trace

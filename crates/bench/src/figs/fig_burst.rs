@@ -51,7 +51,10 @@ fn mix(scale: ScaleProfile) -> MixConfig {
             },
             batch_shape,
         ))
-        .tenant(burst_tenant("faas", BurstProfile::faas(faas_jobs).weight(32.0)))
+        .tenant(burst_tenant(
+            "faas",
+            BurstProfile::faas(faas_jobs).weight(32.0),
+        ))
 }
 
 struct Case {
@@ -92,9 +95,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     );
 
     let cases: Vec<Case> = SweepRunner::from_env()
-        .map(vec![("native", Policy::Native), ("sfqd2", sfqd2())], |_, (label, policy)| {
-            run_case(label, policy, scale)
-        })
+        .map(
+            vec![("native", Policy::Native), ("sfqd2", sfqd2())],
+            |_, (label, policy)| run_case(label, policy, scale),
+        )
         .into_iter()
         .collect();
 
@@ -111,8 +115,16 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         let r = &case.report;
         let faas = r.tenant("faas").expect("faas tenant reported");
         let batch = r.tenant("batch").expect("batch tenant reported");
-        assert_eq!(faas.finished, faas.submitted, "{}: faas lost jobs", case.label);
-        assert_eq!(batch.finished, batch.submitted, "{}: batch lost jobs", case.label);
+        assert_eq!(
+            faas.finished, faas.submitted,
+            "{}: faas lost jobs",
+            case.label
+        );
+        assert_eq!(
+            batch.finished, batch.submitted,
+            "{}: batch lost jobs",
+            case.label
+        );
 
         // Cold vs warm arrival→completion latency, from the per-job rows.
         let (mut cold_sum, mut cold_n, mut warm_sum, mut warm_n) = (0.0f64, 0u64, 0.0f64, 0u64);
@@ -126,8 +138,16 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
                 warm_n += 1;
             }
         }
-        let cold_mean = if cold_n > 0 { cold_sum / cold_n as f64 } else { f64::NAN };
-        let warm_mean = if warm_n > 0 { warm_sum / warm_n as f64 } else { f64::NAN };
+        let cold_mean = if cold_n > 0 {
+            cold_sum / cold_n as f64
+        } else {
+            f64::NAN
+        };
+        let warm_mean = if warm_n > 0 {
+            warm_sum / warm_n as f64
+        } else {
+            f64::NAN
+        };
 
         let fq = |q: f64| faas.latency_ms(q).unwrap_or(f64::NAN);
         let batch_p99_s = batch.latency_ms(0.99).map_or(f64::NAN, |ms| ms / 1e3);

@@ -47,7 +47,9 @@ pub fn controller_diagnostics(
         .expect("ctl_ref_ms sampled");
     let triples = zip_by_time(&latency.points_secs(), &reference.points_secs());
     let report = diagnose(&triples, &ConvergenceConfig::default());
-    let depth = cap.series_for("ctl_depth", labels).expect("ctl_depth sampled");
+    let depth = cap
+        .series_for("ctl_depth", labels)
+        .expect("ctl_depth sampled");
     let osc = oscillation_amplitude(&depth.values(), ConvergenceConfig::default().tail_fraction);
     (report, osc)
 }
@@ -72,14 +74,24 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
 
     let labels = Labels::on(0, 0);
     let depth = cap.series_for("ctl_depth", labels).expect("depth series");
-    let latency = cap.series_for("ctl_latency_ms", labels).expect("latency series");
+    let latency = cap
+        .series_for("ctl_latency_ms", labels)
+        .expect("latency series");
     let n = depth.points.len();
     let stride = (n / 40).max(1);
     let mut table = Table::new(&["t (s)", "D", "L(k) (ms)", "L(k)/L_ref"]);
     let reference = cap.series_for("ctl_ref_ms", labels).expect("ref series");
     let ratio_at = |t: f64| -> Option<f64> {
-        let l = latency.points_secs().iter().find(|p| p.0 == t).map(|p| p.1)?;
-        let r = reference.points_secs().iter().find(|p| p.0 == t).map(|p| p.1)?;
+        let l = latency
+            .points_secs()
+            .iter()
+            .find(|p| p.0 == t)
+            .map(|p| p.1)?;
+        let r = reference
+            .points_secs()
+            .iter()
+            .find(|p| p.0 == t)
+            .map(|p| p.1)?;
         (r > 0.0).then(|| l / r)
     };
     for (t, d) in depth.points_secs().iter().step_by(stride) {

@@ -54,7 +54,11 @@ fn broker_outage() -> FaultSchedule {
 /// abort and re-queue, in-flight reads fail over to surviving replicas,
 /// and the rebuilt schedulers re-converge from a cold (Dark) state.
 fn node_crash() -> FaultSchedule {
-    FaultSchedule::new(0xFA17).node_crash(2, SimTime::from_secs(30), Some(SimDuration::from_secs(20)))
+    FaultSchedule::new(0xFA17).node_crash(
+        2,
+        SimTime::from_secs(30),
+        Some(SimDuration::from_secs(20)),
+    )
 }
 
 /// Node 0's HDFS disk runs 3× slow for a 60 s window — the straggler
@@ -117,7 +121,11 @@ fn weighted_jain(r: &RunReport) -> f64 {
         .jobs
         .iter()
         .map(|j| {
-            let w = if j.name.starts_with("WordCount") { WC_WEIGHT } else { 1.0 };
+            let w = if j.name.starts_with("WordCount") {
+                WC_WEIGHT
+            } else {
+                1.0
+            };
             r.app_service.get(&j.app).copied().unwrap_or(0) as f64 / w
         })
         .collect();
@@ -169,7 +177,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
             RunReport::slowdown(makespan, baseline),
         );
         sink.record(&format!("{}_jain_weighted", s.name), jain);
-        sink.record(&format!("{}_broker_outages", s.name), f.broker_outages as f64);
+        sink.record(
+            &format!("{}_broker_outages", s.name),
+            f.broker_outages as f64,
+        );
         sink.record(&format!("{}_report_drops", s.name), f.report_drops as f64);
         sink.record(&format!("{}_retries", s.name), f.retries as f64);
         sink.record(&format!("{}_crashes", s.name), f.crashes as f64);
@@ -191,9 +202,15 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     // and every job must still finish in every scenario.
     let outage = &reports[1].faults.expect("faults active");
     assert!(outage.broker_outages > 0, "outage window never hit a sync");
-    assert!(outage.degraded_entries > 0, "no scheduler degraded during the outage");
+    assert!(
+        outage.degraded_entries > 0,
+        "no scheduler degraded during the outage"
+    );
     let crash = &reports[2].faults.expect("faults active");
-    assert!(crash.crashes == 1 && crash.restarts == 1, "crash/restart not injected");
+    assert!(
+        crash.crashes == 1 && crash.restarts == 1,
+        "crash/restart not injected"
+    );
     // A straggler breaks no coordination: the broker answers every round
     // and idle schedulers heartbeat, so none may fall back to local SFQ.
     let straggler = &reports[3].faults.expect("faults active");

@@ -418,7 +418,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
             ("jain_delta", delta),
             ("tree_bytes_per_node", tree_bpn),
             ("flat_bytes_per_node", flat_bpn),
-            ("flat_hotspot_bytes", flat.report.broker.payload_bytes as f64),
+            (
+                "flat_hotspot_bytes",
+                flat.report.broker.payload_bytes as f64,
+            ),
             ("audit_violations", violations as f64),
             ("audit_events", events as f64),
             ("degraded_marks", degraded as f64),

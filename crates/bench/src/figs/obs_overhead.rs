@@ -49,7 +49,13 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         0.0
     };
 
-    let mut t = Table::new(&["recorder", "wall (s)", "obs events", "events/s", "retained KB"]);
+    let mut t = Table::new(&[
+        "recorder",
+        "wall (s)",
+        "obs events",
+        "events/s",
+        "retained KB",
+    ]);
     t.row(&[
         "off".into(),
         format!("{:.3}", off.wall_secs),
@@ -73,7 +79,10 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     let mut report = audit(rec, &AuditConfig::default());
     let summary = report.summary();
     println!("audit: {summary}");
-    assert!(report.passed(), "recorded run failed the fairness audit: {summary}");
+    assert!(
+        report.passed(),
+        "recorded run failed the fairness audit: {summary}"
+    );
 
     sink.record("wall_off_s", off.wall_secs);
     sink.record("wall_on_s", on.wall_secs);

@@ -14,7 +14,11 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
 
     println!("Table 1 — configuration used in the evaluation\n");
     let mut t = Table::new(&["key", "paper", "this reproduction"]);
-    t.row(&["dfs.replication".into(), "3".into(), c.replication.to_string()]);
+    t.row(&[
+        "dfs.replication".into(),
+        "3".into(),
+        c.replication.to_string(),
+    ]);
     t.row(&[
         "dfs.block.size".into(),
         "134,217,728".into(),

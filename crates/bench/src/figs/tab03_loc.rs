@@ -66,10 +66,18 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
     let coordination = loc_of(&["crates/core/src/broker.rs"]);
 
     let mut t = Table::new(&["component", "paper LoC", "this repo LoC"]);
-    t.row(&["Interposition".into(), "2593".into(), interposition.to_string()]);
+    t.row(&[
+        "Interposition".into(),
+        "2593".into(),
+        interposition.to_string(),
+    ]);
     t.row(&["SFQ(D) scheduler".into(), "734".into(), sfqd.to_string()]);
     t.row(&["SFQ(D2) scheduler".into(), "1520".into(), sfqd2.to_string()]);
-    t.row(&["Scheduling coordination".into(), "1705".into(), coordination.to_string()]);
+    t.row(&[
+        "Scheduling coordination".into(),
+        "1705".into(),
+        coordination.to_string(),
+    ]);
     t.row(&[
         "Total (IBIS components)".into(),
         "6552".into(),

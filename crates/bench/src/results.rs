@@ -57,10 +57,7 @@ impl ResultSink {
 
     /// Looks up a recorded value.
     pub fn get(&self, key: &str) -> Option<f64> {
-        self.values
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
+        self.values.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
     }
 
     /// Writes `<experiment>.json` under [`dir`]. Errors are reported but
@@ -132,7 +129,9 @@ mod tests {
         // fig_attribution's joined CSV resolves through the same
         // directory, which `dir` creates when it is missing.
         std::fs::remove_dir_all(&tmp).expect("remove results dir");
-        let csv = dir().expect("results dir created").join("fig_attribution.csv");
+        let csv = dir()
+            .expect("results dir created")
+            .join("fig_attribution.csv");
         assert_eq!(csv, tmp.join("fig_attribution.csv"));
         assert!(tmp.is_dir());
         std::env::remove_var("IBIS_RESULTS_DIR");

@@ -82,8 +82,10 @@ impl SlabTables {
             dispatched: SimTime::ZERO,
         });
         self.seq += 1;
-        self.sched
-            .submit(Request::new(key.encode(), app, IoKind::Read, MICRO_BYTES), SimTime::ZERO);
+        self.sched.submit(
+            Request::new(key.encode(), app, IoKind::Read, MICRO_BYTES),
+            SimTime::ZERO,
+        );
         let r = self.sched.pop_dispatch(SimTime::ZERO).expect("dispatch");
         self.table
             .get_mut(IoKey::decode(r.id))

@@ -143,10 +143,7 @@ mod tests {
             1.5,
             64.0,
         );
-        assert!(
-            result.achieved_slowdown <= 1.5,
-            "missed target: {result:?}"
-        );
+        assert!(result.achieved_slowdown <= 1.5, "missed target: {result:?}");
         assert!(result.weight >= 1.0 && result.weight <= 64.0);
         assert!(result.probes.len() >= 2);
     }

@@ -2,11 +2,11 @@
 
 use ibis_core::scheduler::Policy;
 use ibis_dfs::Placement;
+use ibis_mapreduce::JobSpec;
 use ibis_simcore::units::{GIB, HDFS_BLOCK, IO_CHUNK};
 use ibis_simcore::SimDuration;
 use ibis_storage::{DeviceModel, Hdd, HddConfig, Ssd, SsdConfig};
 use ibis_workloads::HiveQuery;
-use ibis_mapreduce::JobSpec;
 
 // Re-exported so configs can name the ideal device without importing
 // ibis-storage directly.

@@ -171,8 +171,7 @@ fn coordination_preserves_work() {
         exp.add_job(terasort(GIB).max_slots(8).io_weight(4.0));
         exp.add_job(wordcount(GIB).max_slots(8));
         let r = exp.run();
-        let mut totals: Vec<(u32, u64)> =
-            r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
+        let mut totals: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
         totals.sort();
         totals
     };

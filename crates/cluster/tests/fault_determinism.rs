@@ -119,9 +119,7 @@ fn canonical_full(r: &RunReport) -> String {
     let m = r.metrics.as_ref().expect("metrics enabled");
     writeln!(s, "metrics samples={}", m.samples_taken).unwrap();
     let mut series: Vec<&ibis_metrics::Series> = m.series.iter().collect();
-    series.sort_by(|a, b| {
-        (&a.key.name, a.key.labels).cmp(&(&b.key.name, b.key.labels))
-    });
+    series.sort_by(|a, b| (&a.key.name, a.key.labels).cmp(&(&b.key.name, b.key.labels)));
     for sr in series {
         write!(s, "series {} {:?}:", sr.key.name, sr.key.labels).unwrap();
         for &(at, v) in &sr.points {
@@ -166,7 +164,10 @@ fn chaos_runs_are_byte_identical_across_sweep_parallelism() {
         .iter()
         .map(canonical_full)
         .collect();
-    assert_eq!(serial, parallel, "IBIS_JOBS=1 vs =2 diverged under fault injection");
+    assert_eq!(
+        serial, parallel,
+        "IBIS_JOBS=1 vs =2 diverged under fault injection"
+    );
 }
 
 /// FNV-1a over `s`'s bytes: a short fingerprint of a canonical report.
@@ -201,11 +202,21 @@ fn chaos_run_actually_injected_faults() {
     let exp = &batch()[1];
     let r = exp.run();
     let f = r.faults.expect("fault schedule active");
-    assert!(f.crashes == 1 && f.restarts == 1, "crash/restart missing: {f:?}");
-    assert!(f.broker_outages > 0, "outage window never hit a sync: {f:?}");
+    assert!(
+        f.crashes == 1 && f.restarts == 1,
+        "crash/restart missing: {f:?}"
+    );
+    assert!(
+        f.broker_outages > 0,
+        "outage window never hit a sync: {f:?}"
+    );
     assert!(f.report_drops > 0, "probabilistic drops never fired: {f:?}");
     assert!(f.degraded_entries > 0, "no scheduler ever degraded: {f:?}");
-    assert!(r.jobs.len() == 3, "all jobs should still finish: {:?}", r.jobs);
+    assert!(
+        r.jobs.len() == 3,
+        "all jobs should still finish: {:?}",
+        r.jobs
+    );
 }
 
 /// A rack-chaos recording: a 4-node-rack broker tree under a node crash,

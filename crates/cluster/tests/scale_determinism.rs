@@ -202,8 +202,14 @@ fn tree_broker_chaos_run_is_byte_identical_across_runs() {
     // The run really coordinated through the tree: scheduler reports
     // reached rack leaves, aggregator traffic flowed on level 1, the
     // rack topology steered transfers, and the chaos schedule fired.
-    assert!(serial.broker.reports > 0, "no scheduler reports reached a leaf");
-    assert!(serial.broker.agg_msgs > 0, "no leaf→root aggregator traffic");
+    assert!(
+        serial.broker.reports > 0,
+        "no scheduler reports reached a leaf"
+    );
+    assert!(
+        serial.broker.agg_msgs > 0,
+        "no leaf→root aggregator traffic"
+    );
     let faults = serial.faults.expect("chaos active");
     assert!(faults.crashes > 0);
     // The rack-scoped fault paths really fired: a leaf aggregator crashed
@@ -217,8 +223,14 @@ fn tree_broker_chaos_run_is_byte_identical_across_runs() {
     assert!(faults.reorder_reports > 0, "no reordered reports");
     assert!(faults.resyncs > 0, "protocol never ran a snapshot resync");
     assert!(serial.broker.resyncs > 0, "tree stats saw no resyncs");
-    assert!(serial.broker.dup_ignored > 0, "no duplicate was ever ignored");
-    assert!(serial.rack_local_transfers > 0, "rack topology saw no local transfers");
+    assert!(
+        serial.broker.dup_ignored > 0,
+        "no duplicate was ever ignored"
+    );
+    assert!(
+        serial.rack_local_transfers > 0,
+        "rack topology saw no local transfers"
+    );
     // Assignment ran through per-sweep candidate sets: some sweeps found
     // nothing placeable and stopped before visiting a node, and placements
     // cover every task at least once (crash-aborted tasks run again).

@@ -82,7 +82,14 @@ fn canonical(r: &RunReport) -> String {
         .unwrap();
     }
     for q in &r.queries {
-        writeln!(s, "query {} app={} rt={}", q.name, q.first_app.0, q.runtime.as_nanos()).unwrap();
+        writeln!(
+            s,
+            "query {} app={} rt={}",
+            q.name,
+            q.first_app.0,
+            q.runtime.as_nanos()
+        )
+        .unwrap();
     }
     let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
     service.sort_unstable();
@@ -144,7 +151,12 @@ fn env_selected_width_matches_serial() {
         .map(canonical)
         .collect();
     let env: Vec<String> = runner.run_all(batch()).iter().map(canonical).collect();
-    assert_eq!(serial, env, "env width {} diverged from serial", runner.jobs());
+    assert_eq!(
+        serial,
+        env,
+        "env width {} diverged from serial",
+        runner.jobs()
+    );
 }
 
 /// Mixed workloads across the policies whose engine paths differ most:
@@ -223,11 +235,18 @@ fn observed_batch_byte_identical_at_width_2_and_pinned() {
         .iter()
         .map(canonical_full)
         .collect();
-    assert_eq!(serial, parallel, "width 2 diverged from serial on the observed batch");
+    assert_eq!(
+        serial, parallel,
+        "width 2 diverged from serial on the observed batch"
+    );
     let digests: Vec<u64> = serial.iter().map(|s| fnv(s)).collect();
     assert_eq!(
         digests,
-        [0xfcc9_273a_1653_5fbc, 0x53ba_a196_1f96_308d, 0xb5b8_bd0b_3625_1c5e],
+        [
+            0xfcc9_273a_1653_5fbc,
+            0x53ba_a196_1f96_308d,
+            0xb5b8_bd0b_3625_1c5e
+        ],
         "observed batch canon moved"
     );
 }

@@ -15,9 +15,7 @@ use ibis_faults::{FaultSchedule, FaultsConfig};
 use ibis_metrics::MetricsConfig;
 use ibis_obs::ObsConfig;
 use ibis_simcore::{SimDuration, SimTime};
-use ibis_workgen::{
-    burst_tenant, ArrivalProcess, BurstProfile, JobShape, MixConfig, TenantSpec,
-};
+use ibis_workgen::{burst_tenant, ArrivalProcess, BurstProfile, JobShape, MixConfig, TenantSpec};
 use std::fmt::Write as _;
 
 /// The open-system scenario of the acceptance criteria: a Poisson batch
@@ -34,10 +32,7 @@ fn open_mix(seed: u64) -> MixConfig {
             },
             JobShape::heavy_tailed(),
         ))
-        .tenant(burst_tenant(
-            "faas",
-            BurstProfile::faas(1000).weight(1.0),
-        ))
+        .tenant(burst_tenant("faas", BurstProfile::faas(1000).weight(1.0)))
 }
 
 /// A small observed cluster, fast devices so a thousand jobs finish
@@ -195,7 +190,11 @@ fn open_system_run_is_byte_identical_across_runs() {
         canonical_full(&open_experiment(42, false).run()),
         "open-system run diverged between two runs of one seed"
     );
-    assert_eq!(fnv(&canon), 0xc01b_772f_aaef_7b01, "open-system canon moved");
+    assert_eq!(
+        fnv(&canon),
+        0xc01b_772f_aaef_7b01,
+        "open-system canon moved"
+    );
 }
 
 #[test]
@@ -248,5 +247,9 @@ fn chaos_trace_replay_is_deterministic() {
         canonical_full(&build().run()),
         "chaos trace replay diverged between two runs of one seed"
     );
-    assert_eq!(fnv(&canon), 0x5774_efcb_7ff6_a2db, "chaos trace replay canon moved");
+    assert_eq!(
+        fnv(&canon),
+        0x5774_efcb_7ff6_a2db,
+        "chaos trace replay canon moved"
+    );
 }

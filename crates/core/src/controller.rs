@@ -126,7 +126,9 @@ impl DepthController {
     /// Mean observed latency `L(k)` of the most recent control update, in
     /// milliseconds. `None` until the first update fires.
     pub fn last_latency_ms(&self) -> Option<f64> {
-        self.last_latency_ns.is_finite().then(|| self.last_latency_ns / 1e6)
+        self.last_latency_ns
+            .is_finite()
+            .then(|| self.last_latency_ns / 1e6)
     }
 
     /// Mix-weighted reference latency `L_ref` used by the most recent
@@ -238,7 +240,11 @@ mod tests {
             c.observe(true, SimDuration::from_millis(250));
         }
         c.maybe_update(SimTime::from_secs(1));
-        assert!((c.depth_f64() - (4.0 - 2.0)).abs() < 1e-9, "{}", c.depth_f64());
+        assert!(
+            (c.depth_f64() - (4.0 - 2.0)).abs() < 1e-9,
+            "{}",
+            c.depth_f64()
+        );
     }
 
     #[test]

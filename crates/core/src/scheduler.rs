@@ -116,7 +116,10 @@ pub trait IoScheduler {
     /// when sampling is disabled. The default exposes the queue/outstanding
     /// gauges every scheduler already tracks.
     fn sample_metrics(&self, _now: SimTime, out: &mut Vec<ibis_metrics::Sample>) {
-        out.push(ibis_metrics::Sample::global("sched_queued", self.queued() as f64));
+        out.push(ibis_metrics::Sample::global(
+            "sched_queued",
+            self.queued() as f64,
+        ));
         out.push(ibis_metrics::Sample::global(
             "sched_outstanding",
             self.outstanding() as f64,

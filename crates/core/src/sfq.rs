@@ -324,7 +324,8 @@ impl SfqD {
 
     #[inline(never)]
     fn obs_dispatched(&mut self, now: SimTime, io: u64, app: u32, start_tag: f64) {
-        self.obs.push(now, EventKind::Dispatched { io, app, start_tag });
+        self.obs
+            .push(now, EventKind::Dispatched { io, app, start_tag });
     }
 }
 
@@ -437,7 +438,8 @@ impl IoScheduler for SfqD {
             // Monotone: the broker may be momentarily behind our local view.
             flow.foreign_total = flow.foreign_total.max(foreign);
             if self.obs.enabled() {
-                self.obs.push(now, EventKind::BrokerSync { app: app.0, total });
+                self.obs
+                    .push(now, EventKind::BrokerSync { app: app.0, total });
             }
         }
         self.last_sync = Some(now);
@@ -512,7 +514,11 @@ impl IoScheduler for SfqD {
         }
         for flow in self.flows.iter() {
             let a = flow.app.0;
-            out.push(Sample::per_flow("sfq_flow_backlog_reqs", a, flow.backlog as f64));
+            out.push(Sample::per_flow(
+                "sfq_flow_backlog_reqs",
+                a,
+                flow.backlog as f64,
+            ));
             out.push(Sample::per_flow(
                 "sfq_flow_backlog_bytes",
                 a,
@@ -520,7 +526,11 @@ impl IoScheduler for SfqD {
             ));
             // How far the flow's newest finish tag runs ahead of virtual
             // time: the service (in weighted bytes) it is owed or owes.
-            out.push(Sample::per_flow("sfq_flow_tag_lag", a, flow.finish_tag - self.vtime));
+            out.push(Sample::per_flow(
+                "sfq_flow_tag_lag",
+                a,
+                flow.finish_tag - self.vtime,
+            ));
             out.push(Sample::per_flow(
                 "sfq_flow_local_service_bytes",
                 a,
@@ -563,7 +573,10 @@ mod tests {
 
     #[test]
     fn fifo_within_single_flow() {
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         for i in 0..5 {
             s.submit(req(i, A, 100), SimTime::ZERO);
         }
@@ -572,7 +585,10 @@ mod tests {
 
     #[test]
     fn equal_weights_interleave() {
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         s.set_weight(A, 1.0);
         s.set_weight(B, 1.0);
         // A floods first, then B: equal weights must interleave, not FIFO.
@@ -602,7 +618,10 @@ mod tests {
     #[test]
     fn weights_skew_service() {
         // weight 3:1, equal request sizes → A gets ~3 of every 4 services
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         s.set_weight(A, 3.0);
         s.set_weight(B, 1.0);
         for i in 0..30 {
@@ -623,7 +642,10 @@ mod tests {
     fn cost_by_bytes_not_count() {
         // B's requests are 4× larger; equal weights → A should get ~4× the
         // request count so that *bytes* are equal.
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         for i in 0..40 {
             s.submit(req(i, A, 100), SimTime::ZERO);
         }
@@ -642,7 +664,10 @@ mod tests {
 
     #[test]
     fn depth_bounds_outstanding() {
-        let mut s = SfqD::new(SfqConfig { depth: 3, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 3,
+            ..Default::default()
+        });
         for i in 0..10 {
             s.submit(req(i, A, 100), SimTime::ZERO);
         }
@@ -661,7 +686,10 @@ mod tests {
 
     #[test]
     fn set_depth_applies_immediately_upward() {
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         for i in 0..4 {
             s.submit(req(i, A, 100), SimTime::ZERO);
         }
@@ -676,7 +704,10 @@ mod tests {
 
     #[test]
     fn set_depth_never_revokes() {
-        let mut s = SfqD::new(SfqConfig { depth: 4, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 4,
+            ..Default::default()
+        });
         for i in 0..4 {
             s.submit(req(i, A, 100), SimTime::ZERO);
         }
@@ -698,7 +729,10 @@ mod tests {
         // A serves 10 requests while B is idle; B's first request must not
         // pre-empt the *entire* backlog it "missed" — SFQ start tags jump
         // to the current virtual time.
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         for i in 0..10 {
             s.submit(req(i, A, 100), SimTime::ZERO);
         }
@@ -723,7 +757,10 @@ mod tests {
     fn dsfq_delay_pushes_flow_back() {
         // Two flows, equal weights. The broker tells us A already received
         // lots of service elsewhere; A's next requests must yield to B.
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         s.set_weight(A, 1.0);
         s.set_weight(B, 1.0);
         s.apply_global_service(&[(A, 1000)], SimTime::ZERO);
@@ -745,7 +782,10 @@ mod tests {
 
     #[test]
     fn dsfq_delay_consumed_once() {
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         s.apply_global_service(&[(A, 500)], SimTime::ZERO);
         s.submit(req(0, A, 100), SimTime::ZERO); // consumes the 500 delay
         s.submit(req(1, A, 100), SimTime::ZERO); // must not pay again
@@ -807,7 +847,10 @@ mod tests {
         let mut s = SfqD::new(SfqConfig::default());
         let mut last = s.virtual_time();
         for i in 0..50 {
-            s.submit(req(i, if i % 2 == 0 { A } else { B }, 100 + i), SimTime::ZERO);
+            s.submit(
+                req(i, if i % 2 == 0 { A } else { B }, 100 + i),
+                SimTime::ZERO,
+            );
         }
         loop {
             match s.pop_dispatch(SimTime::ZERO) {
@@ -830,7 +873,13 @@ mod tests {
             SimTime::ZERO,
         );
         let r = s.pop_dispatch(SimTime::ZERO).unwrap();
-        s.on_complete(r.app, r.kind, r.bytes, SimDuration::from_millis(5), SimTime::ZERO);
+        s.on_complete(
+            r.app,
+            r.kind,
+            r.bytes,
+            SimDuration::from_millis(5),
+            SimTime::ZERO,
+        );
         assert_eq!(s.decisions(), 3);
         s.apply_global_service(&[(A, 100)], SimTime::ZERO);
         assert_eq!(s.decisions(), 4);
@@ -838,23 +887,41 @@ mod tests {
 
     #[test]
     fn recording_captures_lifecycle_in_order() {
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         s.set_recording(true);
         s.apply_global_service(&[(A, 500)], SimTime::ZERO);
         s.submit(req(0, A, 100), SimTime::from_secs(1));
         let r = s.pop_dispatch(SimTime::from_secs(2)).unwrap();
-        s.on_complete(r.app, r.kind, r.bytes, SimDuration::ZERO, SimTime::from_secs(3));
+        s.on_complete(
+            r.app,
+            r.kind,
+            r.bytes,
+            SimDuration::ZERO,
+            SimTime::from_secs(3),
+        );
         let mut out = Vec::new();
         s.take_events(&mut out);
         // BrokerSync, DelayApplied (500 foreign), RequestTagged, Dispatched
         // — in processing order; completions are recorded by the engine.
         assert_eq!(out.len(), 4);
-        assert!(matches!(out[0].1, EventKind::BrokerSync { app: 1, total: 500 }));
-        assert!(matches!(out[1].1, EventKind::DelayApplied { app: 1, delay: 500 }));
+        assert!(matches!(
+            out[0].1,
+            EventKind::BrokerSync { app: 1, total: 500 }
+        ));
+        assert!(matches!(
+            out[1].1,
+            EventKind::DelayApplied { app: 1, delay: 500 }
+        ));
         assert!(
             matches!(out[2].1, EventKind::RequestTagged { io: 0, app: 1, bytes: 100, start_tag, .. } if start_tag == 500.0)
         );
-        assert!(matches!(out[3].1, EventKind::Dispatched { io: 0, app: 1, .. }));
+        assert!(matches!(
+            out[3].1,
+            EventKind::Dispatched { io: 0, app: 1, .. }
+        ));
         let mut rep = Vec::new();
         s.drain_service_report(&mut rep);
         assert!(rep == vec![(A, 100)]);
@@ -872,7 +939,10 @@ mod tests {
 
     #[test]
     fn backlog_tracks_per_flow() {
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         s.submit(req(0, A, 100), SimTime::ZERO);
         s.submit(req(1, A, 100), SimTime::ZERO);
         s.submit(req(2, B, 100), SimTime::ZERO);
@@ -885,7 +955,10 @@ mod tests {
     #[test]
     fn degraded_mode_charges_no_delay_and_defers_foreign() {
         let bound = SimDuration::from_secs(3);
-        let mut s = SfqD::new(SfqConfig { depth: 1, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 1,
+            ..Default::default()
+        });
         s.set_weight(A, 1.0);
         s.set_weight(B, 1.0);
         // Sync at t=0: A has 1000 B of foreign service pending.
@@ -937,7 +1010,10 @@ mod tests {
             .iter()
             .map(|(_, k)| k)
             .filter(|k| {
-                matches!(k, EventKind::DegradedEnter { .. } | EventKind::DegradedExit { .. })
+                matches!(
+                    k,
+                    EventKind::DegradedEnter { .. } | EventKind::DegradedExit { .. }
+                )
             })
             .collect();
         assert_eq!(markers.len(), 2, "{out:?}");
@@ -952,7 +1028,10 @@ mod tests {
     #[test]
     fn sample_metrics_exposes_queue_and_flows() {
         use ibis_metrics::Sample;
-        let mut s = SfqD::new(SfqConfig { depth: 2, ..Default::default() });
+        let mut s = SfqD::new(SfqConfig {
+            depth: 2,
+            ..Default::default()
+        });
         s.submit(req(0, A, 100), SimTime::ZERO);
         s.submit(req(1, A, 300), SimTime::ZERO);
         s.submit(req(2, B, 50), SimTime::ZERO);

@@ -136,7 +136,10 @@ impl IoScheduler for SfqD2 {
         use ibis_metrics::Sample;
         self.inner.sample_metrics(now, out);
         out.push(Sample::global("ctl_depth", self.controller.depth_f64()));
-        out.push(Sample::global("ctl_updates", self.controller.updates() as f64));
+        out.push(Sample::global(
+            "ctl_updates",
+            self.controller.updates() as f64,
+        ));
         // L(k) / L_ref are NaN until the first control update; the sampler
         // drops non-finite points, so the series simply starts later.
         out.push(Sample::global(
@@ -224,7 +227,13 @@ mod tests {
         let r = s.pop_dispatch(SimTime::ZERO).unwrap();
         assert_eq!(r.id, 0);
         assert_eq!(s.outstanding(), 1);
-        s.on_complete(r.app, r.kind, r.bytes, SimDuration::from_millis(1), SimTime::ZERO);
+        s.on_complete(
+            r.app,
+            r.kind,
+            r.bytes,
+            SimDuration::from_millis(1),
+            SimTime::ZERO,
+        );
         assert_eq!(s.outstanding(), 0);
         let mut rep = Vec::new();
         s.drain_service_report(&mut rep);
@@ -263,9 +272,7 @@ mod tests {
     /// and the diagnostics module must report a finite settling time.
     #[test]
     fn step_load_settles_within_tolerance() {
-        use ibis_metrics::convergence::{
-            diagnose, oscillation_amplitude, ConvergenceConfig,
-        };
+        use ibis_metrics::convergence::{diagnose, oscillation_amplitude, ConvergenceConfig};
         use ibis_metrics::Sample;
 
         let mut s = controlled();
@@ -300,7 +307,10 @@ mod tests {
                 let mut out = Vec::new();
                 s.sample_metrics(now, &mut out);
                 let get = |name: &str| {
-                    out.iter().find(|smp: &&Sample| smp.name == name).unwrap().value
+                    out.iter()
+                        .find(|smp: &&Sample| smp.name == name)
+                        .unwrap()
+                        .value
                 };
                 let (l, l_ref) = (get("ctl_latency_ms"), get("ctl_ref_ms"));
                 if l.is_finite() && l_ref.is_finite() {

@@ -119,8 +119,13 @@ fn foreign_key(key: impl fmt::Debug, slots: usize) -> ! {
 
 enum Slot<V> {
     /// Free slot; `generation` is the one the *next* occupant will get.
-    Vacant { generation: u32 },
-    Occupied { generation: u32, value: V },
+    Vacant {
+        generation: u32,
+    },
+    Occupied {
+        generation: u32,
+        value: V,
+    },
 }
 
 /// A dense generational arena: values in a `Vec`, freed slots reused LIFO,

@@ -24,7 +24,10 @@ struct Round {
 fn round_strategy() -> impl Strategy<Value = Round> {
     (
         prop::collection::vec(
-            (0u8..12, prop::collection::vec((0u8..6, 0u32..1_000_000), 0..4)),
+            (
+                0u8..12,
+                prop::collection::vec((0u8..6, 0u32..1_000_000), 0..4),
+            ),
             0..8,
         ),
         prop::collection::vec(0u8..6, 0..2),

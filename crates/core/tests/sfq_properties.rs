@@ -214,14 +214,26 @@ mod flow_table {
     /// One scheduler call; `app` indexes the case's app universe.
     #[derive(Debug, Clone)]
     pub enum Call {
-        SetWeight { app: u16, weight: u8 },
-        Submit { app: u16, bytes: u32 },
+        SetWeight {
+            app: u16,
+            weight: u8,
+        },
+        Submit {
+            app: u16,
+            bytes: u32,
+        },
         Dispatch,
         /// Completes outstanding request `pick % outstanding`.
-        Complete { pick: u16 },
+        Complete {
+            pick: u16,
+        },
         Drain,
         /// Global totals for apps `first..first + len` (clamped).
-        Apply { first: u16, len: u8, total: u32 },
+        Apply {
+            first: u16,
+            len: u8,
+            total: u32,
+        },
     }
 
     pub fn call() -> impl Strategy<Value = Call> {
@@ -257,7 +269,10 @@ mod flow_table {
     /// exactly the apps served since the previous drain, sorted, and
     /// the per-flow metrics must list flows in first-registration order.
     pub fn check(apps: &[AppId], depth: u32, calls: &[Call]) {
-        let mut s = SfqD::new(SfqConfig { depth, delay_cap: None });
+        let mut s = SfqD::new(SfqConfig {
+            depth,
+            delay_cap: None,
+        });
         let mut registered: Vec<AppId> = Vec::new();
         let mut unreported: BTreeMap<AppId, u64> = BTreeMap::new();
         let mut backlog: BTreeMap<AppId, usize> = BTreeMap::new();
@@ -280,7 +295,10 @@ mod flow_table {
                 Call::Submit { app, bytes } => {
                     let app = app_at(app);
                     see(&mut registered, app);
-                    s.submit(Request::new(next_id, app, IoKind::Read, bytes as u64), SimTime::ZERO);
+                    s.submit(
+                        Request::new(next_id, app, IoKind::Read, bytes as u64),
+                        SimTime::ZERO,
+                    );
                     next_id += 1;
                     *backlog.entry(app).or_default() += 1;
                 }
@@ -299,8 +317,11 @@ mod flow_table {
                 }
                 Call::Drain => {
                     s.drain_service_report(&mut report);
-                    let want: Vec<(AppId, u64)> =
-                        unreported.iter().filter(|&(_, &b)| b > 0).map(|(&a, &b)| (a, b)).collect();
+                    let want: Vec<(AppId, u64)> = unreported
+                        .iter()
+                        .filter(|&(_, &b)| b > 0)
+                        .map(|(&a, &b)| (a, b))
+                        .collect();
                     assert_eq!(report, want, "drain reported the wrong apps");
                     unreported.clear();
                 }

@@ -58,7 +58,11 @@ fn round_strategy() -> impl Strategy<Value = Round> {
                 prop::collection::vec((0u8..6, 0u32..1_000_000), 0..4),
                 disp_strategy(),
             )
-                .prop_map(|(node, entries, disp)| Action { node, entries, disp }),
+                .prop_map(|(node, entries, disp)| Action {
+                    node,
+                    entries,
+                    disp,
+                }),
             0..10,
         ),
         prop_oneof![

@@ -266,10 +266,7 @@ impl Namenode {
     /// Registers a pre-loaded input file of `total_bytes`, placed by the
     /// configured policy, and returns its block list (in file order).
     pub fn create_file(&mut self, name: &str, total_bytes: u64) -> Vec<BlockId> {
-        assert!(
-            !self.files.contains_key(name),
-            "file {name} already exists"
-        );
+        assert!(!self.files.contains_key(name), "file {name} already exists");
         let blocks: Vec<BlockId> = ibis_simcore::units::chunks(total_bytes, self.cfg.block_size)
             .map(|bytes| {
                 let primary = self.pick_primary();
@@ -343,10 +340,7 @@ mod tests {
         let mut n = nn(8);
         let blocks = n.create_file("input", 300 * MIB);
         assert_eq!(blocks.len(), 3);
-        let sizes: Vec<u64> = blocks
-            .iter()
-            .map(|&b| n.locate(b).unwrap().bytes)
-            .collect();
+        let sizes: Vec<u64> = blocks.iter().map(|&b| n.locate(b).unwrap().bytes).collect();
         assert_eq!(sizes, vec![128 * MIB, 128 * MIB, 44 * MIB]);
     }
 
@@ -443,7 +437,14 @@ mod tests {
         let mut out = Vec::new();
         n.take_placements(&mut out);
         assert_eq!(out.len(), 4); // 3 input blocks + 1 write
-        assert!(matches!(out[3], EventKind::BlockPlaced { primary: 3, replicas: 3, .. }));
+        assert!(matches!(
+            out[3],
+            EventKind::BlockPlaced {
+                primary: 3,
+                replicas: 3,
+                ..
+            }
+        ));
         // Drained exactly once.
         let mut again = Vec::new();
         n.take_placements(&mut again);
@@ -501,11 +502,7 @@ mod tests {
             assert_eq!(info.replicas.len(), 3);
             assert_eq!(info.replicas[0], NodeId(writer));
             let rack = writer / 4;
-            let off: Vec<_> = info
-                .replicas
-                .iter()
-                .filter(|r| r.0 / 4 != rack)
-                .collect();
+            let off: Vec<_> = info.replicas.iter().filter(|r| r.0 / 4 != rack).collect();
             assert_eq!(off.len(), 1, "writer {writer}: {:?}", info.replicas);
             // Same-rack secondary listed before the off-rack one.
             assert_eq!(info.replicas[1].0 / 4, rack, "{:?}", info.replicas);
@@ -544,7 +541,11 @@ mod tests {
         // from the other rack.
         let info = n.allocate_block(NodeId(0), 128 * MIB);
         assert_eq!(info.replicas[0], NodeId(0));
-        assert!(info.replicas[1..].iter().all(|r| r.0 >= 4), "{:?}", info.replicas);
+        assert!(
+            info.replicas[1..].iter().all(|r| r.0 >= 4),
+            "{:?}",
+            info.replicas
+        );
     }
 
     #[test]

@@ -352,9 +352,7 @@ impl FaultSchedule {
     /// The shared 1-in-N coin: true when the hash of (seed ⊕ salt, node,
     /// dev, sync index) selects this site.
     fn report_coin(&self, salt: u64, node: u32, dev: u8, sync_index: u64, one_in: u64) -> bool {
-        let h = mix64(
-            self.seed ^ salt ^ ((node as u64) << 40) ^ ((dev as u64) << 32) ^ sync_index,
-        );
+        let h = mix64(self.seed ^ salt ^ ((node as u64) << 40) ^ ((dev as u64) << 32) ^ sync_index);
         h.is_multiple_of(one_in)
     }
 
@@ -600,8 +598,7 @@ fn parse_fault(part: &str) -> Result<Fault, String> {
             let rack: u32 = rack_str.parse().map_err(|_| {
                 format!("bad rack id {rack_str:?} in {part:?} (want {kind}:<rack>@START+DUR)")
             })?;
-            let duration =
-                dur.ok_or_else(|| format!("fault spec {part:?} missing '+DURATION'"))?;
+            let duration = dur.ok_or_else(|| format!("fault spec {part:?} missing '+DURATION'"))?;
             return Ok(if kind == "agg" {
                 Fault::AggregatorCrash {
                     rack,
@@ -621,8 +618,7 @@ fn parse_fault(part: &str) -> Result<Fault, String> {
     let head = fields.next().unwrap_or("");
     let (kind, start, dur) = parse_at(head)?;
     let rest: Vec<&str> = fields.collect();
-    let need_dur =
-        || dur.ok_or_else(|| format!("fault spec {part:?} missing '+DURATION'"));
+    let need_dur = || dur.ok_or_else(|| format!("fault spec {part:?} missing '+DURATION'"));
     let field = |prefix: &str| -> Result<&str, String> {
         rest.iter()
             .find_map(|f| f.strip_prefix(prefix))
@@ -684,7 +680,9 @@ fn parse_fault(part: &str) -> Result<Fault, String> {
             Ok(Fault::DeviceSlowdown {
                 node: node.parse().map_err(|_| format!("bad node {node:?}"))?,
                 dev: dev.parse().map_err(|_| format!("bad device {dev:?}"))?,
-                factor: factor.parse().map_err(|_| format!("bad factor {factor:?}"))?,
+                factor: factor
+                    .parse()
+                    .map_err(|_| format!("bad factor {factor:?}"))?,
                 start,
                 duration: need_dur()?,
             })
@@ -783,8 +781,16 @@ mod tests {
     #[test]
     fn reply_delay_takes_longest_active_window() {
         let s = FaultSchedule::new(1)
-            .delay_replies(t(0), SimDuration::from_secs(20), SimDuration::from_millis(200))
-            .delay_replies(t(5), SimDuration::from_secs(5), SimDuration::from_millis(700));
+            .delay_replies(
+                t(0),
+                SimDuration::from_secs(20),
+                SimDuration::from_millis(200),
+            )
+            .delay_replies(
+                t(5),
+                SimDuration::from_secs(5),
+                SimDuration::from_millis(700),
+            );
         assert_eq!(s.reply_delay(t(2)), Some(SimDuration::from_millis(200)));
         assert_eq!(s.reply_delay(t(6)), Some(SimDuration::from_millis(700)));
         assert_eq!(s.reply_delay(t(30)), None);
@@ -808,7 +814,10 @@ mod tests {
             .collect();
         assert_ne!(sites, other, "different seed ⇒ different coin flips");
         let dropped = sites.iter().filter(|&&d| d).count();
-        assert!(dropped > 0 && dropped < 64, "1-in-3 should be partial: {dropped}");
+        assert!(
+            dropped > 0 && dropped < 64,
+            "1-in-3 should be partial: {dropped}"
+        );
     }
 
     #[test]
@@ -960,7 +969,9 @@ mod tests {
     #[test]
     fn validate_racks_rejects_out_of_range_ids() {
         let s = FaultSchedule::parse("agg:4@10s+5s", 1).expect("syntactically valid");
-        let err = s.validate_racks(4).expect_err("rack 4 of 4 is out of range");
+        let err = s
+            .validate_racks(4)
+            .expect_err("rack 4 of 4 is out of range");
         assert!(
             err.contains("rack 4") && err.contains("valid: 0..=3"),
             "error should name the bad rack and the valid range: {err}"
@@ -997,9 +1008,18 @@ mod tests {
     fn duration_suffixes() {
         assert_eq!(parse_duration("90s").unwrap(), SimDuration::from_secs(90));
         assert_eq!(parse_duration("1.5m").unwrap(), SimDuration::from_secs(90));
-        assert_eq!(parse_duration("250ms").unwrap(), SimDuration::from_millis(250));
-        assert_eq!(parse_duration("64us").unwrap(), SimDuration::from_micros(64));
-        assert_eq!(parse_duration("100ns").unwrap(), SimDuration::from_nanos(100));
+        assert_eq!(
+            parse_duration("250ms").unwrap(),
+            SimDuration::from_millis(250)
+        );
+        assert_eq!(
+            parse_duration("64us").unwrap(),
+            SimDuration::from_micros(64)
+        );
+        assert_eq!(
+            parse_duration("100ns").unwrap(),
+            SimDuration::from_nanos(100)
+        );
         assert_eq!(parse_duration("5").unwrap(), SimDuration::from_secs(5));
         assert!(parse_duration("-1s").is_err());
         assert!(parse_duration("nan").is_err());

@@ -272,12 +272,7 @@ impl JobManager {
 
     /// Submits a job. `input_blocks` must already be resolved against the
     /// namenode (empty for generator jobs).
-    pub fn submit(
-        &mut self,
-        spec: JobSpec,
-        input_blocks: Vec<BlockInfo>,
-        now: SimTime,
-    ) -> JobId {
+    pub fn submit(&mut self, spec: JobSpec, input_blocks: Vec<BlockInfo>, now: SimTime) -> JobId {
         self.submit_internal(spec, input_blocks, now, None)
     }
 
@@ -333,7 +328,10 @@ impl JobManager {
     /// Re-derives `id`'s membership in the assignment index after a
     /// mutation that may have placed its last task or handed work back.
     fn reindex(&mut self, id: JobId) {
-        let has_work = self.jobs.get(&id).is_some_and(JobRuntime::has_unplaced_work);
+        let has_work = self
+            .jobs
+            .get(&id)
+            .is_some_and(JobRuntime::has_unplaced_work);
         if has_work {
             self.work_index.insert(id);
         } else {
@@ -729,8 +727,7 @@ impl JobManager {
                     wf.finished_at = Some(now);
                 } else {
                     let next_spec = wf.remaining.remove(0);
-                    let next =
-                        self.submit_internal(next_spec, output, now, Some(wf_idx));
+                    let next = self.submit_internal(next_spec, output, now, Some(wf_idx));
                     self.workflows[wf_idx].stages_submitted.push(next);
                     events.push(JobEvent::StageSubmitted {
                         job: next,
@@ -1047,10 +1044,7 @@ mod tests {
         let m2 = jm.try_assign(NodeId(1), NODE_MEM).unwrap();
         jm.on_task_finished(m2.task, SimTime::from_secs(3));
         assert!(jm.all_done());
-        assert_eq!(
-            jm.workflow_runtime(first),
-            Some(SimDuration::from_secs(3))
-        );
+        assert_eq!(jm.workflow_runtime(first), Some(SimDuration::from_secs(3)));
         assert_eq!(jm.workflow_name(first), Some("q"));
     }
 
@@ -1066,9 +1060,6 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(jm.job(id).unwrap().maps_total(), 16);
-        assert_eq!(
-            jm.job(id).unwrap().effective_input_bytes(),
-            16 * 128 * MIB
-        );
+        assert_eq!(jm.job(id).unwrap().effective_input_bytes(), 16 * 128 * MIB);
     }
 }

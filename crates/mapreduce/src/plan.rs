@@ -8,10 +8,10 @@
 //! workspace convention (4 MiB interposed requests, `units::IO_CHUNK`).
 
 use crate::spec::{InputSpec, JobSpec};
+use ibis_core::{IoClass, IoKind};
 use ibis_dfs::{BlockInfo, NodeId};
 use ibis_simcore::units::{chunks, transfer_time};
 use ibis_simcore::SimDuration;
-use ibis_core::{IoClass, IoKind};
 
 /// One step of a task plan, executed by the cluster engine in order.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,7 +151,11 @@ pub fn plan_map_task(
             return node;
         }
         if let Some(rack) = node.0.checked_div(rack_size) {
-            let same = b.replicas.iter().filter(|r| r.0 / rack_size == rack).count();
+            let same = b
+                .replicas
+                .iter()
+                .filter(|r| r.0 / rack_size == rack)
+                .count();
             if same > 0 {
                 return *b
                     .replicas
@@ -177,7 +181,11 @@ pub fn plan_map_task(
     } else {
         (input_bytes as f64 * spec.map_output_ratio) as u64
     };
-    let drive_bytes = if gen_bytes > 0 { gen_bytes } else { input_bytes };
+    let drive_bytes = if gen_bytes > 0 {
+        gen_bytes
+    } else {
+        input_bytes
+    };
 
     let mut spill_acc: f64 = 0.0;
     let mut spill_count: u32 = 0;
@@ -399,7 +407,10 @@ mod tests {
         let local_reads = plan.class_bytes(IoClass::Persistent, IoKind::Read);
         assert_eq!(local_reads, 128 * MIB);
         assert!(
-            !plan.steps.iter().any(|s| matches!(s, Step::RemoteRead { .. })),
+            !plan
+                .steps
+                .iter()
+                .any(|s| matches!(s, Step::RemoteRead { .. })),
             "local task must not read remotely"
         );
     }
@@ -468,7 +479,10 @@ mod tests {
         let spec = JobSpec {
             map_output_ratio: 0.25, // 32 MiB output < 100 MiB sort buffer
             reduces: 4,
-            input: InputSpec::DfsFile { name: "in".into(), bytes: 0 },
+            input: InputSpec::DfsFile {
+                name: "in".into(),
+                bytes: 0,
+            },
             ..JobSpec::named("wc")
         };
         let b = block(128 * MIB, vec![0]);
@@ -495,7 +509,15 @@ mod tests {
         let new_blocks = plan
             .steps
             .iter()
-            .filter(|s| matches!(s, Step::HdfsWriteChunk { new_block: true, .. }))
+            .filter(|s| {
+                matches!(
+                    s,
+                    Step::HdfsWriteChunk {
+                        new_block: true,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(new_blocks, 1);
     }
@@ -506,16 +528,16 @@ mod tests {
             map_cpu_rate: 128.0 * MIB as f64, // whole block in 1 s
             reduces: 4,
             map_output_ratio: 0.0,
-            input: InputSpec::DfsFile { name: "in".into(), bytes: 0 },
+            input: InputSpec::DfsFile {
+                name: "in".into(),
+                bytes: 0,
+            },
             ..JobSpec::named("cpu")
         };
         let b = block(128 * MIB, vec![0]);
         let plan = plan_map_task(&spec, NodeId(0), Some(&b), 0, 0, CHUNK, 0);
         let total = plan.total_compute();
-        assert!(
-            (total.as_secs_f64() - 1.0).abs() < 1e-9,
-            "compute {total}"
-        );
+        assert!((total.as_secs_f64() - 1.0).abs() < 1e-9, "compute {total}");
     }
 
     #[test]

@@ -27,7 +27,10 @@ pub struct ConvergenceConfig {
 
 impl Default for ConvergenceConfig {
     fn default() -> Self {
-        ConvergenceConfig { tolerance: 0.10, tail_fraction: 0.25 }
+        ConvergenceConfig {
+            tolerance: 0.10,
+            tail_fraction: 0.25,
+        }
     }
 }
 
@@ -169,7 +172,11 @@ mod tests {
         assert_eq!(r.settling_time_s, Some(3.0));
         // overshoot: after first entry (t=3? no — 0.8 is out of band; first
         // in-band is t=4) the worst excursion is 0 beyond the band
-        assert!(r.overshoot_pct.abs() < 1e-9, "overshoot {}", r.overshoot_pct);
+        assert!(
+            r.overshoot_pct.abs() < 1e-9,
+            "overshoot {}",
+            r.overshoot_pct
+        );
         assert!(r.steady_state_error_pct < 2.0);
         assert!((r.tail_mean_ratio - 1.0).abs() < 0.02);
     }
@@ -177,12 +184,15 @@ mod tests {
     #[test]
     fn overshoot_measured_after_band_entry() {
         // enters the band at t=2, then swings out to 1.3 before settling
-        let pts =
-            vec![(1.0, 2.0), (2.0, 1.05), (3.0, 1.3), (4.0, 1.0), (5.0, 1.0)];
+        let pts = vec![(1.0, 2.0), (2.0, 1.05), (3.0, 1.3), (4.0, 1.0), (5.0, 1.0)];
         let r = diagnose_ratio(&pts, &ConvergenceConfig::default());
         assert!(r.settled);
         assert_eq!(r.settling_time_s, Some(3.0));
-        assert!((r.overshoot_pct - 20.0).abs() < 1e-9, "overshoot {}", r.overshoot_pct);
+        assert!(
+            (r.overshoot_pct - 20.0).abs() < 1e-9,
+            "overshoot {}",
+            r.overshoot_pct
+        );
     }
 
     #[test]
@@ -211,7 +221,12 @@ mod tests {
 
     #[test]
     fn diagnose_skips_bad_references() {
-        let pts = vec![(1.0, 50.0, 50.0), (2.0, 50.0, 0.0), (3.0, 55.0, f64::NAN), (4.0, 50.0, 50.0)];
+        let pts = vec![
+            (1.0, 50.0, 50.0),
+            (2.0, 50.0, 0.0),
+            (3.0, 55.0, f64::NAN),
+            (4.0, 50.0, 50.0),
+        ];
         let r = diagnose(&pts, &ConvergenceConfig::default());
         assert_eq!(r.samples, 2);
         assert!(r.settled);
@@ -230,6 +245,9 @@ mod tests {
     fn zip_matches_timestamps() {
         let a = vec![(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)];
         let b = vec![(2.0, 2.0), (3.0, 3.0), (4.0, 4.0)];
-        assert_eq!(zip_by_time(&a, &b), vec![(2.0, 20.0, 2.0), (3.0, 30.0, 3.0)]);
+        assert_eq!(
+            zip_by_time(&a, &b),
+            vec![(2.0, 20.0, 2.0), (3.0, 30.0, 3.0)]
+        );
     }
 }

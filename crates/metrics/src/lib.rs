@@ -61,7 +61,10 @@ pub struct MetricsConfig {
 
 impl Default for MetricsConfig {
     fn default() -> Self {
-        MetricsConfig { enabled: false, sample_period: DEFAULT_SAMPLE_PERIOD }
+        MetricsConfig {
+            enabled: false,
+            sample_period: DEFAULT_SAMPLE_PERIOD,
+        }
     }
 }
 
@@ -70,14 +73,23 @@ impl MetricsConfig {
     /// sampling at the default cadence.
     pub fn from_env() -> Self {
         let enabled = std::env::var("IBIS_METRICS").is_ok_and(|v| v == "1" || v == "true");
-        MetricsConfig { enabled, sample_period: DEFAULT_SAMPLE_PERIOD }
+        MetricsConfig {
+            enabled,
+            sample_period: DEFAULT_SAMPLE_PERIOD,
+        }
     }
 
     /// An enabled config with an explicit sampling cadence.
     pub fn enabled(sample_period: SimDuration) -> Self {
-        let sample_period =
-            if sample_period.is_zero() { DEFAULT_SAMPLE_PERIOD } else { sample_period };
-        MetricsConfig { enabled: true, sample_period }
+        let sample_period = if sample_period.is_zero() {
+            DEFAULT_SAMPLE_PERIOD
+        } else {
+            sample_period
+        };
+        MetricsConfig {
+            enabled: true,
+            sample_period,
+        }
     }
 }
 
@@ -102,12 +114,20 @@ pub struct Sample {
 impl Sample {
     /// A scheduler-wide observation (no flow label).
     pub fn global(name: &'static str, value: f64) -> Self {
-        Sample { name, app: None, value }
+        Sample {
+            name,
+            app: None,
+            value,
+        }
     }
 
     /// A per-flow observation.
     pub fn per_flow(name: &'static str, app: u32, value: f64) -> Self {
-        Sample { name, app: Some(app), value }
+        Sample {
+            name,
+            app: Some(app),
+            value,
+        }
     }
 }
 

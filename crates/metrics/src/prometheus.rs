@@ -36,7 +36,12 @@ pub fn encode(snap: &Snapshot) -> String {
                     let _ = writeln!(out, "{family}{} {v}", fmt_labels(row.labels, None));
                 }
                 MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "{family}{} {}", fmt_labels(row.labels, None), fmt_f64(*v));
+                    let _ = writeln!(
+                        out,
+                        "{family}{} {}",
+                        fmt_labels(row.labels, None),
+                        fmt_f64(*v)
+                    );
                 }
                 MetricValue::Histogram(h) => encode_histogram(&mut out, family, row.labels, h),
             }
@@ -56,9 +61,23 @@ fn encode_histogram(out: &mut String, family: &str, labels: Labels, h: &Histogra
         );
     }
     cum += h.counts.last().copied().unwrap_or(0);
-    let _ = writeln!(out, "{family}_bucket{} {cum}", fmt_labels(labels, Some("+Inf")));
-    let _ = writeln!(out, "{family}_sum{} {}", fmt_labels(labels, None), fmt_f64(h.sum));
-    let _ = writeln!(out, "{family}_count{} {}", fmt_labels(labels, None), h.count);
+    let _ = writeln!(
+        out,
+        "{family}_bucket{} {cum}",
+        fmt_labels(labels, Some("+Inf"))
+    );
+    let _ = writeln!(
+        out,
+        "{family}_sum{} {}",
+        fmt_labels(labels, None),
+        fmt_f64(h.sum)
+    );
+    let _ = writeln!(
+        out,
+        "{family}_count{} {}",
+        fmt_labels(labels, None),
+        h.count
+    );
 }
 
 /// Render labels as `{node="0",dev="1",app="2",le="5.0"}`, or an empty
@@ -104,14 +123,19 @@ fn parse_f64(s: &str) -> Result<f64, String> {
         "NaN" => Ok(f64::NAN),
         "+Inf" | "Inf" => Ok(f64::INFINITY),
         "-Inf" => Ok(f64::NEG_INFINITY),
-        _ => s.parse::<f64>().map_err(|e| format!("bad float {s:?}: {e}")),
+        _ => s
+            .parse::<f64>()
+            .map_err(|e| format!("bad float {s:?}: {e}")),
     }
 }
 
 /// Is `name` a valid Prometheus metric name for our encoder's subset?
 pub fn valid_name(name: &str) -> bool {
     !name.is_empty()
-        && name.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && name
+            .chars()
+            .next()
+            .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
@@ -191,8 +215,9 @@ pub fn parse(text: &str) -> Result<Snapshot, String> {
                 "_sum" => partial.sum = Some(parse_f64(&value).map_err(&err)?),
                 "_count" => {
                     // _count closes the family member: finalize the row.
-                    let count =
-                        value.parse::<u64>().map_err(|e| err(format!("bad count: {e}")))?;
+                    let count = value
+                        .parse::<u64>()
+                        .map_err(|e| err(format!("bad count: {e}")))?;
                     let p = partials
                         .remove(&(base.clone(), labels))
                         .ok_or_else(|| err("orphan _count".into()))?;
@@ -215,14 +240,20 @@ pub fn parse(text: &str) -> Result<Snapshot, String> {
             .ok_or_else(|| err(format!("sample for undeclared family {name:?}")))?;
         let value = match kind {
             Kind::Counter => MetricValue::Counter(
-                value.parse::<u64>().map_err(|e| err(format!("bad counter: {e}")))?,
+                value
+                    .parse::<u64>()
+                    .map_err(|e| err(format!("bad counter: {e}")))?,
             ),
             Kind::Gauge => MetricValue::Gauge(parse_f64(&value).map_err(&err)?),
             Kind::Histogram => {
                 return Err(err(format!("bare sample for histogram family {name:?}")))
             }
         };
-        rows.push(MetricRow { name, labels, value });
+        rows.push(MetricRow {
+            name,
+            labels,
+            value,
+        });
     }
 
     if let Some(((name, _), _)) = partials.iter().next() {
@@ -246,8 +277,16 @@ fn finish_histogram(p: HistoPartial, count: u64) -> Result<HistogramSnapshot, St
         counts.push(c.checked_sub(prev).ok_or("bucket counts not cumulative")?);
         prev = c;
     }
-    counts.push(inf.checked_sub(prev).ok_or("bucket counts not cumulative")?);
-    Ok(HistogramSnapshot { bounds: p.bounds, counts, sum, count })
+    counts.push(
+        inf.checked_sub(prev)
+            .ok_or("bucket counts not cumulative")?,
+    );
+    Ok(HistogramSnapshot {
+        bounds: p.bounds,
+        counts,
+        sum,
+        count,
+    })
 }
 
 /// Split `name{k="v",...} value` into parts. Returns
@@ -255,9 +294,13 @@ fn finish_histogram(p: HistoPartial, count: u64) -> Result<HistogramSnapshot, St
 fn parse_sample(line: &str) -> Result<(String, Labels, Option<String>, String), String> {
     let (ident, value) = match line.find('{') {
         Some(_) => {
-            let close =
-                line.rfind('}').ok_or_else(|| "unterminated label block".to_string())?;
-            (line[..close + 1].to_string(), line[close + 1..].trim().to_string())
+            let close = line
+                .rfind('}')
+                .ok_or_else(|| "unterminated label block".to_string())?;
+            (
+                line[..close + 1].to_string(),
+                line[close + 1..].trim().to_string(),
+            )
         }
         None => {
             let mut it = line.split_whitespace();
@@ -281,7 +324,9 @@ fn parse_sample(line: &str) -> Result<(String, Labels, Option<String>, String), 
             let mut labels = Labels::NONE;
             let mut le = None;
             for pair in body.split(',').filter(|p| !p.is_empty()) {
-                let eq = pair.find('=').ok_or_else(|| format!("bad label pair {pair:?}"))?;
+                let eq = pair
+                    .find('=')
+                    .ok_or_else(|| format!("bad label pair {pair:?}"))?;
                 let key = &pair[..eq];
                 let raw = &pair[eq + 1..];
                 let val = raw
@@ -290,16 +335,13 @@ fn parse_sample(line: &str) -> Result<(String, Labels, Option<String>, String), 
                     .ok_or_else(|| format!("unquoted label value {raw:?}"))?;
                 match key {
                     "node" => {
-                        labels.node =
-                            Some(val.parse().map_err(|e| format!("bad node label: {e}"))?)
+                        labels.node = Some(val.parse().map_err(|e| format!("bad node label: {e}"))?)
                     }
                     "dev" => {
-                        labels.dev =
-                            Some(val.parse().map_err(|e| format!("bad dev label: {e}"))?)
+                        labels.dev = Some(val.parse().map_err(|e| format!("bad dev label: {e}"))?)
                     }
                     "app" => {
-                        labels.app =
-                            Some(val.parse().map_err(|e| format!("bad app label: {e}"))?)
+                        labels.app = Some(val.parse().map_err(|e| format!("bad app label: {e}"))?)
                     }
                     "le" => le = Some(val.to_string()),
                     other => return Err(format!("unknown label {other:?}")),

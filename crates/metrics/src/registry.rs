@@ -30,16 +30,28 @@ pub struct Labels {
 
 impl Labels {
     /// No labels: a cluster-global instrument.
-    pub const NONE: Labels = Labels { node: None, dev: None, app: None };
+    pub const NONE: Labels = Labels {
+        node: None,
+        dev: None,
+        app: None,
+    };
 
     /// Node + device scoped labels (the common case for scheduler gauges).
     pub fn on(node: u32, dev: u8) -> Self {
-        Labels { node: Some(node), dev: Some(dev), app: None }
+        Labels {
+            node: Some(node),
+            dev: Some(dev),
+            app: None,
+        }
     }
 
     /// Device-class scoped labels (broker instruments).
     pub fn dev(dev: u8) -> Self {
-        Labels { node: None, dev: Some(dev), app: None }
+        Labels {
+            node: None,
+            dev: Some(dev),
+            app: None,
+        }
     }
 
     /// Return a copy with the application label set.
@@ -131,7 +143,9 @@ impl MetricsRegistry {
     /// upper bounds and record `v` in it. Bounds are fixed at first
     /// registration.
     pub fn observe(&mut self, name: &'static str, labels: Labels, bounds: &[f64], v: f64) {
-        match self.cell(name, labels, || Cell::Histogram(HistogramSnapshot::empty(bounds))) {
+        match self.cell(name, labels, || {
+            Cell::Histogram(HistogramSnapshot::empty(bounds))
+        }) {
             Cell::Histogram(h) => h.record(v),
             _ => kind_mismatch(name),
         }
@@ -184,7 +198,9 @@ pub struct Snapshot {
 impl Snapshot {
     /// Find a row by name and labels.
     pub fn row(&self, name: &str, labels: Labels) -> Option<&MetricRow> {
-        self.rows.iter().find(|r| r.name == name && r.labels == labels)
+        self.rows
+            .iter()
+            .find(|r| r.name == name && r.labels == labels)
     }
 }
 

@@ -33,7 +33,10 @@ pub struct Series {
 impl Series {
     /// Points as `(seconds of virtual time, value)` pairs.
     pub fn points_secs(&self) -> Vec<(f64, f64)> {
-        self.points.iter().map(|&(t, v)| (t.as_secs_f64(), v)).collect()
+        self.points
+            .iter()
+            .map(|&(t, v)| (t.as_secs_f64(), v))
+            .collect()
     }
 
     /// Values only, in time order.
@@ -59,7 +62,11 @@ pub struct Sampler {
 impl Sampler {
     /// A sampler with the given cadence.
     pub fn new(period: SimDuration) -> Self {
-        Sampler { period, series: Vec::new(), samples_taken: 0 }
+        Sampler {
+            period,
+            series: Vec::new(),
+            samples_taken: 0,
+        }
     }
 
     /// The sampling cadence.
@@ -81,7 +88,10 @@ impl Sampler {
         registry.for_each_scalar(|idx, name, labels, value| {
             if idx == series.len() {
                 series.push(Series {
-                    key: SeriesKey { name: name.to_string(), labels },
+                    key: SeriesKey {
+                        name: name.to_string(),
+                        labels,
+                    },
                     points: Vec::new(),
                 });
             }
@@ -125,7 +135,9 @@ impl MetricsCapture {
 
     /// The series for one `(name, labels)` instrument, if sampled.
     pub fn series_for(&self, name: &str, labels: Labels) -> Option<&Series> {
-        self.series.iter().find(|s| s.key.name == name && s.key.labels == labels)
+        self.series
+            .iter()
+            .find(|s| s.key.name == name && s.key.labels == labels)
     }
 
     /// Total number of sampled points across all series.

@@ -47,8 +47,7 @@ fn gen_snapshot(seed: u64) -> Snapshot {
                         (0..rng.below(5)).map(|_| finite(&mut rng).abs()).collect();
                     bounds.sort_by(f64::total_cmp);
                     bounds.dedup();
-                    let counts: Vec<u64> =
-                        (0..=bounds.len()).map(|_| rng.below(1_000)).collect();
+                    let counts: Vec<u64> = (0..=bounds.len()).map(|_| rng.below(1_000)).collect();
                     let count: u64 = counts.iter().sum();
                     MetricValue::Histogram(HistogramSnapshot {
                         bounds,
@@ -58,7 +57,11 @@ fn gen_snapshot(seed: u64) -> Snapshot {
                     })
                 }
             };
-            rows.push(MetricRow { name: name.clone(), labels, value });
+            rows.push(MetricRow {
+                name: name.clone(),
+                labels,
+                value,
+            });
         }
     }
     Snapshot { rows }

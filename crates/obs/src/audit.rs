@@ -480,7 +480,13 @@ impl Auditor<'_> {
     /// healed, and evidence of liveness (this event) arrives past the
     /// two-sync-period deadline without a `DegradedExit`. Returns true if
     /// a violation was recorded (the caller latches `reconv_flagged`).
-    fn check_reconvergence_overdue(&mut self, acc: &DevAcc, node: u32, dev: u8, at: SimTime) -> bool {
+    fn check_reconvergence_overdue(
+        &mut self,
+        acc: &DevAcc,
+        node: u32,
+        dev: u8,
+        at: SimTime,
+    ) -> bool {
         let Some(rs) = &self.rack else { return false };
         if !rs.armed_for(node) || self.grace_ns == 0 {
             return false;
@@ -522,7 +528,11 @@ impl Auditor<'_> {
         let entered = acc.degraded_at.as_nanos();
         let t = at.as_nanos();
         if rs.spans.iter().any(|&(r, _, e)| {
-            r == my && e != u64::MAX && entered <= e && t >= e && t <= e.saturating_add(self.grace_ns)
+            r == my
+                && e != u64::MAX
+                && entered <= e
+                && t >= e
+                && t <= e.saturating_add(self.grace_ns)
         }) {
             self.report.rack_checks += 1;
         }
@@ -566,7 +576,12 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
     let mut streams: Vec<Vec<DevAcc>> = Vec::new();
     let meta = &rec.meta;
     for ev in rec.events() {
-        let ObsEvent { at, node, dev, kind } = *ev;
+        let ObsEvent {
+            at,
+            node,
+            dev,
+            kind,
+        } = *ev;
         let truncated = rec.truncated(node);
         let acc = stream(&mut streams, node, dev);
 
@@ -655,8 +670,8 @@ pub fn audit(rec: &Recording, cfg: &AuditConfig) -> AuditReport {
                 // Apps that already completed a job are exempt: the
                 // broker retires them, and a straggler's re-report
                 // legally restarts their totals from the fresh delta.
-                let armed = matches!(&aud.rack, Some(rs) if !rs.mixed)
-                    && !aud.retired_apps.contains(&app);
+                let armed =
+                    matches!(&aud.rack, Some(rs) if !rs.mixed) && !aud.retired_apps.contains(&app);
                 if armed {
                     aud.report.rack_checks += 1;
                     if total < f.last_sync_total {
@@ -752,12 +767,28 @@ mod tests {
         let chunk = 1u64 << 20;
         // Queue up more requests than either flow will be serviced.
         for i in 0..512 {
-            push(&mut rec, 0, EventKind::RequestTagged {
-                io: i, app: 1, bytes: chunk, write: false, start_tag: 0.0,
-            });
-            push(&mut rec, 0, EventKind::RequestTagged {
-                io: 1000 + i, app: 2, bytes: chunk, write: false, start_tag: 0.0,
-            });
+            push(
+                &mut rec,
+                0,
+                EventKind::RequestTagged {
+                    io: i,
+                    app: 1,
+                    bytes: chunk,
+                    write: false,
+                    start_tag: 0.0,
+                },
+            );
+            push(
+                &mut rec,
+                0,
+                EventKind::RequestTagged {
+                    io: 1000 + i,
+                    app: 2,
+                    bytes: chunk,
+                    write: false,
+                    start_tag: 0.0,
+                },
+            );
         }
         let mut tag = 0.0f64;
         let mut t = 10 * sec;
@@ -765,16 +796,48 @@ mod tests {
         assert!(n1.max(n2) < 512);
         for i in 0..n1.max(n2) {
             if i < n1 {
-                push(&mut rec, t, EventKind::Dispatched { io: i, app: 1, start_tag: tag });
-                push(&mut rec, t, EventKind::Completed {
-                    io: i, app: 1, bytes: chunk, write: false, latency_ns: 1000,
-                });
+                push(
+                    &mut rec,
+                    t,
+                    EventKind::Dispatched {
+                        io: i,
+                        app: 1,
+                        start_tag: tag,
+                    },
+                );
+                push(
+                    &mut rec,
+                    t,
+                    EventKind::Completed {
+                        io: i,
+                        app: 1,
+                        bytes: chunk,
+                        write: false,
+                        latency_ns: 1000,
+                    },
+                );
             }
             if i < n2 {
-                push(&mut rec, t, EventKind::Dispatched { io: 1000 + i, app: 2, start_tag: tag });
-                push(&mut rec, t, EventKind::Completed {
-                    io: 1000 + i, app: 2, bytes: chunk, write: false, latency_ns: 1000,
-                });
+                push(
+                    &mut rec,
+                    t,
+                    EventKind::Dispatched {
+                        io: 1000 + i,
+                        app: 2,
+                        start_tag: tag,
+                    },
+                );
+                push(
+                    &mut rec,
+                    t,
+                    EventKind::Completed {
+                        io: 1000 + i,
+                        app: 2,
+                        bytes: chunk,
+                        write: false,
+                        latency_ns: 1000,
+                    },
+                );
             }
             tag += 1.0;
             t += sec / 128; // ≤ 512 steps stays inside window 1
@@ -818,8 +881,24 @@ mod tests {
     #[test]
     fn start_tag_regression_flagged() {
         let mut rec = FlightRecorder::new(1, 64);
-        push(&mut rec, 0, EventKind::Dispatched { io: 0, app: 1, start_tag: 5.0 });
-        push(&mut rec, 1, EventKind::Dispatched { io: 1, app: 1, start_tag: 4.0 });
+        push(
+            &mut rec,
+            0,
+            EventKind::Dispatched {
+                io: 0,
+                app: 1,
+                start_tag: 5.0,
+            },
+        );
+        push(
+            &mut rec,
+            1,
+            EventKind::Dispatched {
+                io: 1,
+                app: 1,
+                start_tag: 4.0,
+            },
+        );
         let rep = audit(&rec.finish(meta(&[(1, 1.0)])), &AuditConfig::default());
         assert_eq!(rep.violation_count, 1);
         assert_eq!(rep.violations[0].invariant, Invariant::StartTagMonotone);
@@ -836,7 +915,15 @@ mod tests {
         for i in 0..31u64 {
             // Alternate 5.0, 4.0, 5.0, … — every 4.0 after a 5.0 regresses.
             let tag = if i % 2 == 0 { 5.0 } else { 4.0 };
-            push(&mut rec, i, EventKind::Dispatched { io: i, app: 1, start_tag: tag });
+            push(
+                &mut rec,
+                i,
+                EventKind::Dispatched {
+                    io: i,
+                    app: 1,
+                    start_tag: tag,
+                },
+            );
         }
         let rep = audit(&rec.finish(meta(&[(1, 1.0)])), &AuditConfig::default());
         assert_eq!(rep.violations_of(Invariant::StartTagMonotone), 15);
@@ -848,7 +935,15 @@ mod tests {
     fn equal_start_tags_allowed() {
         let mut rec = FlightRecorder::new(1, 64);
         for i in 0..3 {
-            push(&mut rec, i, EventKind::Dispatched { io: i, app: 1, start_tag: 7.0 });
+            push(
+                &mut rec,
+                i,
+                EventKind::Dispatched {
+                    io: i,
+                    app: 1,
+                    start_tag: 7.0,
+                },
+            );
         }
         let rep = audit(&rec.finish(meta(&[(1, 1.0)])), &AuditConfig::default());
         assert!(rep.passed());
@@ -858,7 +953,17 @@ mod tests {
     #[test]
     fn delay_within_broker_total_passes() {
         let mut rec = FlightRecorder::new(1, 64);
-        push(&mut rec, 0, EventKind::Completed { io: 0, app: 1, bytes: 100, write: false, latency_ns: 1 });
+        push(
+            &mut rec,
+            0,
+            EventKind::Completed {
+                io: 0,
+                app: 1,
+                bytes: 100,
+                write: false,
+                latency_ns: 1,
+            },
+        );
         push(&mut rec, 1, EventKind::BrokerSync { app: 1, total: 600 });
         // foreign = 600 − 100 = 500; charging 500 is legal…
         push(&mut rec, 2, EventKind::DelayApplied { app: 1, delay: 500 });
@@ -870,7 +975,17 @@ mod tests {
     #[test]
     fn overcharged_delay_flagged() {
         let mut rec = FlightRecorder::new(1, 64);
-        push(&mut rec, 0, EventKind::Completed { io: 0, app: 1, bytes: 100, write: false, latency_ns: 1 });
+        push(
+            &mut rec,
+            0,
+            EventKind::Completed {
+                io: 0,
+                app: 1,
+                bytes: 100,
+                write: false,
+                latency_ns: 1,
+            },
+        );
         push(&mut rec, 1, EventKind::BrokerSync { app: 1, total: 600 });
         // …but 501 exceeds the foreign service the broker reported.
         push(&mut rec, 2, EventKind::DelayApplied { app: 1, delay: 501 });
@@ -884,8 +999,28 @@ mod tests {
         let mut rec = FlightRecorder::new(1, 2);
         // Overflow the 2-slot ring so node 0 is truncated, ending on an
         // uncovered delay charge that would otherwise be a violation.
-        push(&mut rec, 0, EventKind::Completed { io: 0, app: 1, bytes: 1, write: false, latency_ns: 1 });
-        push(&mut rec, 1, EventKind::Completed { io: 1, app: 1, bytes: 1, write: false, latency_ns: 1 });
+        push(
+            &mut rec,
+            0,
+            EventKind::Completed {
+                io: 0,
+                app: 1,
+                bytes: 1,
+                write: false,
+                latency_ns: 1,
+            },
+        );
+        push(
+            &mut rec,
+            1,
+            EventKind::Completed {
+                io: 1,
+                app: 1,
+                bytes: 1,
+                write: false,
+                latency_ns: 1,
+            },
+        );
         push(&mut rec, 2, EventKind::DelayApplied { app: 1, delay: 999 });
         push(&mut rec, 3, EventKind::DelayApplied { app: 1, delay: 999 });
         let rep = audit(&rec.finish(meta(&[(1, 1.0)])), &AuditConfig::default());
@@ -898,11 +1033,23 @@ mod tests {
     fn delay_inside_degraded_span_flagged() {
         let mut rec = FlightRecorder::new(1, 64);
         push(&mut rec, 0, EventKind::BrokerSync { app: 1, total: 600 });
-        push(&mut rec, 1, EventKind::DegradedEnter { age_ns: 4_000_000_000 });
+        push(
+            &mut rec,
+            1,
+            EventKind::DegradedEnter {
+                age_ns: 4_000_000_000,
+            },
+        );
         // Legal by the delay identity (broker reported 600 foreign), but
         // the scheduler had declared its totals stale.
         push(&mut rec, 2, EventKind::DelayApplied { app: 1, delay: 100 });
-        push(&mut rec, 3, EventKind::DegradedExit { dark_ns: 2_000_000_000 });
+        push(
+            &mut rec,
+            3,
+            EventKind::DegradedExit {
+                dark_ns: 2_000_000_000,
+            },
+        );
         let rep = audit(&rec.finish(meta(&[(1, 1.0)])), &AuditConfig::default());
         assert!(!rep.passed());
         assert_eq!(rep.violations_of(Invariant::DegradedPureLocal), 1);
@@ -928,7 +1075,15 @@ mod tests {
         let mut rec = FlightRecorder::new(1, 64);
         push(&mut rec, 0, EventKind::FaultInjected { kind: 0, detail: 7 });
         push(&mut rec, 1, EventKind::ReportRetry { attempt: 2 });
-        push(&mut rec, 2, EventKind::Dispatched { io: 0, app: 1, start_tag: 1.0 });
+        push(
+            &mut rec,
+            2,
+            EventKind::Dispatched {
+                io: 0,
+                app: 1,
+                start_tag: 1.0,
+            },
+        );
         let rep = audit(&rec.finish(meta(&[(1, 1.0)])), &AuditConfig::default());
         assert!(rep.passed());
         assert_eq!(rep.dispatches, 1);
@@ -961,10 +1116,28 @@ mod tests {
     fn unaffected_rack_degrading_is_flagged() {
         let mut rec = FlightRecorder::new(4, 64);
         // Rack 0 partitions from 10 s to 20 s…
-        push_on(&mut rec, 10 * SEC, 0, EventKind::FaultInjected { kind: 9, detail: 0 });
+        push_on(
+            &mut rec,
+            10 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 9, detail: 0 },
+        );
         // …but a rack-1 scheduler degrades at 14 s: scope leak.
-        push_on(&mut rec, 14 * SEC, 2, EventKind::DegradedEnter { age_ns: 4 * SEC });
-        push_on(&mut rec, 20 * SEC, 0, EventKind::FaultInjected { kind: 10, detail: 0 });
+        push_on(
+            &mut rec,
+            14 * SEC,
+            2,
+            EventKind::DegradedEnter { age_ns: 4 * SEC },
+        );
+        push_on(
+            &mut rec,
+            20 * SEC,
+            0,
+            EventKind::FaultInjected {
+                kind: 10,
+                detail: 0,
+            },
+        );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert!(!rep.passed());
         assert_eq!(rep.violations_of(Invariant::RackScopedRecovery), 1);
@@ -974,12 +1147,32 @@ mod tests {
     #[test]
     fn affected_rack_degrading_and_reconverging_passes() {
         let mut rec = FlightRecorder::new(4, 64);
-        push_on(&mut rec, 10 * SEC, 0, EventKind::FaultInjected { kind: 7, detail: 0 });
+        push_on(
+            &mut rec,
+            10 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 7, detail: 0 },
+        );
         // A rack-0 scheduler degrades mid-fault and exits 1 s after the
         // heal — inside the 2-sync-period grace.
-        push_on(&mut rec, 14 * SEC, 1, EventKind::DegradedEnter { age_ns: 4 * SEC });
-        push_on(&mut rec, 20 * SEC, 0, EventKind::FaultInjected { kind: 8, detail: 0 });
-        push_on(&mut rec, 21 * SEC, 1, EventKind::DegradedExit { dark_ns: 7 * SEC });
+        push_on(
+            &mut rec,
+            14 * SEC,
+            1,
+            EventKind::DegradedEnter { age_ns: 4 * SEC },
+        );
+        push_on(
+            &mut rec,
+            20 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 8, detail: 0 },
+        );
+        push_on(
+            &mut rec,
+            21 * SEC,
+            1,
+            EventKind::DegradedExit { dark_ns: 7 * SEC },
+        );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert!(rep.passed(), "in-scope degrade + timely exit must pass");
         // Scope decision + met deadline were both evaluated.
@@ -989,18 +1182,54 @@ mod tests {
     #[test]
     fn late_reconvergence_is_flagged() {
         let mut rec = FlightRecorder::new(4, 64);
-        push_on(&mut rec, 10 * SEC, 0, EventKind::FaultInjected { kind: 9, detail: 0 });
-        push_on(&mut rec, 14 * SEC, 0, EventKind::DegradedEnter { age_ns: 4 * SEC });
-        push_on(&mut rec, 20 * SEC, 0, EventKind::FaultInjected { kind: 10, detail: 0 });
+        push_on(
+            &mut rec,
+            10 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 9, detail: 0 },
+        );
+        push_on(
+            &mut rec,
+            14 * SEC,
+            0,
+            EventKind::DegradedEnter { age_ns: 4 * SEC },
+        );
+        push_on(
+            &mut rec,
+            20 * SEC,
+            0,
+            EventKind::FaultInjected {
+                kind: 10,
+                detail: 0,
+            },
+        );
         // Still degraded and demonstrably alive at 23 s — 3 s past the
         // heal, beyond the 2 s grace.
-        push_on(&mut rec, 23 * SEC, 0, EventKind::Completed {
-            io: 0, app: 1, bytes: 1 << 20, write: false, latency_ns: 1000,
-        });
+        push_on(
+            &mut rec,
+            23 * SEC,
+            0,
+            EventKind::Completed {
+                io: 0,
+                app: 1,
+                bytes: 1 << 20,
+                write: false,
+                latency_ns: 1000,
+            },
+        );
         // Only one violation even with more late completions.
-        push_on(&mut rec, 24 * SEC, 0, EventKind::Completed {
-            io: 1, app: 1, bytes: 1 << 20, write: false, latency_ns: 1000,
-        });
+        push_on(
+            &mut rec,
+            24 * SEC,
+            0,
+            EventKind::Completed {
+                io: 1,
+                app: 1,
+                bytes: 1 << 20,
+                write: false,
+                latency_ns: 1000,
+            },
+        );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert_eq!(rep.violations_of(Invariant::RackScopedRecovery), 1);
         assert!(rep.violations[0].detail.contains("still degraded"));
@@ -1010,11 +1239,34 @@ mod tests {
     fn mixed_fault_kinds_disarm_rack_scope_checks() {
         let mut rec = FlightRecorder::new(4, 64);
         // Same leak as unaffected_rack_degrading_is_flagged…
-        push_on(&mut rec, 10 * SEC, 0, EventKind::FaultInjected { kind: 9, detail: 0 });
-        push_on(&mut rec, 14 * SEC, 2, EventKind::DegradedEnter { age_ns: 4 * SEC });
-        push_on(&mut rec, 20 * SEC, 0, EventKind::FaultInjected { kind: 10, detail: 0 });
+        push_on(
+            &mut rec,
+            10 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 9, detail: 0 },
+        );
+        push_on(
+            &mut rec,
+            14 * SEC,
+            2,
+            EventKind::DegradedEnter { age_ns: 4 * SEC },
+        );
+        push_on(
+            &mut rec,
+            20 * SEC,
+            0,
+            EventKind::FaultInjected {
+                kind: 10,
+                detail: 0,
+            },
+        );
         // …but a broker outage marker means any rack may legally degrade.
-        push_on(&mut rec, 5 * SEC, 0, EventKind::FaultInjected { kind: 0, detail: 0 });
+        push_on(
+            &mut rec,
+            5 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 0, detail: 0 },
+        );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert!(rep.passed());
         assert_eq!(rep.rack_checks, 0);
@@ -1023,12 +1275,35 @@ mod tests {
     #[test]
     fn crashed_nodes_are_exempt_from_rack_scope() {
         let mut rec = FlightRecorder::new(4, 64);
-        push_on(&mut rec, 10 * SEC, 0, EventKind::FaultInjected { kind: 9, detail: 0 });
+        push_on(
+            &mut rec,
+            10 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 9, detail: 0 },
+        );
         // Node 2 (rack 1) carries a crash marker: its degrade during the
         // rack-0 fault window is its own business.
-        push_on(&mut rec, 12 * SEC, 2, EventKind::FaultInjected { kind: 3, detail: 0 });
-        push_on(&mut rec, 14 * SEC, 2, EventKind::DegradedEnter { age_ns: 4 * SEC });
-        push_on(&mut rec, 20 * SEC, 0, EventKind::FaultInjected { kind: 10, detail: 0 });
+        push_on(
+            &mut rec,
+            12 * SEC,
+            2,
+            EventKind::FaultInjected { kind: 3, detail: 0 },
+        );
+        push_on(
+            &mut rec,
+            14 * SEC,
+            2,
+            EventKind::DegradedEnter { age_ns: 4 * SEC },
+        );
+        push_on(
+            &mut rec,
+            20 * SEC,
+            0,
+            EventKind::FaultInjected {
+                kind: 10,
+                detail: 0,
+            },
+        );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert!(rep.passed());
     }
@@ -1036,12 +1311,32 @@ mod tests {
     #[test]
     fn broker_total_regression_across_failover_is_flagged() {
         let mut rec = FlightRecorder::new(4, 64);
-        push_on(&mut rec, 10 * SEC, 0, EventKind::FaultInjected { kind: 7, detail: 0 });
-        push_on(&mut rec, 11 * SEC, 1, EventKind::BrokerSync { app: 1, total: 600 });
-        push_on(&mut rec, 16 * SEC, 0, EventKind::FaultInjected { kind: 8, detail: 0 });
+        push_on(
+            &mut rec,
+            10 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 7, detail: 0 },
+        );
+        push_on(
+            &mut rec,
+            11 * SEC,
+            1,
+            EventKind::BrokerSync { app: 1, total: 600 },
+        );
+        push_on(
+            &mut rec,
+            16 * SEC,
+            0,
+            EventKind::FaultInjected { kind: 8, detail: 0 },
+        );
         // A post-failover reply showing less total service than already
         // reported means the resync pulled the root backwards.
-        push_on(&mut rec, 19 * SEC, 1, EventKind::BrokerSync { app: 1, total: 500 });
+        push_on(
+            &mut rec,
+            19 * SEC,
+            1,
+            EventKind::BrokerSync { app: 1, total: 500 },
+        );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert_eq!(rep.violations_of(Invariant::RackScopedRecovery), 1);
         assert!(rep.violations[0].detail.contains("regressed"));
@@ -1053,8 +1348,18 @@ mod tests {
         // Rack metadata present but no rack fault markers: monotone totals
         // are not sampled and nothing is checked.
         let mut rec = FlightRecorder::new(4, 64);
-        push_on(&mut rec, SEC, 1, EventKind::BrokerSync { app: 1, total: 600 });
-        push_on(&mut rec, 2 * SEC, 1, EventKind::BrokerSync { app: 1, total: 500 });
+        push_on(
+            &mut rec,
+            SEC,
+            1,
+            EventKind::BrokerSync { app: 1, total: 600 },
+        );
+        push_on(
+            &mut rec,
+            2 * SEC,
+            1,
+            EventKind::BrokerSync { app: 1, total: 500 },
+        );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert!(rep.passed());
         assert_eq!(rep.rack_checks, 0);

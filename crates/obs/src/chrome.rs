@@ -268,7 +268,11 @@ pub fn export(rec: &Recording) -> String {
         for (lane, r) in placed {
             let tid = TASK_TID_BASE + lane;
             let (job, task) = ((r.io >> 32) as u32, r.io as u32);
-            let kind = if task & 0x8000_0000 != 0 { "reduce" } else { "map" };
+            let kind = if task & 0x8000_0000 != 0 {
+                "reduce"
+            } else {
+                "map"
+            };
             let idx = task & 0x7fff_ffff;
             sep(&mut out);
             let _ = write!(
@@ -411,7 +415,11 @@ pub fn export(rec: &Recording) -> String {
                     us(t),
                 );
             }
-            EventKind::JobCompleted { job, app, latency_ns } => {
+            EventKind::JobCompleted {
+                job,
+                app,
+                latency_ns,
+            } => {
                 sep(&mut out);
                 let _ = write!(
                     out,
@@ -454,29 +462,61 @@ mod tests {
                 kind,
             });
         };
-        push(100, 0, 0, EventKind::IoQueued {
-            io: 1,
-            app: 7,
-            bytes: 4096,
-            write: false,
-        });
-        push(2_000, 0, 0, EventKind::Completed {
-            io: 1,
-            app: 7,
-            bytes: 4096,
-            write: false,
-            latency_ns: 1_500,
-        });
-        push(200, 1, 0, EventKind::TaskStarted { job: 3, task: 0x8000_0001, app: 7 });
-        push(900, 1, 0, EventKind::TaskFinished { job: 3, task: 0x8000_0001 });
+        push(
+            100,
+            0,
+            0,
+            EventKind::IoQueued {
+                io: 1,
+                app: 7,
+                bytes: 4096,
+                write: false,
+            },
+        );
+        push(
+            2_000,
+            0,
+            0,
+            EventKind::Completed {
+                io: 1,
+                app: 7,
+                bytes: 4096,
+                write: false,
+                latency_ns: 1_500,
+            },
+        );
+        push(
+            200,
+            1,
+            0,
+            EventKind::TaskStarted {
+                job: 3,
+                task: 0x8000_0001,
+                app: 7,
+            },
+        );
+        push(
+            900,
+            1,
+            0,
+            EventKind::TaskFinished {
+                job: 3,
+                task: 0x8000_0001,
+            },
+        );
         push(3_000, 0, 1, EventKind::DepthAdjusted { depth: 6 });
         push(4_000, 1, 0, EventKind::BrokerSync { app: 7, total: 999 });
         push(5_000, 1, 0, EventKind::DelayApplied { app: 7, delay: 123 });
-        push(6_000, 0, 0, EventKind::BlockPlaced {
-            block: 42,
-            primary: 1,
-            replicas: 3,
-        });
+        push(
+            6_000,
+            0,
+            0,
+            EventKind::BlockPlaced {
+                block: 42,
+                primary: 1,
+                replicas: 3,
+            },
+        );
         rec.finish(RecordingMeta {
             weights: vec![(7, 32.0)],
             sync_period_ns: 1_000_000_000,
@@ -513,7 +553,9 @@ mod tests {
         assert!(json.contains("\"ph\":\"f\",\"bp\":\"e\",\"id\":1,\"ts\":2"));
         assert!(json.contains("\"name\":\"io lane 0\""));
         // Task span: job 3, reduce index 1, on node 1's task lane.
-        assert!(json.contains("\"name\":\"job3 reduce1\",\"cat\":\"tasks\",\"ph\":\"B\",\"ts\":0.2"));
+        assert!(
+            json.contains("\"name\":\"job3 reduce1\",\"cat\":\"tasks\",\"ph\":\"B\",\"ts\":0.2")
+        );
         assert!(json.contains("\"name\":\"job3 reduce1\",\"ph\":\"E\",\"ts\":0.9"));
         assert!(json.contains("\"name\":\"task lane 0\""));
     }
@@ -530,16 +572,27 @@ mod tests {
             });
         };
         for io in 0..3u64 {
-            push(1_000 + io, EventKind::IoQueued { io, app: 1, bytes: 64, write: false });
+            push(
+                1_000 + io,
+                EventKind::IoQueued {
+                    io,
+                    app: 1,
+                    bytes: 64,
+                    write: false,
+                },
+            );
         }
         for io in 0..3u64 {
-            push(9_000 + io, EventKind::Completed {
-                io,
-                app: 1,
-                bytes: 64,
-                write: false,
-                latency_ns: 2_000,
-            });
+            push(
+                9_000 + io,
+                EventKind::Completed {
+                    io,
+                    app: 1,
+                    bytes: 64,
+                    write: false,
+                    latency_ns: 2_000,
+                },
+            );
         }
         let json = export(&rec.finish(RecordingMeta {
             weights: vec![(1, 1.0)],
@@ -549,7 +602,10 @@ mod tests {
         }));
         // Three concurrent requests → three non-overlapping lanes.
         for lane in 0..3 {
-            assert!(json.contains(&format!("\"name\":\"io lane {lane}\"")), "lane {lane}");
+            assert!(
+                json.contains(&format!("\"name\":\"io lane {lane}\"")),
+                "lane {lane}"
+            );
         }
         let opens = json.matches("\"ph\":\"B\"").count();
         let closes = json.matches("\"ph\":\"E\"").count();

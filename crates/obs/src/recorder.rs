@@ -317,7 +317,10 @@ mod tests {
         assert_eq!(r.dropped_on(0), 2);
         assert!(r.truncated(0));
         // The *newest* events survive.
-        assert!(matches!(r.events()[0].kind, EventKind::DepthAdjusted { depth: 2 }));
+        assert!(matches!(
+            r.events()[0].kind,
+            EventKind::DepthAdjusted { depth: 2 }
+        ));
     }
 
     #[test]

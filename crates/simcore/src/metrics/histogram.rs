@@ -28,7 +28,7 @@ fn bucket_of(value: u64) -> usize {
     }
     let exp = 63 - value.leading_zeros(); // floor(log2(value))
     const SUB_BITS: u32 = 2; // log2(SUB)
-    // Sub-bucket = the SUB_BITS bits immediately below the leading bit.
+                             // Sub-bucket = the SUB_BITS bits immediately below the leading bit.
     let sub = if exp >= SUB_BITS {
         ((value >> (exp - SUB_BITS)) & (SUB as u64 - 1)) as usize
     } else {
@@ -182,8 +182,14 @@ mod tests {
         let p50 = h.quantile(0.5).unwrap();
         let p99 = h.quantile(0.99).unwrap();
         // within one bucket (~19 %) of the true quantile
-        assert!((p50 as f64 - 500_000.0).abs() / 500_000.0 < 0.25, "p50 {p50}");
-        assert!((p99 as f64 - 990_000.0).abs() / 990_000.0 < 0.25, "p99 {p99}");
+        assert!(
+            (p50 as f64 - 500_000.0).abs() / 500_000.0 < 0.25,
+            "p50 {p50}"
+        );
+        assert!(
+            (p99 as f64 - 990_000.0).abs() / 990_000.0 < 0.25,
+            "p99 {p99}"
+        );
         assert!(p50 <= p99);
     }
 

@@ -60,9 +60,10 @@ impl TimeSeries {
     pub fn rates(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         let w = self.bin_width;
         let secs = w.as_secs_f64();
-        self.bins.iter().enumerate().map(move |(i, &amount)| {
-            (SimTime::from_nanos(i as u64 * w.as_nanos()), amount / secs)
-        })
+        self.bins
+            .iter()
+            .enumerate()
+            .map(move |(i, &amount)| (SimTime::from_nanos(i as u64 * w.as_nanos()), amount / secs))
     }
 
     /// Mean rate over the non-empty prefix of the series (total divided by

@@ -373,7 +373,9 @@ mod tests {
         let mut seq = 0u64;
         let mut state = 0x1b15_u64;
         let mut rand = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             state >> 33
         };
         let mut now = 0u64;

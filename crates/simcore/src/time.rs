@@ -237,10 +237,7 @@ mod tests {
         assert_eq!(SimTime::from_secs(2).as_nanos(), 2 * NANOS_PER_SEC);
         assert_eq!(SimTime::from_millis(5).as_nanos(), 5 * NANOS_PER_MILLI);
         assert_eq!(SimTime::from_micros(7).as_nanos(), 7 * NANOS_PER_MICRO);
-        assert_eq!(
-            SimDuration::from_secs(1),
-            SimDuration::from_millis(1000),
-        );
+        assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1000),);
     }
 
     #[test]

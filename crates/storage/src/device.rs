@@ -203,9 +203,24 @@ mod tests {
     #[test]
     fn internal_queue_stream_pop() {
         let mut q = InternalQueue::default();
-        q.push(DeviceRequest { id: 1, kind: IoKind::Read, stream: 7, bytes: 1 });
-        q.push(DeviceRequest { id: 2, kind: IoKind::Read, stream: 9, bytes: 1 });
-        q.push(DeviceRequest { id: 3, kind: IoKind::Read, stream: 9, bytes: 1 });
+        q.push(DeviceRequest {
+            id: 1,
+            kind: IoKind::Read,
+            stream: 7,
+            bytes: 1,
+        });
+        q.push(DeviceRequest {
+            id: 2,
+            kind: IoKind::Read,
+            stream: 9,
+            bytes: 1,
+        });
+        q.push(DeviceRequest {
+            id: 3,
+            kind: IoKind::Read,
+            stream: 9,
+            bytes: 1,
+        });
         assert_eq!(q.pop_stream(9).unwrap().id, 2);
         assert_eq!(q.pop_stream(42), None);
         assert_eq!(q.pop_front().unwrap().id, 1);

@@ -153,12 +153,9 @@ impl Hdd {
         let jitter = self
             .rng
             .range_f64(-self.cfg.seek_jitter, self.cfg.seek_jitter);
-        let seek = SimDuration::from_secs_f64(
-            self.cfg.seek_time.as_secs_f64() * (1.0 + jitter),
-        );
-        let rot = SimDuration::from_secs_f64(
-            self.rng.f64() * self.cfg.rotational_period.as_secs_f64(),
-        );
+        let seek = SimDuration::from_secs_f64(self.cfg.seek_time.as_secs_f64() * (1.0 + jitter));
+        let rot =
+            SimDuration::from_secs_f64(self.rng.f64() * self.cfg.rotational_period.as_secs_f64());
         seek + rot
     }
 
@@ -175,10 +172,8 @@ impl Hdd {
             flush_stall = drain_all.min(self.cfg.flush_max_stall);
             self.dirty = 0;
             let jitter = 1.0 + self.rng.range_f64(-0.1, 0.1);
-            self.next_flush = now
-                + SimDuration::from_secs_f64(
-                    self.cfg.flush_interval.as_secs_f64() * jitter,
-                );
+            self.next_flush =
+                now + SimDuration::from_secs_f64(self.cfg.flush_interval.as_secs_f64() * jitter);
         }
 
         let base = match req.kind {
@@ -309,10 +304,7 @@ mod tests {
     fn sequential_reads_hit_full_bandwidth() {
         let mut d = Hdd::new(quiet_cfg());
         let n = 64u64;
-        let total = run_serial(
-            &mut d,
-            (0..n).map(|i| read(i, 1, 4 * MIB)).collect(),
-        );
+        let total = run_serial(&mut d, (0..n).map(|i| read(i, 1, 4 * MIB)).collect());
         let bw = (n * 4 * MIB) as f64 / total.as_secs_f64();
         // One initial seek amortised over 64 requests: ≥ 95 % of rated bw.
         assert!(bw > 0.95 * 140e6, "sequential bw {bw}");

@@ -157,8 +157,7 @@ fn sweep(
     depths
         .iter()
         .map(|&depth| {
-            let (latency, throughput) =
-                run_fixed_depth(device, kind, depth, streams, chunk, count);
+            let (latency, throughput) = run_fixed_depth(device, kind, depth, streams, chunk, count);
             ProfilePoint {
                 depth,
                 latency,

@@ -92,21 +92,18 @@ impl Ssd {
     fn service_time(&mut self, req: &DeviceRequest) -> SimDuration {
         match req.kind {
             IoKind::Read => {
-                self.cfg.read_latency
-                    + transfer_time(req.bytes, self.cfg.read_bw_per_way)
+                self.cfg.read_latency + transfer_time(req.bytes, self.cfg.read_bw_per_way)
             }
             IoKind::Write => {
                 self.written_since_gc += req.bytes;
-                let mut t = self.cfg.write_latency
-                    + transfer_time(req.bytes, self.cfg.write_bw_per_way);
+                let mut t =
+                    self.cfg.write_latency + transfer_time(req.bytes, self.cfg.write_bw_per_way);
                 if self.cfg.gc_interval_bytes > 0
                     && self.written_since_gc >= self.cfg.gc_interval_bytes
                 {
                     self.written_since_gc = 0;
                     let jitter = 1.0 + self.rng.range_f64(-0.3, 0.3);
-                    t += SimDuration::from_secs_f64(
-                        self.cfg.gc_pause.as_secs_f64() * jitter,
-                    );
+                    t += SimDuration::from_secs_f64(self.cfg.gc_pause.as_secs_f64() * jitter);
                 }
                 t
             }

@@ -479,15 +479,39 @@ mod tests {
         let mut rec = FlightRecorder::new(2, 64);
         rec.record(ev(0, 0, 0, EventKind::JobArrived { job: 1, app: 1 }));
         // Request queued at 100, dispatched at 400, completed at 1000.
-        rec.record(ev(100, 0, 0, EventKind::IoQueued { io: 9, app: 1, bytes: 64, write: false }));
-        rec.record(ev(1000, 0, 0, EventKind::Completed {
-            io: 9,
-            app: 1,
-            bytes: 64,
-            write: false,
-            latency_ns: 600,
-        }));
-        rec.record(ev(2000, 0, 0, EventKind::JobCompleted { job: 1, app: 1, latency_ns: 2000 }));
+        rec.record(ev(
+            100,
+            0,
+            0,
+            EventKind::IoQueued {
+                io: 9,
+                app: 1,
+                bytes: 64,
+                write: false,
+            },
+        ));
+        rec.record(ev(
+            1000,
+            0,
+            0,
+            EventKind::Completed {
+                io: 9,
+                app: 1,
+                bytes: 64,
+                write: false,
+                latency_ns: 600,
+            },
+        ));
+        rec.record(ev(
+            2000,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 1,
+                app: 1,
+                latency_ns: 2000,
+            },
+        ));
         let atts = attribute(&finish(rec));
         assert_eq!(atts.len(), 1);
         let a = &atts[0];
@@ -504,16 +528,48 @@ mod tests {
     fn delay_charge_classifies_queue_wait_as_dsfq_delay() {
         let mut rec = FlightRecorder::new(1, 64);
         rec.record(ev(0, 0, 0, EventKind::JobArrived { job: 1, app: 1 }));
-        rec.record(ev(100, 0, 0, EventKind::DelayApplied { app: 1, delay: 4096 }));
-        rec.record(ev(100, 0, 0, EventKind::IoQueued { io: 1, app: 1, bytes: 64, write: false }));
-        rec.record(ev(900, 0, 0, EventKind::Completed {
-            io: 1,
-            app: 1,
-            bytes: 64,
-            write: false,
-            latency_ns: 300,
-        }));
-        rec.record(ev(900, 0, 0, EventKind::JobCompleted { job: 1, app: 1, latency_ns: 900 }));
+        rec.record(ev(
+            100,
+            0,
+            0,
+            EventKind::DelayApplied {
+                app: 1,
+                delay: 4096,
+            },
+        ));
+        rec.record(ev(
+            100,
+            0,
+            0,
+            EventKind::IoQueued {
+                io: 1,
+                app: 1,
+                bytes: 64,
+                write: false,
+            },
+        ));
+        rec.record(ev(
+            900,
+            0,
+            0,
+            EventKind::Completed {
+                io: 1,
+                app: 1,
+                bytes: 64,
+                write: false,
+                latency_ns: 300,
+            },
+        ));
+        rec.record(ev(
+            900,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 1,
+                app: 1,
+                latency_ns: 900,
+            },
+        ));
         let atts = attribute(&finish(rec));
         let a = &atts[0];
         assert_eq!(a.component_ns("dsfq_delay"), 500);
@@ -526,17 +582,41 @@ mod tests {
     fn degraded_episode_recolors_queue_wait() {
         let mut rec = FlightRecorder::new(1, 64);
         rec.record(ev(0, 0, 0, EventKind::JobArrived { job: 1, app: 1 }));
-        rec.record(ev(0, 0, 0, EventKind::IoQueued { io: 1, app: 1, bytes: 64, write: false }));
+        rec.record(ev(
+            0,
+            0,
+            0,
+            EventKind::IoQueued {
+                io: 1,
+                app: 1,
+                bytes: 64,
+                write: false,
+            },
+        ));
         rec.record(ev(200, 0, 0, EventKind::DegradedEnter { age_ns: 7 }));
         rec.record(ev(600, 0, 0, EventKind::DegradedExit { dark_ns: 400 }));
-        rec.record(ev(1000, 0, 0, EventKind::Completed {
-            io: 1,
-            app: 1,
-            bytes: 64,
-            write: false,
-            latency_ns: 200,
-        }));
-        rec.record(ev(1000, 0, 0, EventKind::JobCompleted { job: 1, app: 1, latency_ns: 1000 }));
+        rec.record(ev(
+            1000,
+            0,
+            0,
+            EventKind::Completed {
+                io: 1,
+                app: 1,
+                bytes: 64,
+                write: false,
+                latency_ns: 200,
+            },
+        ));
+        rec.record(ev(
+            1000,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 1,
+                app: 1,
+                latency_ns: 1000,
+            },
+        ));
         let a = &attribute(&finish(rec))[0];
         assert_eq!(a.component_ns("queue_wait"), 400); // [0,200) ∪ [600,800)
         assert_eq!(a.component_ns("degraded_wait"), 400); // [200,600)
@@ -549,8 +629,26 @@ mod tests {
         let mut rec = FlightRecorder::new(1, 64);
         rec.record(ev(0, 0, 0, EventKind::JobArrived { job: 1, app: 1 }));
         rec.record(ev(0, 0, 0, EventKind::JobArrived { job: 2, app: 1 }));
-        rec.record(ev(500, 0, 0, EventKind::JobCompleted { job: 1, app: 1, latency_ns: 500 }));
-        rec.record(ev(800, 0, 0, EventKind::JobCompleted { job: 2, app: 1, latency_ns: 800 }));
+        rec.record(ev(
+            500,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 1,
+                app: 1,
+                latency_ns: 500,
+            },
+        ));
+        rec.record(ev(
+            800,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 2,
+                app: 1,
+                latency_ns: 800,
+            },
+        ));
         let a = &attribute(&finish(rec))[0];
         assert_eq!(a.measured_ns, 1300);
         assert_eq!(a.swept_ns, 1300); // 2×500 + 1×300
@@ -561,7 +659,16 @@ mod tests {
     fn check_passes_on_complete_recording() {
         let mut rec = FlightRecorder::new(1, 64);
         rec.record(ev(0, 0, 0, EventKind::JobArrived { job: 1, app: 1 }));
-        rec.record(ev(700, 0, 0, EventKind::JobCompleted { job: 1, app: 1, latency_ns: 700 }));
+        rec.record(ev(
+            700,
+            0,
+            0,
+            EventKind::JobCompleted {
+                job: 1,
+                app: 1,
+                latency_ns: 700,
+            },
+        ));
         let c = check(&finish(rec), 1e-9);
         assert_eq!(c.checked, 1);
         assert_eq!(c.violations, 0);

@@ -53,7 +53,10 @@ pub fn critical_path(nodes: &[CpNode]) -> CriticalPath {
         let mut b = 0u64;
         let mut f = None;
         for &d in &n.deps {
-            assert!(d < i, "critical_path: dependency {d} of node {i} is not earlier");
+            assert!(
+                d < i,
+                "critical_path: dependency {d} of node {i} is not earlier"
+            );
             if best[d] > b {
                 b = best[d];
                 f = Some(d);

@@ -83,7 +83,10 @@ mod tests {
             assert_eq!(j.reduces, 0);
             assert_eq!(j.io_weight, 2.0);
             assert_eq!(j.tenant.as_deref(), Some("faas"));
-            assert!(matches!(j.input, ibis_mapreduce::InputSpec::None { maps: 1 }));
+            assert!(matches!(
+                j.input,
+                ibis_mapreduce::InputSpec::None { maps: 1 }
+            ));
         }
     }
 

@@ -104,7 +104,10 @@ impl DagSpec {
             assert!(!seen.contains(&d), "stage {idx} lists dep {d} twice");
             seen.push(d);
         }
-        assert!(s.shuffle_ratio > 0.0 || s.reduces == 0, "zero shuffle into reduces");
+        assert!(
+            s.shuffle_ratio > 0.0 || s.reduces == 0,
+            "zero shuffle into reduces"
+        );
         assert!(s.output_ratio > 0.0, "stage output must be positive");
         self.stages.push(s);
         self
@@ -121,7 +124,11 @@ impl DagSpec {
             } else {
                 s.deps.iter().map(|&d| v[d].2).sum()
             };
-            let shuffle = if s.reduces == 0 { 0.0 } else { input * s.shuffle_ratio };
+            let shuffle = if s.reduces == 0 {
+                0.0
+            } else {
+                input * s.shuffle_ratio
+            };
             let output = input * s.output_ratio;
             v.push((input, shuffle, output));
         }
@@ -248,7 +255,7 @@ mod tests {
         assert_eq!(v[0].0, 10.0 * gib); // scan reads the DAG input
         assert_eq!(v[1].0, 8.0 * gib); // filter reads scan's output
         assert_eq!(v[2].0, 8.0 * gib); // project too (fork)
-        // join reads filter (8·0.25 = 2 GiB) + project (8·0.30 = 2.4 GiB)
+                                       // join reads filter (8·0.25 = 2 GiB) + project (8·0.30 = 2.4 GiB)
         assert!((v[3].0 - 4.4 * gib).abs() < 1.0);
         assert!((d.sink_output_bytes() - 0.44 * gib).abs() < 1.0);
     }
@@ -269,8 +276,16 @@ mod tests {
             } else {
                 let sh = carried * spec.map_output_ratio;
                 let out = sh * spec.reduce_output_ratio;
-                assert!((sh - shuffle).abs() / shuffle < 1e-9, "{}: shuffle {sh} vs {shuffle}", spec.name);
-                assert!((out - output).abs() / output < 1e-9, "{}: out {out} vs {output}", spec.name);
+                assert!(
+                    (sh - shuffle).abs() / shuffle < 1e-9,
+                    "{}: shuffle {sh} vs {shuffle}",
+                    spec.name
+                );
+                assert!(
+                    (out - output).abs() / output < 1e-9,
+                    "{}: out {out} vs {output}",
+                    spec.name
+                );
                 carried = out;
             }
         }
@@ -280,8 +295,10 @@ mod tests {
     fn lowered_chain_shape() {
         let chain = diamond().lower();
         assert_eq!(chain.len(), 4);
-        assert!(matches!(chain[0].input, InputSpec::DfsFile { ref name, bytes }
-            if name == "diamond-input" && bytes == 10 * GIB));
+        assert!(
+            matches!(chain[0].input, InputSpec::DfsFile { ref name, bytes }
+            if name == "diamond-input" && bytes == 10 * GIB)
+        );
         for s in &chain[1..] {
             assert_eq!(s.input, InputSpec::Chained);
         }

@@ -80,14 +80,20 @@ impl JobShape {
                 heavy_lo: 16.0,
                 heavy_hi: 97.0,
             },
-            input_to_shuffle: SizeDist::LogUniform { lo: 0.05, hi: 1000.0 },
+            input_to_shuffle: SizeDist::LogUniform {
+                lo: 0.05,
+                hi: 1000.0,
+            },
             shuffle_to_output: SizeDist::LogUniform {
                 lo: 1.0 / 32.0,
                 hi: 100.0,
             },
             map_cpu_rate: SizeDist::LogUniform { lo: 8e6, hi: 120e6 },
             reduce_cpu_rate: SizeDist::LogUniform { lo: 8e6, hi: 120e6 },
-            reduces: ReducePolicy::PerMaps { divisor: 4, cap: 16 },
+            reduces: ReducePolicy::PerMaps {
+                divisor: 4,
+                cap: 16,
+            },
             dfs_input: true,
             gen_bytes_per_map: 128 * MIB,
             output_replication: 3,
@@ -116,7 +122,10 @@ impl JobShape {
             maps: SizeDist::Fixed(1.0),
             input_to_shuffle: SizeDist::Fixed(1.0),
             shuffle_to_output: SizeDist::Fixed(1.0),
-            map_cpu_rate: SizeDist::LogUniform { lo: 40e6, hi: 160e6 },
+            map_cpu_rate: SizeDist::LogUniform {
+                lo: 40e6,
+                hi: 160e6,
+            },
             reduce_cpu_rate: SizeDist::Fixed(100e6),
             reduces: ReducePolicy::None,
             dfs_input: false,
@@ -314,9 +323,7 @@ impl MixConfig {
                 &format!("t{i}"),
                 weight,
                 jobs_per_tenant,
-                ArrivalProcess::Poisson {
-                    mean_interarrival,
-                },
+                ArrivalProcess::Poisson { mean_interarrival },
                 shape,
             ));
         }

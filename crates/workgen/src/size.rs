@@ -85,9 +85,7 @@ impl SizeDist {
                 let t = 1.0 - (lo / hi).powf(alpha);
                 lo / (1.0 - u * t).powf(1.0 / alpha)
             }
-            SizeDist::LogNormal { mu, sigma, lo, hi } => {
-                rng.lognormal(mu, sigma).clamp(lo, hi)
-            }
+            SizeDist::LogNormal { mu, sigma, lo, hi } => rng.lognormal(mu, sigma).clamp(lo, hi),
             SizeDist::Bimodal {
                 heavy_fraction,
                 lo,
@@ -160,7 +158,10 @@ mod tests {
         let mean = v.iter().sum::<f64>() / v.len() as f64;
         // Heavy tail: the mean is dominated by the few huge draws.
         assert!(median < 3.0, "median too large: {median}");
-        assert!(mean > 5.0 * median, "tail too light: mean {mean}, median {median}");
+        assert!(
+            mean > 5.0 * median,
+            "tail too light: mean {mean}, median {median}"
+        );
     }
 
     #[test]
@@ -180,7 +181,10 @@ mod tests {
 
     #[test]
     fn log_uniform_spans_decades() {
-        let d = SizeDist::LogUniform { lo: 0.05, hi: 1000.0 };
+        let d = SizeDist::LogUniform {
+            lo: 0.05,
+            hi: 1000.0,
+        };
         let mut rng = SimRng::new(5);
         let v: Vec<f64> = (0..2000).map(|_| d.sample(&mut rng)).collect();
         assert!(v.iter().any(|&x| x < 0.1));

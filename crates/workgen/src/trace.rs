@@ -146,7 +146,10 @@ impl<'a> Scan<'a> {
                     .map(Value::Num)
                     .map_err(|e| format!("bad number {s:?}: {e}"))
             }
-            other => Err(format!("expected value, found {other:?} at byte {}", self.i)),
+            other => Err(format!(
+                "expected value, found {other:?} at byte {}",
+                self.i
+            )),
         }
     }
 }
@@ -167,7 +170,10 @@ fn count(v: Value, key: &str) -> Result<u32, String> {
 }
 
 fn parse_record(line: &str) -> Result<TraceRecord, String> {
-    let mut s = Scan { b: line.as_bytes(), i: 0 };
+    let mut s = Scan {
+        b: line.as_bytes(),
+        i: 0,
+    };
     s.expect(b'{')?;
     let mut rec = TraceRecord::default();
     let mut saw_at = false;
@@ -180,7 +186,10 @@ fn parse_record(line: &str) -> Result<TraceRecord, String> {
                 "at" => {
                     rec.at_secs = num(v, "at")?;
                     if !(rec.at_secs.is_finite() && rec.at_secs >= 0.0) {
-                        return Err(format!("at: must be a finite offset ≥ 0, got {}", rec.at_secs));
+                        return Err(format!(
+                            "at: must be a finite offset ≥ 0, got {}",
+                            rec.at_secs
+                        ));
                     }
                     saw_at = true;
                 }

@@ -292,7 +292,10 @@ mod tests {
 
     #[test]
     fn weight_helpers_apply_to_all_stages() {
-        let q = tpch_q9().with_io_weight(100.0).with_cpu_weight(2.0).with_max_slots(48);
+        let q = tpch_q9()
+            .with_io_weight(100.0)
+            .with_cpu_weight(2.0)
+            .with_max_slots(48);
         for s in &q.stages {
             assert_eq!(s.io_weight, 100.0);
             assert_eq!(s.cpu_weight, 2.0);

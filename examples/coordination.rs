@@ -25,7 +25,10 @@ fn main() {
     let tg_base = base(teragen(128 * GIB));
     println!("standalone: TeraSort {ts_base:.0} s, TeraGen {tg_base:.0} s\n");
 
-    for (label, sync) in [("broker OFF (local ratios only)", false), ("broker ON (total-service DSFQ)", true)] {
+    for (label, sync) in [
+        ("broker OFF (local ratios only)", false),
+        ("broker ON (total-service DSFQ)", true),
+    ] {
         let cfg = ClusterConfig::default()
             .with_policy(Policy::SfqD2(SfqD2Config::default()))
             .with_coordination(sync);

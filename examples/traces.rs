@@ -48,7 +48,10 @@ fn main() {
         ))
         .tenant(burst_tenant("faas", BurstProfile::faas(300).weight(1.0)));
 
-    println!("seed {seed:#x}: composing {} jobs across 3 tenants", mix.total_jobs());
+    println!(
+        "seed {seed:#x}: composing {} jobs across 3 tenants",
+        mix.total_jobs()
+    );
 
     // A composed mix exports to the JSONL trace format for versioning or
     // hand-editing, and the export parses back losslessly.

@@ -111,7 +111,11 @@ fn full_run_is_deterministic() {
         let mut exp = Experiment::new(cfg);
         exp.add_job(wordcount(GIB).max_slots(24).io_weight(32.0));
         exp.add_job(teragen(4 * GIB).max_slots(24));
-        exp.add_job(terasort(GIB).max_slots(24).arriving_at(SimDuration::from_secs(5)));
+        exp.add_job(
+            terasort(GIB)
+                .max_slots(24)
+                .arriving_at(SimDuration::from_secs(5)),
+        );
         let r = exp.run();
         (
             r.events,
