@@ -44,7 +44,7 @@
 //! first check — the others reconstruct cumulative state and would
 //! false-positive on an incomplete prefix.
 
-use crate::event::{EventKind, ObsEvent};
+use crate::event::{fault, EventKind, ObsEvent};
 use crate::recorder::{Recording, RecordingMeta};
 use ibis_simcore::metrics::Cdf;
 use ibis_simcore::{SimDuration, SimTime};
@@ -295,7 +295,7 @@ struct RackScan {
     /// slowdown) were also injected — those can degrade any rack, so the
     /// scope and re-convergence checks disarm.
     mixed: bool,
-    /// Nodes carrying a crash marker (kind 3): exempt from the scope and
+    /// Nodes carrying a [`fault::NODE_CRASH`] marker: exempt from the scope and
     /// re-convergence checks (a crashed scheduler degrades for its own
     /// reasons).
     crashed: Vec<u32>,
@@ -318,12 +318,12 @@ impl RackScan {
         for ev in rec.events() {
             if let EventKind::FaultInjected { kind, detail } = ev.kind {
                 match kind {
-                    7 | 9 => {
+                    fault::AGG_CRASH | fault::PARTITION_BEGIN => {
                         any = true;
                         let e = open.entry(detail as u32).or_insert((ev.at.as_nanos(), 0));
                         e.1 += 1;
                     }
-                    8 | 10 => {
+                    fault::AGG_RESTART | fault::PARTITION_HEAL => {
                         any = true;
                         if let Some(&(start, n)) = open.get(&(detail as u32)) {
                             if n <= 1 {
@@ -334,8 +334,12 @@ impl RackScan {
                             }
                         }
                     }
-                    3 if !crashed.contains(&ev.node) => crashed.push(ev.node),
-                    0 | 1 | 2 | 5 | 6 => mixed = true,
+                    fault::NODE_CRASH if !crashed.contains(&ev.node) => crashed.push(ev.node),
+                    fault::BROKER_OUTAGE
+                    | fault::REPORT_DROPPED
+                    | fault::REPLY_DELAYED
+                    | fault::SLOWDOWN_BEGIN
+                    | fault::SLOWDOWN_END => mixed = true,
                     _ => {}
                 }
             }
@@ -1073,7 +1077,14 @@ mod tests {
     #[test]
     fn fault_markers_are_inert_for_other_checks() {
         let mut rec = FlightRecorder::new(1, 64);
-        push(&mut rec, 0, EventKind::FaultInjected { kind: 0, detail: 7 });
+        push(
+            &mut rec,
+            0,
+            EventKind::FaultInjected {
+                kind: fault::BROKER_OUTAGE,
+                detail: 7,
+            },
+        );
         push(&mut rec, 1, EventKind::ReportRetry { attempt: 2 });
         push(
             &mut rec,
@@ -1120,7 +1131,10 @@ mod tests {
             &mut rec,
             10 * SEC,
             0,
-            EventKind::FaultInjected { kind: 9, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::PARTITION_BEGIN,
+                detail: 0,
+            },
         );
         // …but a rack-1 scheduler degrades at 14 s: scope leak.
         push_on(
@@ -1134,7 +1148,7 @@ mod tests {
             20 * SEC,
             0,
             EventKind::FaultInjected {
-                kind: 10,
+                kind: fault::PARTITION_HEAL,
                 detail: 0,
             },
         );
@@ -1151,7 +1165,10 @@ mod tests {
             &mut rec,
             10 * SEC,
             0,
-            EventKind::FaultInjected { kind: 7, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::AGG_CRASH,
+                detail: 0,
+            },
         );
         // A rack-0 scheduler degrades mid-fault and exits 1 s after the
         // heal — inside the 2-sync-period grace.
@@ -1165,7 +1182,10 @@ mod tests {
             &mut rec,
             20 * SEC,
             0,
-            EventKind::FaultInjected { kind: 8, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::AGG_RESTART,
+                detail: 0,
+            },
         );
         push_on(
             &mut rec,
@@ -1186,7 +1206,10 @@ mod tests {
             &mut rec,
             10 * SEC,
             0,
-            EventKind::FaultInjected { kind: 9, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::PARTITION_BEGIN,
+                detail: 0,
+            },
         );
         push_on(
             &mut rec,
@@ -1199,7 +1222,7 @@ mod tests {
             20 * SEC,
             0,
             EventKind::FaultInjected {
-                kind: 10,
+                kind: fault::PARTITION_HEAL,
                 detail: 0,
             },
         );
@@ -1243,7 +1266,10 @@ mod tests {
             &mut rec,
             10 * SEC,
             0,
-            EventKind::FaultInjected { kind: 9, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::PARTITION_BEGIN,
+                detail: 0,
+            },
         );
         push_on(
             &mut rec,
@@ -1256,7 +1282,7 @@ mod tests {
             20 * SEC,
             0,
             EventKind::FaultInjected {
-                kind: 10,
+                kind: fault::PARTITION_HEAL,
                 detail: 0,
             },
         );
@@ -1265,7 +1291,10 @@ mod tests {
             &mut rec,
             5 * SEC,
             0,
-            EventKind::FaultInjected { kind: 0, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::BROKER_OUTAGE,
+                detail: 0,
+            },
         );
         let rep = audit(&rec.finish(rack_meta()), &AuditConfig::default());
         assert!(rep.passed());
@@ -1279,7 +1308,10 @@ mod tests {
             &mut rec,
             10 * SEC,
             0,
-            EventKind::FaultInjected { kind: 9, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::PARTITION_BEGIN,
+                detail: 0,
+            },
         );
         // Node 2 (rack 1) carries a crash marker: its degrade during the
         // rack-0 fault window is its own business.
@@ -1287,7 +1319,10 @@ mod tests {
             &mut rec,
             12 * SEC,
             2,
-            EventKind::FaultInjected { kind: 3, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::NODE_CRASH,
+                detail: 0,
+            },
         );
         push_on(
             &mut rec,
@@ -1300,7 +1335,7 @@ mod tests {
             20 * SEC,
             0,
             EventKind::FaultInjected {
-                kind: 10,
+                kind: fault::PARTITION_HEAL,
                 detail: 0,
             },
         );
@@ -1315,7 +1350,10 @@ mod tests {
             &mut rec,
             10 * SEC,
             0,
-            EventKind::FaultInjected { kind: 7, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::AGG_CRASH,
+                detail: 0,
+            },
         );
         push_on(
             &mut rec,
@@ -1327,7 +1365,10 @@ mod tests {
             &mut rec,
             16 * SEC,
             0,
-            EventKind::FaultInjected { kind: 8, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::AGG_RESTART,
+                detail: 0,
+            },
         );
         // A post-failover reply showing less total service than already
         // reported means the resync pulled the root backwards.

@@ -75,19 +75,13 @@ pub enum EventKind {
         /// Broker-reported cluster-wide total service, bytes.
         total: u64,
     },
-    /// A fault was injected at this site (engine fault layer). `kind` is
-    /// a small discriminant: 0 = broker outage began, 1 = report dropped,
-    /// 2 = reply delayed, 3 = node crash, 4 = node restart, 5 = device
-    /// slowdown began, 6 = device slowdown ended, 7 = aggregator crash,
-    /// 8 = aggregator restart, 9 = rack partition began, 10 = rack
-    /// partition healed, 11 = report duplicated, 12 = report reordered,
-    /// 13 = snapshot resync ran (detail = snapshot entries). Rack-scoped
-    /// kinds (7–10) carry the rack id in `detail` and stamp `node` with
-    /// the rack's first node (`rack * rack_size`).
+    /// A fault was injected at this site (engine fault layer), or the
+    /// coordination plane repaired one. `kind` is one of the [`fault`]
+    /// codes, each of which says what `detail` holds.
     FaultInjected {
-        /// Fault discriminant (see above).
+        /// Fault code: one of the [`fault`] constants.
         kind: u32,
-        /// Kind-specific detail (e.g. sync index, slowdown factor ×1000).
+        /// Code-specific detail (see the code).
         detail: u64,
     },
     /// A local scheduler's broker totals exceeded the staleness bound (or
@@ -169,6 +163,46 @@ pub enum EventKind {
         /// Total replica count.
         replicas: u32,
     },
+}
+
+/// The codes an [`EventKind::FaultInjected`] marker carries in `kind`,
+/// and what its `detail` holds under each. Rack-scoped markers
+/// ([`AGG_CRASH`](fault::AGG_CRASH) to
+/// [`PARTITION_HEAL`](fault::PARTITION_HEAL)) stamp `node` with the
+/// rack's first node (`rack * rack_size`).
+pub mod fault {
+    /// A broker outage began; `detail` is its length in ns.
+    pub const BROKER_OUTAGE: u32 = 0;
+    /// A service report was dropped; `detail` is the sync round's index.
+    pub const REPORT_DROPPED: u32 = 1;
+    /// A round's replies were held back; `detail` is the added reply
+    /// latency in ns.
+    pub const REPLY_DELAYED: u32 = 2;
+    /// The node crashed; `detail` is 0.
+    pub const NODE_CRASH: u32 = 3;
+    /// The node restarted; `detail` is 0.
+    pub const NODE_RESTART: u32 = 4;
+    /// A slowdown window opened on (`node`, `dev`); `detail` is the
+    /// factor's `f64::to_bits`.
+    pub const SLOWDOWN_BEGIN: u32 = 5;
+    /// A slowdown window closed; `detail` is the factor's `f64::to_bits`.
+    pub const SLOWDOWN_END: u32 = 6;
+    /// A rack's leaf aggregator crashed; `detail` is the rack id.
+    pub const AGG_CRASH: u32 = 7;
+    /// The leaf aggregator restarted empty; `detail` is the rack id.
+    pub const AGG_RESTART: u32 = 8;
+    /// A rack partition began; `detail` is the rack id.
+    pub const PARTITION_BEGIN: u32 = 9;
+    /// A rack partition healed; `detail` is the rack id.
+    pub const PARTITION_HEAL: u32 = 10;
+    /// A service report was delivered twice; `detail` is the sync
+    /// round's index.
+    pub const REPORT_DUPLICATED: u32 = 11;
+    /// A service report was held until after the sender's next one;
+    /// `detail` is the sync round's index.
+    pub const REPORT_REORDERED: u32 = 12;
+    /// A snapshot resync ran; `detail` is the snapshot's entry count.
+    pub const RESYNC: u32 = 13;
 }
 
 /// One recorded event with its origin stamped by the engine.

@@ -42,5 +42,5 @@ pub mod event;
 pub mod recorder;
 
 pub use audit::{audit, AuditConfig, AuditReport, Invariant, Violation};
-pub use event::{EventBuf, EventKind, ObsEvent};
+pub use event::{fault, EventBuf, EventKind, ObsEvent};
 pub use recorder::{FlightRecorder, ObsConfig, Recording, RecordingMeta};

@@ -32,7 +32,7 @@
 //! same sequence.
 
 use crate::request::Requests;
-use ibis_obs::{EventKind, Recording};
+use ibis_obs::{fault, EventKind, Recording};
 use ibis_simcore::hash::FxHashMap;
 
 /// Component names, in classification-priority order: a device-service
@@ -201,7 +201,10 @@ fn own_edge(kind: &EventKind) -> bool {
             | EventKind::Completed { .. }
             | EventKind::DegradedEnter { .. }
             | EventKind::DegradedExit { .. }
-            | EventKind::FaultInjected { kind: 3 | 4, .. }
+            | EventKind::FaultInjected {
+                kind: fault::NODE_CRASH | fault::NODE_RESTART,
+                ..
+            }
     )
 }
 
@@ -355,8 +358,14 @@ pub fn attribute(rec: &Recording) -> Vec<AppAttribution> {
                             }
                         }
                     }
-                    EventKind::FaultInjected { kind: 3, .. } => down_nodes += 1,
-                    EventKind::FaultInjected { .. } => down_nodes = (down_nodes - 1).max(0),
+                    EventKind::FaultInjected {
+                        kind: fault::NODE_CRASH,
+                        ..
+                    } => down_nodes += 1,
+                    EventKind::FaultInjected {
+                        kind: fault::NODE_RESTART,
+                        ..
+                    } => down_nodes = (down_nodes - 1).max(0),
                     _ => unreachable!("only own edges are visited"),
                 }
                 e = next_own(e + 1);

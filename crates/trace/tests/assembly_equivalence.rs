@@ -8,7 +8,7 @@
 //! down/up markers pass through bounded recorders, so truncated streams
 //! with orphaned completions are covered too.
 
-use ibis_obs::{EventKind, FlightRecorder, ObsEvent, Recording, RecordingMeta};
+use ibis_obs::{fault, EventKind, FlightRecorder, ObsEvent, Recording, RecordingMeta};
 use ibis_simcore::SimTime;
 use ibis_trace::{attribute, AppAttribution, TraceReport};
 use proptest::prelude::*;
@@ -164,14 +164,33 @@ fn recording(seed: u64, capacity: usize) -> Recording {
     for _ in 0..rng.below(3) {
         let node = rng.below(u64::from(nodes)) as u32;
         let at = rng.below(horizon);
-        evs.push((at, node, 0, EventKind::FaultInjected { kind: 3, detail: 0 }));
+        evs.push((
+            at,
+            node,
+            0,
+            EventKind::FaultInjected {
+                kind: fault::NODE_CRASH,
+                detail: 0,
+            },
+        ));
         evs.push((
             at + rng.below(30),
             node,
             0,
-            EventKind::FaultInjected { kind: 4, detail: 0 },
+            EventKind::FaultInjected {
+                kind: fault::NODE_RESTART,
+                detail: 0,
+            },
         ));
-        evs.push((at, 0, 0, EventKind::FaultInjected { kind: 5, detail: 1 }));
+        evs.push((
+            at,
+            0,
+            0,
+            EventKind::FaultInjected {
+                kind: fault::SLOWDOWN_BEGIN,
+                detail: 1,
+            },
+        ));
     }
     for _ in 0..rng.below(20) {
         let node = rng.below(u64::from(nodes)) as u32;
@@ -324,12 +343,14 @@ fn model_attribute(rec: &Recording) -> Vec<AppAttribution> {
                     },
                 ));
             }
-            EventKind::FaultInjected { kind: 3, .. } => {
-                edges.push((t, Edge::NodeDown { delta: 1 }))
-            }
-            EventKind::FaultInjected { kind: 4, .. } => {
-                edges.push((t, Edge::NodeDown { delta: -1 }))
-            }
+            EventKind::FaultInjected {
+                kind: fault::NODE_CRASH,
+                ..
+            } => edges.push((t, Edge::NodeDown { delta: 1 })),
+            EventKind::FaultInjected {
+                kind: fault::NODE_RESTART,
+                ..
+            } => edges.push((t, Edge::NodeDown { delta: -1 })),
             _ => {}
         }
     }
