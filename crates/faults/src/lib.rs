@@ -498,19 +498,6 @@ impl FaultSchedule {
             .any(|f| matches!(f, Fault::DeviceSlowdown { .. }))
     }
 
-    /// Crash faults in schedule order (the engine turns these into
-    /// crash/restart events at start-up).
-    pub fn crashes(&self) -> impl Iterator<Item = (u32, SimTime, Option<SimDuration>)> + '_ {
-        self.faults.iter().filter_map(|f| match f {
-            Fault::NodeCrash {
-                node,
-                at,
-                restart_after,
-            } => Some((*node, *at, *restart_after)),
-            _ => None,
-        })
-    }
-
     /// Parses the `IBIS_FAULTS` mini-language: a `;`/`,`-separated list
     /// of fault specs (whitespace ignored):
     ///
@@ -883,9 +870,6 @@ mod tests {
                 },
             ]
         );
-        let crashes: Vec<_> = s.crashes().collect();
-        assert_eq!(crashes.len(), 2);
-        assert_eq!(crashes[0], (2, t(30), None));
     }
 
     #[test]
