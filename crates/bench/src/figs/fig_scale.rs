@@ -191,17 +191,7 @@ fn jain(r: &RunReport) -> f64 {
         .iter()
         .map(|t| r.app_service.get(&t.app).copied().unwrap_or(0) as f64 / t.weight)
         .collect();
-    jain_of(&xs)
-}
-
-fn jain_of(xs: &[f64]) -> f64 {
-    let n = xs.len() as f64;
-    let sum: f64 = xs.iter().sum();
-    let sq: f64 = xs.iter().map(|x| x * x).sum();
-    if sq == 0.0 {
-        return f64::NAN;
-    }
-    sum * sum / (n * sq)
+    RunReport::jain_index(&xs)
 }
 
 /// Jain's index over per-tenant service *completed on unaffected racks
@@ -228,7 +218,7 @@ fn windowed_jain(cell: &Cell) -> (f64, u64) {
         .iter()
         .map(|t| per_app.get(&t.app.0).copied().unwrap_or(0) as f64 / t.weight)
         .collect();
-    (jain_of(&xs), total)
+    (RunReport::jain_index(&xs), total)
 }
 
 /// All six invariants on `cell`'s recording: the five audited by
