@@ -60,6 +60,8 @@ pub fn run(scale: ScaleProfile) -> ResultSink {
         "crates/core/src/request.rs",
         "crates/core/src/scheduler.rs",
         "crates/cluster/src/engine.rs",
+        "crates/cluster/src/engine/coord.rs",
+        "crates/cluster/src/engine/faults.rs",
     ]);
     let sfqd = loc_of(&["crates/core/src/sfq.rs"]);
     let sfqd2 = loc_of(&["crates/core/src/controller.rs", "crates/core/src/sfqd2.rs"]);
